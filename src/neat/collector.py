@@ -1,7 +1,6 @@
 """Exploration-record collection: three cooperating Q-agents (head feature,
 operator, tail feature) grow a feature set step by step, rewarded by the
-label-free utility of each resulting set. A random-generation variant draws
-crosses blindly through the same bookkeeping.
+label-free utility of each resulting set.
 
 Each record pairs a full token sequence with the utility of the set it
 materializes, forming the training corpus for the encoder/decoder stages.
@@ -12,7 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,26 +28,14 @@ from .expr import (
     eval_cross,
     feature_token,
     op_set_hash,
-    random_cross,
 )
+from .errors import ConfigHashMismatch
 from .tabular import DataTable
-from .utility import UtilityConfig, mdcg, redundancy_utility
+from .utility import UtilityConfig, mdcg
 
 log = logging.getLogger(__name__)
 
 STATE_WIDTH = 49
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One replay entry; next_valid is the valid-action count at next_state."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    next_valid: int
-    terminal: bool
 
 
 @dataclass(frozen=True)
@@ -62,7 +49,6 @@ class ExplorationRecord:
 @dataclass(frozen=True)
 class CollectorConfig:
     utility: UtilityConfig = field(default_factory=UtilityConfig)
-    utility_kind: str = "mdcg"            # "mdcg" | "redundancy"
     max_features: int | None = None       # None -> 2 * d, resolved per dataset
     gamma: float = 0.9
     replay_capacity: int = 4096
@@ -73,21 +59,12 @@ class CollectorConfig:
     epsilon_fraction: float = 0.7
     hidden: int = 64
     lr: float = 0.001
-    record_crosses_only: bool = False
-
-    def utility_fn(self) -> Callable[[FeatureMatrix], float]:
-        if self.utility_kind == "mdcg":
-            cfg = self.utility
-            return lambda F: mdcg(F, cfg)
-        if self.utility_kind == "redundancy":
-            return redundancy_utility
-        raise ValueError(f"unknown utility kind {self.utility_kind!r}")
 
 
-def describe_state(F) -> np.ndarray:
+def describe_state(F: FeatureMatrix) -> np.ndarray:
     """Fixed-width description of a feature set: 7 per-column statistics,
     each summarized across columns by the same 7 statistics."""
-    v = F.values if isinstance(F, FeatureMatrix) else np.asarray(F, dtype=np.float64)
+    v = F.values
     q = np.percentile(v, [25.0, 50.0, 75.0], axis=0)
     col_stats = np.vstack([
         v.mean(axis=0), v.std(axis=0), v.min(axis=0), q[0], q[1], q[2], v.max(axis=0)])
@@ -101,7 +78,8 @@ def describe_state(F) -> np.ndarray:
 
 
 class ReplayBuffer:
-    """Preallocated ring buffer over transition fields."""
+    """Preallocated ring buffer over transition fields; ``next_valid`` is the
+    valid-action count at ``next_state``."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
@@ -114,14 +92,15 @@ class ReplayBuffer:
         self.pos = 0
         self.size = 0
 
-    def push(self, t: Transition) -> None:
+    def push(self, state: np.ndarray, action: int, reward: float,
+             next_state: np.ndarray, next_valid: int, terminal: bool) -> None:
         i = self.pos
-        self.states[i] = t.state
-        self.actions[i] = t.action
-        self.rewards[i] = t.reward
-        self.next_states[i] = t.next_state
-        self.next_valid[i] = t.next_valid
-        self.terminal[i] = t.terminal
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self.next_valid[i] = next_valid
+        self.terminal[i] = terminal
         self.pos = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -178,18 +157,10 @@ class QAgent:
 
 
 def bellman_update(agent: QAgent, batch, gamma: float | None = None) -> float:
-    """One TD step on a batch: y = r + gamma * masked max target-Q (r when
-    terminal); returns the mean squared TD error. Syncs the target network
-    every ``sync_every`` updates."""
-    if isinstance(batch, (list, tuple)) and batch and isinstance(batch[0], Transition):
-        states = np.stack([t.state for t in batch])
-        actions = np.array([t.action for t in batch], dtype=np.int64)
-        rewards = np.array([t.reward for t in batch])
-        next_states = np.stack([t.next_state for t in batch])
-        next_valid = np.array([t.next_valid for t in batch], dtype=np.int64)
-        terminal = np.array([t.terminal for t in batch], dtype=bool)
-    else:
-        states, actions, rewards, next_states, next_valid, terminal = batch
+    """One TD step on a batch, the tuple that ``ReplayBuffer.sample`` returns:
+    y = r + gamma * masked max target-Q (r when terminal); returns the mean
+    squared TD error. Syncs the target network every ``sync_every`` updates."""
+    states, actions, rewards, next_states, next_valid, terminal = batch
     gamma = agent.gamma if gamma is None else gamma
     B = states.shape[0]
 
@@ -296,7 +267,7 @@ def _compose_cross(workspace: _Workspace, head: int, opcode: OpCode,
 
 
 def _advance(workspace: _Workspace, cross: FeatureCross, max_features: int,
-             utility_fn, current_utility: float) -> tuple[float, bool]:
+             utility: UtilityConfig, current_utility: float) -> tuple[float, bool]:
     """Try to append a cross; no-op (same set, current utility) when the
     column is a bitwise duplicate, the feature cap is hit, or the sequence
     would overflow its token budgets."""
@@ -310,46 +281,7 @@ def _advance(workspace: _Workspace, cross: FeatureCross, max_features: int,
     if col.tobytes() in workspace.keys:
         return current_utility, False
     workspace.append(cross, col)
-    return utility_fn(workspace.matrix()), True
-
-
-def collector_step(F: FeatureMatrix, actions, X: DataTable, cfg: CollectorConfig,
-                   current_utility: float | None = None, episode: int = 0,
-                   step: int = 0) -> tuple[FeatureMatrix, float, ExplorationRecord]:
-    """Apply one (head, op, tail) action to a materialized set.
-
-    Standalone entry point used by tests and tooling; episode rollouts keep a
-    workspace alive across steps instead of rebuilding it.
-    """
-    workspace = _Workspace(X)
-    workspace.columns = [c.copy() for c in F.values.T]
-    workspace.provenance = list(F.provenance)
-    workspace.keys = {c.tobytes() for c in workspace.columns}
-    utility_fn = cfg.utility_fn()
-    if current_utility is None:
-        current_utility = utility_fn(F)
-    head, opcode, tail = actions
-    if isinstance(opcode, str):
-        opcode = OPCODES[opcode]
-    max_features = cfg.max_features or 2 * X.n_features
-    cross = _compose_cross(workspace, head, opcode, tail)
-    reward, _ = _advance(workspace, cross, max_features, utility_fn, current_utility)
-    record = _make_record(workspace, cfg, reward, episode, step)
-    return workspace.matrix(), reward, record
-
-
-def _make_record(workspace: _Workspace, cfg: CollectorConfig, reward: float,
-                 episode: int, step: int) -> ExplorationRecord | None:
-    if not cfg.record_crosses_only:
-        return ExplorationRecord(workspace.sequence(), reward, episode, step)
-    crosses = [c for c in workspace.provenance if len(c.tokens) > 1]
-    if not crosses:
-        return None
-    values = np.column_stack(
-        [col for col, c in zip(workspace.columns, workspace.provenance)
-         if len(c.tokens) > 1])
-    utility = cfg.utility_fn()(FeatureMatrix(values, tuple(crosses)))
-    return ExplorationRecord(CrossSequence.from_crosses(crosses), utility, episode, step)
+    return mdcg(workspace.matrix(), utility), True
 
 
 def _epsilon(episode: int, episodes: int, cfg: CollectorConfig) -> float:
@@ -367,33 +299,27 @@ def collect(X: DataTable, episodes: int, steps: int,
     rng = np.random.default_rng(0) if rng is None else rng
     max_features = cfg.max_features or 2 * X.n_features
     agents = AgentTriplet.build(max_features, cfg, rng)
-    utility_fn = cfg.utility_fn()
     records: list[ExplorationRecord] = []
 
     for episode in range(episodes):
         epsilon = _epsilon(episode, episodes, cfg)
         workspace = _Workspace(X)
-        utility = utility_fn(workspace.matrix())
+        utility = mdcg(workspace.matrix(), cfg.utility)
         state = describe_state(workspace.matrix())
         for step in range(steps):
             m_before = workspace.n_features
             head, opcode, tail = select_actions(agents, state, m_before, epsilon, rng)
             cross = _compose_cross(workspace, head, opcode, tail)
-            utility, _ = _advance(workspace, cross, max_features, utility_fn, utility)
-            record = _make_record(workspace, cfg, utility, episode, step)
-            if record is not None:
-                records.append(record)
+            utility, _ = _advance(workspace, cross, max_features, cfg.utility, utility)
+            records.append(ExplorationRecord(workspace.sequence(), utility, episode, step))
             next_state = describe_state(workspace.matrix())
             terminal = step == steps - 1
             m_after = workspace.n_features
-            agents.head.buffer.push(Transition(
-                state, head, utility, next_state, m_after, terminal))
-            agents.op.buffer.push(Transition(
-                state, OP_SYMBOLS.index(opcode.symbol), utility, next_state,
-                len(OP_SYMBOLS), terminal))
+            agents.head.buffer.push(state, head, utility, next_state, m_after, terminal)
+            agents.op.buffer.push(state, OP_SYMBOLS.index(opcode.symbol), utility,
+                                  next_state, len(OP_SYMBOLS), terminal)
             if tail is not None:
-                agents.tail.buffer.push(Transition(
-                    state, tail, utility, next_state, m_after, terminal))
+                agents.tail.buffer.push(state, tail, utility, next_state, m_after, terminal)
             for agent in (agents.head, agents.op, agents.tail):
                 if agent.buffer.size >= agent.batch_size:
                     bellman_update(agent, agent.buffer.sample(agent.batch_size, rng))
@@ -401,30 +327,6 @@ def collect(X: DataTable, episodes: int, steps: int,
         if (episode + 1) % 32 == 0 or episode == episodes - 1:
             log.info("stage=collect episode=%d epsilon=%.3f utility=%.6f",
                      episode, epsilon, utility)
-    return records
-
-
-def collect_random(X: DataTable, N: int, steps: int,
-                   rng: np.random.Generator | None = None,
-                   cfg: CollectorConfig | None = None,
-                   depth_limit: int = 3) -> list[ExplorationRecord]:
-    """Blind variant: crosses drawn by random_cross, same record format."""
-    cfg = cfg or CollectorConfig()
-    rng = np.random.default_rng(0) if rng is None else rng
-    max_features = cfg.max_features or 2 * X.n_features
-    utility_fn = cfg.utility_fn()
-    records: list[ExplorationRecord] = []
-    workspace, utility = None, 0.0
-    for i in range(N):
-        episode, step = divmod(i, steps)
-        if step == 0:
-            workspace = _Workspace(X)
-            utility = utility_fn(workspace.matrix())
-        cross = random_cross(X.n_features, depth_limit, rng)
-        utility, _ = _advance(workspace, cross, max_features, utility_fn, utility)
-        record = _make_record(workspace, cfg, utility, episode, step)
-        if record is not None:
-            records.append(record)
     return records
 
 
@@ -443,8 +345,17 @@ def write_records(path: str | Path, records: Sequence[ExplorationRecord],
 
 
 def read_records(path: str | Path) -> tuple[list[ExplorationRecord], dict[str, str]]:
+    """Inverse of ``write_records``; episode and step are recovered from each
+    record's position, since ``collect`` keeps one record per step.
+
+    Raises:
+        ConfigHashMismatch: the header is missing or names another op set.
+    """
     lines = Path(path).read_text().splitlines()
-    header = dict(kv.split("=", 1) for kv in lines[0].split("\t"))
+    header = dict(kv.split("=", 1) for kv in lines[0].split("\t") if "=" in kv) if lines else {}
+    if header.get("opset") != op_set_hash():
+        raise ConfigHashMismatch(
+            f"{path}: op set {header.get('opset')!r}, this build has {op_set_hash()!r}")
     steps = int(header.get("steps", 1))
     records = []
     for i, line in enumerate(lines[1:]):

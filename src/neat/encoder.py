@@ -3,9 +3,8 @@ a two-layer mean-aggregation GNN with a projection head, and contrastive
 pretraining over exploration records.
 
 Graphs within one run share a fixed row subsample so every graph has the same
-attribute width and one encoder serves them all. Stacks of same-size graphs
-are encoded in a single batched pass; the per-graph ``encode`` is the
-batch-of-one case.
+attribute width and one encoder serves them all. A batch of graphs is split by
+node count, and each stack of same-size graphs is encoded in one pass.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .errors import BatchTooSmall, NeatError, SingleFeature
+from .errors import BatchTooSmall, CheckpointMismatch, NeatError, SingleFeature
 from .expr import FeatureMatrix, apply_sequence
 from .tabular import RowSample
 
@@ -53,7 +52,7 @@ EDGE_VIEW = AugmentConfig(mode="edge_perturb")
 MASK_VIEW = AugmentConfig(mode="attr_mask")
 
 
-def build_graph(F, rows: RowSample | np.ndarray) -> FeatureGraph:
+def build_graph(F: FeatureMatrix, rows: RowSample) -> FeatureGraph:
     """Similarity graph over features: edge iff pairwise cosine >= the 95th
     percentile (linear interpolation) of all unordered pair similarities.
 
@@ -62,12 +61,10 @@ def build_graph(F, rows: RowSample | np.ndarray) -> FeatureGraph:
     Raises:
         SingleFeature: fewer than two features.
     """
-    values = F.values if isinstance(F, FeatureMatrix) else np.asarray(F, dtype=np.float64)
-    m = values.shape[1]
+    m = F.values.shape[1]
     if m < 2:
         raise SingleFeature("a similarity graph needs at least 2 features")
-    indices = rows.indices if isinstance(rows, RowSample) else np.asarray(rows)
-    attrs = np.ascontiguousarray(values[indices, :].T)
+    attrs = np.ascontiguousarray(F.values[rows.indices, :].T)
     sims, _ = nn.cosine_matrix(attrs, attrs)
     iu = np.triu_indices(m, k=1)
     pair_sims = sims[iu]
@@ -137,9 +134,15 @@ class EncoderModel:
         return {p.name: p.value for p in self.params()}
 
     def load_param_dict(self, values: dict[str, np.ndarray]) -> None:
+        """Copy ``values`` into the model's parameters.
+
+        Raises:
+            CheckpointMismatch: a parameter of the model is missing.
+            ShapeMismatch: a parameter has another shape than the model's.
+        """
         for p in self.params():
             if p.name not in values:
-                raise KeyError(f"checkpoint missing parameter {p.name}")
+                raise CheckpointMismatch(f"checkpoint missing parameter {p.name}")
             if values[p.name].shape != p.value.shape:
                 raise nn.ShapeMismatch(
                     f"{p.name}: checkpoint shape {values[p.name].shape}, model {p.value.shape}")
@@ -194,14 +197,6 @@ def backward_stack(model: EncoderModel, dz: np.ndarray, cache,
     dC1 = model.gnn1.backward(dA1, c_g1)
     dX0 = dC1[..., :hidden] + np.matmul(adj_t, dC1[..., hidden:] / denom)
     model.input_proj.backward(dX0, c_in)
-
-
-def encode(graph: FeatureGraph, model: EncoderModel) -> tuple[np.ndarray, np.ndarray]:
-    """Embed one graph: returns (readout h, projected z), each (hidden,)."""
-    attrs = graph.attrs[None, :, :].astype(np.float64)
-    adj = graph.adjacency[None, :, :].astype(np.float64)
-    h, z, _ = forward_stack(model, attrs, adj)
-    return h[0], z[0]
 
 
 def _stacked_groups(graphs: Sequence[FeatureGraph]):
@@ -305,7 +300,7 @@ def pretrain(records, table, model: EncoderModel, rows: RowSample,
              epochs: int = 100, batch: int = 1024, lr: float = 0.001,
              rng: np.random.Generator | None = None, tau: float = 0.5,
              edge_view: AugmentConfig = EDGE_VIEW, mask_view: AugmentConfig = MASK_VIEW,
-             include_positive: bool = False, optimizer: str = "adam") -> PretrainResult:
+             include_positive: bool = False) -> PretrainResult:
     """Contrastive pretraining; mutates ``model`` and returns the loss log.
 
     Epoch 0 in the log is a full evaluation pass before any update, so the
@@ -318,8 +313,7 @@ def pretrain(records, table, model: EncoderModel, rows: RowSample,
         log.warning("pretrain skipped %d unmaterializable record(s)", skipped)
     if not graphs:
         raise BatchTooSmall("no usable records to pretrain on")
-    opt_cls = nn.Adam if optimizer == "adam" else nn.Sgd
-    opt = opt_cls(model.params(), lr=lr)
+    opt = nn.Adam(model.params(), lr=lr)
     result = PretrainResult(skipped_records=skipped)
     for epoch in range(epochs + 1):
         train = epoch > 0

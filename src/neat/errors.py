@@ -95,41 +95,7 @@ class CheckpointMismatch(NeatError):
     pass
 
 
-class NonFiniteGradient(NeatError):
-    pass
-
-
-class NoValidCandidate(NeatError):
-    pass
-
-
-# --- evaluation harness ---
-
-class EmptyTrain(NeatError):
-    pass
-
-
-class LengthMismatch(NeatError):
-    pass
-
-
-class RowMismatch(NeatError):
-    pass
-
-
 # --- pipeline / configuration ---
 
-class MissingArtifact(NeatError):
-    pass
-
-
 class ConfigHashMismatch(NeatError):
-    pass
-
-
-class UnknownKey(NeatError):
-    pass
-
-
-class RangeError(NeatError):
     pass

@@ -55,10 +55,6 @@ OPCODES = {s: OpCode(s, 2) for s in BINARY_OPS}
 OPCODES.update({s: OpCode(s, 1) for s in UNARY_OPS})
 
 
-def is_op(token: str) -> bool:
-    return token in OPCODES
-
-
 def is_feature(token: str) -> bool:
     return len(token) > 1 and token[0] == "f" and token[1:].isdigit()
 

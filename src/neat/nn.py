@@ -5,8 +5,8 @@ gradient verification. Every training module builds on this.
 Layers are stateless between calls: ``forward`` returns (output, cache) and
 ``backward`` consumes that cache, so one parameter set can run several
 forward passes (e.g. two contrastive views) before their backward passes.
-Backward passes accumulate into ``Param.grad``; optimizers zero grads after
-each step.
+Backward passes accumulate into ``Param.grad``; the optimizer zeroes grads
+after each step.
 """
 
 from __future__ import annotations
@@ -240,18 +240,6 @@ class LstmCell:
         return [self.Wx, self.Wh, self.b]
 
 
-def lstm_cell(x, h, c, params: dict[str, np.ndarray]):
-    """Functional single-step cell over plain arrays (Wx, Wh, b keys)."""
-    cell = LstmCell.__new__(LstmCell)
-    cell.n_in = params["Wx"].shape[0]
-    cell.n_hidden = params["Wh"].shape[0]
-    cell.Wx = Param("Wx", params["Wx"])
-    cell.Wh = Param("Wh", params["Wh"])
-    cell.b = Param("b", params["b"])
-    h2, c2, _ = cell.step(np.atleast_2d(x), np.atleast_2d(h), np.atleast_2d(c))
-    return h2.reshape(np.shape(h)), c2.reshape(np.shape(c))
-
-
 class Adam:
     """Adaptive-moment optimizer; zeroes every grad after applying it."""
 
@@ -277,19 +265,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            p.zero_grad()
-
-
-class Sgd:
-    """Plain gradient descent, kept for ablation runs."""
-
-    def __init__(self, params: Sequence[Param], lr: float = 0.001):
-        self.params = list(params)
-        self.lr = lr
-
-    def step(self) -> None:
-        for p in self.params:
-            p.value -= self.lr * p.grad
             p.zero_grad()
 
 

@@ -156,11 +156,6 @@ def sample_indices(n: int, max_rows: int, seed: int) -> np.ndarray:
     return picked
 
 
-def subsample_rows(table: DataTable, max_rows: int, seed: int) -> RowSample:
-    """Deterministic row subsample of a table; identity when n <= max_rows."""
-    return RowSample(indices=sample_indices(table.n_rows, max_rows, seed), seed=seed)
-
-
 def train_test_folds(table: DataTable, folds: int, seed: int
                      ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Partition rows into ``folds`` cross-validation splits.

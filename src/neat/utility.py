@@ -17,7 +17,6 @@ from .expr import FeatureMatrix
 from .tabular import sample_indices
 
 __all__ = [
-    "FeatureMatrix",
     "UtilityConfig",
     "pair_gain",
     "knn_indicator",

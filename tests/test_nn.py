@@ -9,14 +9,12 @@ from neat.nn import (
     Dense,
     LstmCell,
     Param,
-    Sgd,
     cosine,
     cosine_matrix,
     cosine_matrix_backward,
     glorot_uniform,
     grad_check,
     init_param,
-    lstm_cell,
     mse,
     mse_backward,
     relu,
@@ -161,9 +159,11 @@ class TestActivationsAndLosses:
 
 
 class TestLstm:
-    def test_zero_everything_gives_zero_h(self):
-        params = {"Wx": np.zeros((3, 16)), "Wh": np.zeros((4, 16)), "b": np.zeros(16)}
-        h2, c2 = lstm_cell(np.zeros(3), np.zeros(4), np.zeros(4), params)
+    def test_zero_everything_gives_zero_h(self, rng):
+        cell = LstmCell("l", 3, 4, rng)
+        for p in cell.params():
+            p.value[...] = 0.0
+        h2, c2, _ = cell.step(np.zeros((1, 3)), np.zeros((1, 4)), np.zeros((1, 4)))
         assert np.all(h2 == 0.0)
         assert np.all(c2 == 0.0)
 
@@ -248,14 +248,6 @@ class TestOptimizers:
             p.grad[:] = 2.0 * p.value
             opt.step()
         assert all(b < a for a, b in zip(losses, losses[1:]))
-
-    def test_sgd_step(self):
-        p = Param("p", np.array([1.0]))
-        opt = Sgd([p], lr=0.5)
-        p.grad[:] = 2.0
-        opt.step()
-        assert p.value.tolist() == [0.0]
-        assert p.grad.tolist() == [0.0]
 
 
 class TestInit:

@@ -7,7 +7,7 @@ from neat.errors import (
     MissingTarget,
     TooFewRows,
 )
-from neat.tabular import load_csv, sample_indices, subsample_rows, train_test_folds
+from neat.tabular import load_csv, sample_indices, train_test_folds
 
 from conftest import make_table
 
@@ -89,13 +89,13 @@ class TestLoadCsv:
 
 class TestSampling:
     def test_small_n_keeps_everything(self, small_table):
-        sample = subsample_rows(small_table, max_rows=100, seed=3)
-        assert sample.indices.tolist() == list(range(40))
+        idx = sample_indices(small_table.n_rows, max_rows=100, seed=3)
+        assert idx.tolist() == list(range(40))
 
     def test_deterministic(self, small_table):
-        a = subsample_rows(small_table, max_rows=10, seed=1)
-        b = subsample_rows(small_table, max_rows=10, seed=1)
-        assert a.indices.tolist() == b.indices.tolist()
+        a = sample_indices(small_table.n_rows, max_rows=10, seed=1)
+        b = sample_indices(small_table.n_rows, max_rows=10, seed=1)
+        assert a.tolist() == b.tolist()
 
     def test_sorted_distinct_in_range(self):
         idx = sample_indices(1000, 64, seed=9)
