@@ -31,7 +31,7 @@ from .expr import (
 )
 from .errors import ConfigHashMismatch
 from .tabular import DataTable
-from .utility import UtilityConfig, mdcg
+from .utility import DistanceCache, UtilityConfig, mdcg
 
 log = logging.getLogger(__name__)
 
@@ -218,7 +218,9 @@ def select_actions(agents: AgentTriplet, state: np.ndarray, n_features: int,
 
 
 class _Workspace:
-    """Mutable exploration state: the growing matrix plus column provenance."""
+    """Mutable exploration state of one episode: the growing matrix, column
+    provenance, and the ``DistanceCache`` that lets each ``mdcg`` call pay
+    only for the appended column. The cache dies with the workspace."""
 
     def __init__(self, table: DataTable):
         self.table = table
@@ -235,6 +237,7 @@ class _Workspace:
         self.columns = columns
         self.provenance = provenance
         self.keys = keys
+        self.distances = DistanceCache()
 
     @property
     def n_features(self) -> int:
@@ -266,22 +269,28 @@ def _compose_cross(workspace: _Workspace, head: int, opcode: OpCode,
     return FeatureCross(tuple(tokens))
 
 
-def _advance(workspace: _Workspace, cross: FeatureCross, max_features: int,
-             utility: UtilityConfig, current_utility: float) -> tuple[float, bool]:
-    """Try to append a cross; no-op (same set, current utility) when the
-    column is a bitwise duplicate, the feature cap is hit, or the sequence
-    would overflow its token budgets."""
+def _advance(workspace: _Workspace, cross: FeatureCross, max_features: int) -> bool:
+    """Try to append a cross; a no-op (False, set unchanged) when the column
+    is a bitwise duplicate, the feature cap is hit, or the sequence would
+    overflow its token budgets."""
     if workspace.n_features >= max_features:
-        return current_utility, False
+        return False
     if len(cross.tokens) > SEGMENT_CAP:
-        return current_utility, False
+        return False
     if workspace.sequence_tokens() + len(cross.tokens) + 1 > MAX_LEN:
-        return current_utility, False
+        return False
     col = eval_cross(cross, workspace.table)
     if col.tobytes() in workspace.keys:
-        return current_utility, False
+        return False
     workspace.append(cross, col)
-    return mdcg(workspace.matrix(), utility), True
+    return True
+
+
+def _score(workspace: _Workspace, utility: UtilityConfig) -> tuple[float, np.ndarray]:
+    """Utility and state of the current set, from one stacked matrix that is
+    dropped on return."""
+    F = workspace.matrix()
+    return mdcg(F, utility, workspace.distances), describe_state(F)
 
 
 def _epsilon(episode: int, episodes: int, cfg: CollectorConfig) -> float:
@@ -304,15 +313,15 @@ def collect(X: DataTable, episodes: int, steps: int,
     for episode in range(episodes):
         epsilon = _epsilon(episode, episodes, cfg)
         workspace = _Workspace(X)
-        utility = mdcg(workspace.matrix(), cfg.utility)
-        state = describe_state(workspace.matrix())
+        utility, state = _score(workspace, cfg.utility)
         for step in range(steps):
             m_before = workspace.n_features
             head, opcode, tail = select_actions(agents, state, m_before, epsilon, rng)
             cross = _compose_cross(workspace, head, opcode, tail)
-            utility, _ = _advance(workspace, cross, max_features, cfg.utility, utility)
+            next_state = state                  # a no-op step leaves the set as it was
+            if _advance(workspace, cross, max_features):
+                utility, next_state = _score(workspace, cfg.utility)
             records.append(ExplorationRecord(workspace.sequence(), utility, episode, step))
-            next_state = describe_state(workspace.matrix())
             terminal = step == steps - 1
             m_after = workspace.n_features
             agents.head.buffer.push(state, head, utility, next_state, m_after, terminal)

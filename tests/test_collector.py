@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from neat.collector import (
     ReplayBuffer,
     bellman_update,
     collect,
+    describe_state,
     read_records,
     write_records,
 )
 from neat.errors import ConfigHashMismatch
+from neat.expr import VALUE_CAP, FeatureCross, FeatureMatrix, apply_sequence, eval_cross
+from neat.utility import UtilityConfig, mdcg
 
 # Small enough that the replay buffers fill within the run, so the agents
 # train and later actions depend on the TD updates.
@@ -28,6 +33,15 @@ class TestCollect:
         assert first == _collect(small_table)
         assert [(r.episode, r.step) for r in first] == [
             (e, s) for e in range(3) for s in range(5)]
+
+    # 40 rows: all of them, then a 30-row subsample
+    @pytest.mark.parametrize("max_rows", [1000, 30])
+    def test_utilities_equal_a_cold_recompute(self, small_table, max_rows):
+        cfg = dataclasses.replace(SMALL, utility=UtilityConfig(max_rows=max_rows))
+        records = collect(small_table, episodes=3, steps=5, cfg=cfg,
+                          rng=np.random.default_rng(11))
+        for rec in records:
+            assert rec.utility == mdcg(apply_sequence(rec.sequence, small_table), cfg.utility)
 
     def test_record_file_round_trip(self, small_table, tmp_path):
         records = _collect(small_table)
@@ -68,6 +82,38 @@ class TestRecordHeader:
         path.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")
         with pytest.raises(ConfigHashMismatch):
             read_records(path)
+
+
+def _matrix(table, crosses):
+    crosses = [FeatureCross(tuple(c.split())) for c in crosses]
+    return FeatureMatrix(np.column_stack([eval_cross(c, table) for c in crosses]),
+                         tuple(crosses))
+
+
+# Columns near the evaluator's limits: exp(exp(x)) up to e^50, and repeated
+# squares clamped at VALUE_CAP, of both signs.
+EXTREME = ("f0 exp exp", "f1 exp exp exp", "f0 exp exp f1 exp exp -",
+           "f2 exp exp exp square square square", "f4 f3 exp exp exp square square square -",
+           "f4")
+
+
+class TestDescribeState:
+    def test_width(self, small_table):
+        assert describe_state(_matrix(small_table, ["f0", "f1 f2 *"])).shape == (STATE_WIDTH,)
+        assert describe_state(_matrix(small_table, EXTREME)).shape == (STATE_WIDTH,)
+
+    def test_finite_on_extreme_columns(self, small_table):
+        F = _matrix(small_table, EXTREME)
+        assert F.values.max() == VALUE_CAP and F.values.min() == -VALUE_CAP
+        assert np.all(np.isfinite(describe_state(F)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_column_permutation_invariance(self, small_table, seed):
+        F = _matrix(small_table, ["f0", "f1", "f2 f3 *", "f4 exp", "f0 sin", "f1 square"])
+        perm = np.random.default_rng(seed).permutation(F.n_features)
+        permuted = FeatureMatrix(F.values[:, perm], tuple(F.provenance[i] for i in perm))
+        np.testing.assert_allclose(describe_state(permuted), describe_state(F),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestBellmanUpdate:

@@ -6,7 +6,9 @@ import pytest
 
 from neat.errors import DegenerateK
 from neat.utility import (
+    DistanceCache,
     UtilityConfig,
+    _pairwise_sq_dists,
     feature_importance,
     knn_indicator,
     mdcg,
@@ -121,6 +123,31 @@ class TestKnnIndicator:
         assert np.array_equal(knn_indicator(F, k), oracle_indicator(F, k))
 
 
+    @pytest.mark.parametrize("dims,k", [(2, 1), (2, 2), (3, 1), (3, 4), (3, 9)])
+    def test_matches_oracle_on_integer_lattice(self, dims, k):
+        # Lattice rows share distances in groups of 4 to 12; shuffled, so the
+        # lower-index tie-break is not just the generation order.
+        rng = np.random.default_rng(dims * 10 + k)
+        axes = np.meshgrid(*[np.arange(4.0)] * dims, indexing="ij")
+        F = np.column_stack([a.ravel() for a in axes])[rng.permutation(4 ** dims)]
+        d2 = ((F[:, None, :] - F[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        kth = np.sort(d2, axis=1)[:, k - 1]
+        below = (d2 < kth[:, None]).sum(axis=1)
+        shared = (d2 == kth[:, None]).sum(axis=1)
+        # some row has k+2 rows at its k-th distance and keeps at least one
+        assert np.any((shared >= k + 2) & (below < k))
+        assert np.array_equal(knn_indicator(F, k), oracle_indicator(F, k))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pairwise_sq_dists_exactly_symmetric(self, seed):
+        # the row-wise k-th-distance partition relies on d2 == d2.T bit for bit
+        F = np.random.default_rng(seed).normal(size=(60, 7)) * 10.0 ** np.arange(-3, 4)
+        d2 = _pairwise_sq_dists(F)
+        assert np.array_equal(d2, d2.T)
+        assert np.all(np.diag(d2) == np.inf)
+
+
 class TestMdcg:
     def test_all_constant_columns(self):
         F = np.ones((10, 3)) * 4.2
@@ -171,6 +198,40 @@ class TestMdcg:
     def test_degenerate_k_propagates(self):
         with pytest.raises(DegenerateK):
             mdcg(np.zeros((4, 2)), UtilityConfig(k_neighbors=5))
+
+
+class TestDistanceCache:
+    # (rows, max_rows): the subsample path, then the full-row path
+    @pytest.mark.parametrize("n,max_rows", [(300, 120), (80, 1000)])
+    def test_grown_set_matches_cold_calls(self, n, max_rows):
+        F = np.random.default_rng(n).normal(size=(n, 9))
+        F[:, 6] = np.exp(np.exp(F[:, 0]))
+        cfg = UtilityConfig(k_neighbors=4, max_rows=max_rows, row_seed=3)
+        cache = DistanceCache()
+        for width in range(1, F.shape[1] + 1):
+            assert mdcg(F[:, :width], cfg, cache) == mdcg(F[:, :width], cfg)
+            assert np.array_equal(feature_importance(F[:, :width], cfg, cache),
+                                  feature_importance(F[:, :width], cfg))
+
+    @pytest.mark.parametrize("n,max_rows", [(300, 120), (80, 1000)])
+    def test_stale_prefix_rebuilds(self, n, max_rows):
+        F = np.random.default_rng(n + 1).normal(size=(n, 6))
+        cfg = UtilityConfig(k_neighbors=3, max_rows=max_rows)
+        cache = DistanceCache()
+        mdcg(F, cfg, cache)
+        assert mdcg(F[:, :3], cfg, cache) == mdcg(F[:, :3], cfg)   # shorter after longer
+        mdcg(F, cfg, cache)
+        changed = F.copy()
+        changed[:, 1] *= 3.0                  # same width, an earlier column differs
+        assert mdcg(changed, cfg, cache) == mdcg(changed, cfg)
+
+    def test_other_row_count_or_seed_rebuilds(self):
+        F = np.random.default_rng(9).normal(size=(300, 4))
+        cache = DistanceCache()
+        for cfg, rows in [(UtilityConfig(max_rows=100), F), (UtilityConfig(max_rows=100), F[:250]),
+                          (UtilityConfig(max_rows=100, row_seed=1), F[:250]),
+                          (UtilityConfig(max_rows=1000), F[:250])]:
+            assert mdcg(rows, cfg, cache) == mdcg(rows, cfg)
 
 
 class TestFeatureImportance:
