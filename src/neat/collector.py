@@ -36,6 +36,10 @@ from .utility import DistanceCache, UtilityConfig, mdcg
 log = logging.getLogger(__name__)
 
 STATE_WIDTH = 49
+LEARNING_RATE = 0.001     # Adam, for every Q-network
+EPSILON_START = 1.0
+EPSILON_END = 0.05
+EPSILON_FRACTION = 0.7
 
 
 @dataclass(frozen=True)
@@ -49,16 +53,11 @@ class ExplorationRecord:
 @dataclass(frozen=True)
 class CollectorConfig:
     utility: UtilityConfig = field(default_factory=UtilityConfig)
-    max_features: int | None = None       # None -> 2 * d, resolved per dataset
     gamma: float = 0.9
     replay_capacity: int = 4096
     batch_size: int = 64
     sync_every: int = 50
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_fraction: float = 0.7
     hidden: int = 64
-    lr: float = 0.001
 
 
 def describe_state(F: FeatureMatrix) -> np.ndarray:
@@ -78,23 +77,37 @@ def describe_state(F: FeatureMatrix) -> np.ndarray:
 
 
 class ReplayBuffer:
-    """Preallocated ring buffer over transition fields; ``next_valid`` is the
-    valid-action count at ``next_state``."""
+    """Ring buffer over transition fields; ``next_valid`` is the valid-action
+    count at ``next_state``. Storage doubles on demand up to ``capacity``, so
+    memory follows the transitions pushed, not the capacity."""
+
+    FIELDS = ("states", "actions", "rewards", "next_states", "next_valid", "terminal")
+    MIN_ROWS = 64
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.states = np.zeros((capacity, STATE_WIDTH))
-        self.actions = np.zeros(capacity, dtype=np.int64)
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, STATE_WIDTH))
-        self.next_valid = np.zeros(capacity, dtype=np.int64)
-        self.terminal = np.zeros(capacity, dtype=bool)
+        self.states = np.zeros((0, STATE_WIDTH))
+        self.actions = np.zeros(0, dtype=np.int64)
+        self.rewards = np.zeros(0)
+        self.next_states = np.zeros((0, STATE_WIDTH))
+        self.next_valid = np.zeros(0, dtype=np.int64)
+        self.terminal = np.zeros(0, dtype=bool)
         self.pos = 0
         self.size = 0
+
+    def _grow(self) -> None:
+        rows = min(self.capacity, max(self.MIN_ROWS, 2 * len(self.states)))
+        for name in self.FIELDS:
+            old = getattr(self, name)
+            new = np.zeros((rows,) + old.shape[1:], dtype=old.dtype)
+            new[:len(old)] = old
+            setattr(self, name, new)
 
     def push(self, state: np.ndarray, action: int, reward: float,
              next_state: np.ndarray, next_valid: int, terminal: bool) -> None:
         i = self.pos
+        if i == len(self.states):
+            self._grow()
         self.states[i] = state
         self.actions[i] = action
         self.rewards[i] = reward
@@ -125,7 +138,7 @@ class QAgent:
         self.t1 = nn.Dense(f"{name}.t1", STATE_WIDTH, cfg.hidden, rng)
         self.t2 = nn.Dense(f"{name}.t2", cfg.hidden, n_actions, rng)
         self._sync_target()
-        self.opt = nn.Adam(self.d1.params() + self.d2.params(), lr=cfg.lr)
+        self.opt = nn.Adam(self.d1.params() + self.d2.params(), lr=LEARNING_RATE)
         self.buffer = ReplayBuffer(cfg.replay_capacity)
         self.updates = 0
 
@@ -156,19 +169,19 @@ class QAgent:
         return int(np.argmax(q))
 
 
-def bellman_update(agent: QAgent, batch, gamma: float | None = None) -> float:
+def bellman_update(agent: QAgent, batch) -> float:
     """One TD step on a batch, the tuple that ``ReplayBuffer.sample`` returns:
-    y = r + gamma * masked max target-Q (r when terminal); returns the mean
-    squared TD error. Syncs the target network every ``sync_every`` updates."""
+    y = r + agent.gamma * masked max target-Q (r when terminal); returns the
+    mean squared TD error. Syncs the target network every ``sync_every``
+    updates."""
     states, actions, rewards, next_states, next_valid, terminal = batch
-    gamma = agent.gamma if gamma is None else gamma
     B = states.shape[0]
 
     tq, _ = agent.q_values(next_states, target=True)
     mask = np.arange(agent.n_actions)[None, :] < next_valid[:, None]
     tq = np.where(mask, tq, -np.inf)
     best_next = tq.max(axis=1)
-    y = np.where(terminal, rewards, rewards + gamma * best_next)
+    y = np.where(terminal, rewards, rewards + agent.gamma * best_next)
 
     q, cache = agent.q_values(states)
     picked = q[np.arange(B), actions]
@@ -293,25 +306,26 @@ def _score(workspace: _Workspace, utility: UtilityConfig) -> tuple[float, np.nda
     return mdcg(F, utility, workspace.distances), describe_state(F)
 
 
-def _epsilon(episode: int, episodes: int, cfg: CollectorConfig) -> float:
-    span = cfg.epsilon_fraction * episodes
-    frac = 1.0 if span <= 0 else min(1.0, episode / span)
-    return cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
+def _epsilon(episode: int, episodes: int) -> float:
+    frac = min(1.0, episode / (EPSILON_FRACTION * episodes))
+    return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
 
 
 def collect(X: DataTable, episodes: int, steps: int,
             cfg: CollectorConfig | None = None,
             rng: np.random.Generator | None = None) -> list[ExplorationRecord]:
     """Q-learning exploration: one record per step, agents shared across
-    episodes, epsilon decaying linearly over the first 70% of episodes."""
+    episodes. Epsilon decays linearly from ``EPSILON_START`` to
+    ``EPSILON_END`` over the first ``EPSILON_FRACTION`` of the episodes. A
+    set holds at most twice the table's feature count."""
     cfg = cfg or CollectorConfig()
     rng = np.random.default_rng(0) if rng is None else rng
-    max_features = cfg.max_features or 2 * X.n_features
+    max_features = 2 * X.n_features
     agents = AgentTriplet.build(max_features, cfg, rng)
     records: list[ExplorationRecord] = []
 
     for episode in range(episodes):
-        epsilon = _epsilon(episode, episodes, cfg)
+        epsilon = _epsilon(episode, episodes)
         workspace = _Workspace(X)
         utility, state = _score(workspace, cfg.utility)
         for step in range(steps):

@@ -22,6 +22,11 @@ from .tabular import RowSample
 
 log = logging.getLogger(__name__)
 
+EDGE_RATIO = 0.2       # edge view: flips round(EDGE_RATIO * edges) node pairs
+MASK_RATIO = 0.2       # mask view: zeroes round(MASK_RATIO * nodes) attribute rows
+TAU = 0.5              # NT-Xent temperature
+LEARNING_RATE = 0.001  # Adam
+
 
 @dataclass(frozen=True)
 class FeatureGraph:
@@ -33,23 +38,6 @@ class FeatureGraph:
     @property
     def n_nodes(self) -> int:
         return self.attrs.shape[0]
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    """One augmentation view: either edge perturbation or attribute masking."""
-
-    mode: str = "edge_perturb"        # "edge_perturb" | "attr_mask"
-    edge_ratio: float = 0.2
-    mask_ratio: float = 0.2
-
-
-EDGE_VIEW = AugmentConfig(mode="edge_perturb")
-MASK_VIEW = AugmentConfig(mode="attr_mask")
 
 
 def build_graph(F: FeatureMatrix, rows: RowSample) -> FeatureGraph:
@@ -75,11 +63,11 @@ def build_graph(F: FeatureMatrix, rows: RowSample) -> FeatureGraph:
     return FeatureGraph(attrs=attrs, adjacency=upper | upper.T)
 
 
-def _perturb_edges(adjacency: np.ndarray, ratio: float, rng: np.random.Generator) -> np.ndarray:
+def _perturb_edges(adjacency: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     m = adjacency.shape[0]
     iu = np.triu_indices(m, k=1)
     state = adjacency[iu].astype(bool)
-    flips = int(round(ratio * int(state.sum())))
+    flips = int(round(EDGE_RATIO * int(state.sum())))
     for _ in range(flips):
         drop = rng.random() < 0.5
         pool = np.nonzero(state if drop else ~state)[0]
@@ -95,21 +83,24 @@ def _perturb_edges(adjacency: np.ndarray, ratio: float, rng: np.random.Generator
     return out | out.T
 
 
-def augment(graph: FeatureGraph, cfg: AugmentConfig, rng: np.random.Generator) -> FeatureGraph:
-    """Draw one augmented view; arrays not touched by the view are shared."""
-    if cfg.mode == "edge_perturb":
-        if cfg.edge_ratio == 0.0:
-            return graph
-        return replace(graph, adjacency=_perturb_edges(graph.adjacency, cfg.edge_ratio, rng))
-    if cfg.mode == "attr_mask":
-        masked = int(round(cfg.mask_ratio * graph.n_nodes))
-        if masked == 0:
-            return graph
-        rows = rng.choice(graph.n_nodes, size=masked, replace=False)
-        attrs = graph.attrs.copy()
-        attrs[rows, :] = 0.0
-        return replace(graph, attrs=attrs)
-    raise ValueError(f"unknown augmentation mode {cfg.mode!r}")
+def augment(graphs: Sequence[FeatureGraph], rng: np.random.Generator
+            ) -> tuple[list[FeatureGraph], list[FeatureGraph]]:
+    """The two views of one batch: edge perturbation and attribute masking.
+
+    Every edge view is drawn before any mask view. A view shares the array it
+    does not change with its input; a graph too small to mask a row is its
+    own mask view.
+    """
+    edge_views = [replace(g, adjacency=_perturb_edges(g.adjacency, rng)) for g in graphs]
+    mask_views = []
+    for g in graphs:
+        masked = int(round(MASK_RATIO * g.n_nodes))
+        if masked:
+            attrs = g.attrs.copy()
+            attrs[rng.choice(g.n_nodes, size=masked, replace=False), :] = 0.0
+            g = replace(g, attrs=attrs)
+        mask_views.append(g)
+    return edge_views, mask_views
 
 
 class EncoderModel:
@@ -149,10 +140,6 @@ class EncoderModel:
             p.value[...] = values[p.name]
 
 
-def _aggregate(adj: np.ndarray, H: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    return np.matmul(adj, H) / denom
-
-
 def forward_stack(model: EncoderModel, attrs: np.ndarray, adj: np.ndarray):
     """Encode a stack of same-size graphs: attrs (B,m,r), adj (B,m,m) floats.
 
@@ -161,11 +148,11 @@ def forward_stack(model: EncoderModel, attrs: np.ndarray, adj: np.ndarray):
     m = attrs.shape[1]
     denom = np.maximum(adj.sum(axis=2, keepdims=True), 1.0)
     X0, c_in = model.input_proj.forward(attrs)
-    N1 = _aggregate(adj, X0, denom)
+    N1 = np.matmul(adj, X0) / denom
     C1 = np.concatenate([X0, N1], axis=2)
     A1, c_g1 = model.gnn1.forward(C1)
     H1, r1 = nn.relu(A1)
-    N2 = _aggregate(adj, H1, denom)
+    N2 = np.matmul(adj, H1) / denom
     C2 = np.concatenate([H1, N2], axis=2)
     A2, c_g2 = model.gnn2.forward(C2)
     H2, r2 = nn.relu(A2)
@@ -236,13 +223,12 @@ def backward_many(model: EncoderModel, dZ: np.ndarray, caches,
                        dh=None if dH is None else dH[idxs])
 
 
-def ntxent_loss(Z1: np.ndarray, Z2: np.ndarray, tau: float = 0.5,
-                include_positive: bool = False):
-    """Contrastive loss over N positive pairs (rows of Z1 vs Z2).
+def ntxent_loss(Z1: np.ndarray, Z2: np.ndarray):
+    """Contrastive loss over N positive pairs (rows of Z1 vs Z2) at
+    temperature ``TAU``.
 
-    Default excludes each anchor's positive pair from its denominator, so the
-    loss may be negative; ``include_positive=True`` is the standard variant
-    with a nonnegative per-anchor term. Returns (loss, cache).
+    Each anchor's positive pair is left out of its denominator, so the loss
+    may be negative. Returns (loss, cache).
 
     Raises:
         BatchTooSmall: fewer than 2 pairs.
@@ -251,29 +237,23 @@ def ntxent_loss(Z1: np.ndarray, Z2: np.ndarray, tau: float = 0.5,
     if N < 2:
         raise BatchTooSmall(f"contrastive batch needs >= 2 pairs, got {N}")
     sims, sim_cache = nn.cosine_matrix(Z1, Z2)
-    logits = sims / tau
+    logits = sims / TAU
     masked = logits.copy()
-    if not include_positive:
-        np.fill_diagonal(masked, -np.inf)
+    np.fill_diagonal(masked, -np.inf)
     peak = masked.max(axis=1, keepdims=True)
     expd = np.exp(masked - peak)
     lse = peak[:, 0] + np.log(expd.sum(axis=1))
     loss = float(np.mean(lse - np.diag(logits)))
-    cache = (sims, sim_cache, expd, tau, include_positive, N)
-    return loss, cache
+    return loss, (sim_cache, expd, N)
 
 
 def ntxent_backward(cache):
     """Gradient of ntxent_loss with respect to (Z1, Z2)."""
-    sims, sim_cache, expd, tau, include_positive, N = cache
+    sim_cache, expd, N = cache
     soft = expd / expd.sum(axis=1, keepdims=True)
     dlogits = soft / N
-    idx = np.arange(N)
-    if include_positive:
-        dlogits[idx, idx] -= 1.0 / N
-    else:
-        dlogits[idx, idx] = -1.0 / N
-    dsims = dlogits / tau
+    np.fill_diagonal(dlogits, -1.0 / N)
+    dsims = dlogits / TAU
     return nn.cosine_matrix_backward(dsims, sim_cache)
 
 
@@ -284,36 +264,38 @@ class PretrainResult:
 
 
 def materialize_graphs(records, table, rows: RowSample):
-    """Build one graph per record, skipping records that fail to materialize."""
-    graphs, kept, skipped = [], [], 0
+    """Build one graph per record; returns the graphs and the number of
+    records skipped because they fail to materialize."""
+    graphs, skipped = [], 0
     for rec in records:
         try:
             F = apply_sequence(rec.sequence, table)
             graphs.append(build_graph(F, rows))
-            kept.append(rec)
         except NeatError:
             skipped += 1
-    return graphs, kept, skipped
+    return graphs, skipped
 
 
 def pretrain(records, table, model: EncoderModel, rows: RowSample,
-             epochs: int = 100, batch: int = 1024, lr: float = 0.001,
-             rng: np.random.Generator | None = None, tau: float = 0.5,
-             edge_view: AugmentConfig = EDGE_VIEW, mask_view: AugmentConfig = MASK_VIEW,
-             include_positive: bool = False) -> PretrainResult:
+             epochs: int = 100, batch: int = 1024,
+             rng: np.random.Generator | None = None) -> PretrainResult:
     """Contrastive pretraining; mutates ``model`` and returns the loss log.
 
     Epoch 0 in the log is a full evaluation pass before any update, so the
-    initial loss is reproducible independently. Batches with fewer than two
-    records are dropped (the loss needs negatives).
+    initial loss is reproducible independently. A trailing batch of one
+    record is dropped (the loss needs negatives).
+
+    Raises:
+        BatchTooSmall: fewer than two usable records, or ``batch`` < 2.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    graphs, _, skipped = materialize_graphs(records, table, rows)
+    graphs, skipped = materialize_graphs(records, table, rows)
     if skipped:
         log.warning("pretrain skipped %d unmaterializable record(s)", skipped)
-    if not graphs:
-        raise BatchTooSmall("no usable records to pretrain on")
-    opt = nn.Adam(model.params(), lr=lr)
+    if len(graphs) < 2 or batch < 2:
+        raise BatchTooSmall(f"pretraining needs >= 2 usable records and batch >= 2, "
+                            f"got {len(graphs)} and {batch}")
+    opt = nn.Adam(model.params(), lr=LEARNING_RATE)
     result = PretrainResult(skipped_records=skipped)
     for epoch in range(epochs + 1):
         train = epoch > 0
@@ -323,15 +305,14 @@ def pretrain(records, table, model: EncoderModel, rows: RowSample,
             chunk = order[start:start + batch]
             if chunk.size < 2:
                 continue
-            view1 = [augment(graphs[i], edge_view, rng) for i in chunk]
-            view2 = [augment(graphs[i], mask_view, rng) for i in chunk]
+            view1, view2 = augment([graphs[i] for i in chunk], rng)
             if train:
                 _, Z1, c1 = encode_many(view1, model, want_cache=True)
                 _, Z2, c2 = encode_many(view2, model, want_cache=True)
             else:
                 _, Z1 = encode_many(view1, model)
                 _, Z2 = encode_many(view2, model)
-            loss, cache = ntxent_loss(Z1, Z2, tau, include_positive=include_positive)
+            loss, cache = ntxent_loss(Z1, Z2)
             if train:
                 dZ1, dZ2 = ntxent_backward(cache)
                 backward_many(model, dZ1, c1)
@@ -339,7 +320,7 @@ def pretrain(records, table, model: EncoderModel, rows: RowSample,
                 opt.step()
             total += loss * chunk.size
             count += chunk.size
-        epoch_loss = total / max(count, 1)
+        epoch_loss = total / count
         result.losses.append(epoch_loss)
         log.info("stage=pretrain epoch=%d loss=%.6f", epoch, epoch_loss)
     return result

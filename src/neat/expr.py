@@ -43,6 +43,7 @@ DIV_EPSILON = 1e-8     # divisor floor; sign(0) treated as +1
 LOG_EPSILON = 1e-8
 EXP_MAX = 50.0         # exp argument clamp
 VALUE_CAP = 1e150      # every op output clamped here so stacked ops stay finite
+LEAF_PROB = 0.35       # random_cross: chance a subtree above depth 1 is a leaf
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,7 @@ class CrossSequence:
         return cls(tuple(text.split()))
 
     @classmethod
-    def from_crosses(cls, crosses: Iterable[FeatureCross],
-                     max_len: int = MAX_LEN) -> "CrossSequence":
+    def from_crosses(cls, crosses: Iterable[FeatureCross]) -> "CrossSequence":
         tokens: list[str] = [SOS]
         for i, cross in enumerate(crosses):
             if len(cross.tokens) > SEGMENT_CAP:
@@ -102,8 +102,8 @@ class CrossSequence:
                 tokens.append(SEP)
             tokens.extend(cross.tokens)
         tokens.append(EOS)
-        if len(tokens) > max_len:
-            raise SequenceTooLong(f"{len(tokens)} tokens exceeds max_len {max_len}")
+        if len(tokens) > MAX_LEN:
+            raise SequenceTooLong(f"{len(tokens)} tokens exceeds MAX_LEN {MAX_LEN}")
         return cls(tuple(tokens))
 
     def crosses(self) -> list[FeatureCross]:
@@ -433,14 +433,13 @@ def tokenize_infix(text: str, names: Sequence[str]) -> FeatureCross:
     return FeatureCross(tuple(tokens))
 
 
-def random_cross(n_features: int, depth_limit: int, rng: np.random.Generator,
-                 leaf_prob: float = 0.35) -> FeatureCross:
+def random_cross(n_features: int, depth_limit: int, rng: np.random.Generator) -> FeatureCross:
     """Sample a random valid cross; depth_limit bounds expression nesting.
 
     depth_limit=1 always yields a single feature token.
     """
     def grow(depth: int) -> list[str]:
-        if depth <= 1 or rng.random() < leaf_prob:
+        if depth <= 1 or rng.random() < LEAF_PROB:
             return [feature_token(int(rng.integers(n_features)))]
         symbol = OP_SYMBOLS[int(rng.integers(len(OP_SYMBOLS)))]
         if OPCODES[symbol].arity == 1:

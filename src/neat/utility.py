@@ -27,19 +27,23 @@ __all__ = [
 ]
 
 
+DISCOUNT_SCALE = 2.0   # a pair at squared distance d2 weighs exp(-d2 / DISCOUNT_SCALE)
+VAR_EPSILON = 1e-12    # columns with a smaller variance score exactly 1
+
+
 @dataclass(frozen=True)
 class UtilityConfig:
-    """Knobs for the utility metric.
+    """Settings of the utility metric.
 
-    ``max_rows`` caps the O(n^2) pairwise work via a seeded row subsample;
-    ``row_seed`` fixes that subsample so the metric is a pure function.
-    Squared distances are summed per column in column order, so results with
-    and without a ``DistanceCache`` are bit-identical.
+    ``k_neighbors`` is the neighbourhood size; ``max_rows`` caps the O(n^2)
+    pairwise work via a seeded row subsample; ``row_seed`` fixes that
+    subsample so the metric is a pure function. The pair discount
+    (``DISCOUNT_SCALE``) and the variance floor (``VAR_EPSILON``) are module
+    constants. Squared distances are summed per column in column order, so
+    results with and without a ``DistanceCache`` are bit-identical.
     """
 
     k_neighbors: int = 5
-    constant: float = 2.0
-    var_epsilon: float = 1e-12
     max_rows: int = 1000
     row_seed: int = 0
 
@@ -51,7 +55,7 @@ def _values(F) -> np.ndarray:
     return v
 
 
-def pair_gain(F, i: int, j: int, q: int, constant: float = 2.0) -> float:
+def pair_gain(F, i: int, j: int, q: int, constant: float = DISCOUNT_SCALE) -> float:
     """Discounted gain of feature q between rows i and j.
 
     (F_iq - F_jq)^2 * exp(-||F_i - F_j||^2 / constant); lower means the pair
@@ -172,11 +176,11 @@ def _discounted_terms(v: np.ndarray, cfg: UtilityConfig,
     # Ordered pairs, both directions, in row-major order (np.nonzero's order;
     # the flat form is several times faster on an (n, n) mask).
     pair_i, pair_j = np.divmod(np.flatnonzero(near | near.T), n)
-    weights = np.exp(-d2[pair_i, pair_j] / cfg.constant)
+    weights = np.exp(-d2[pair_i, pair_j] / DISCOUNT_SCALE)
     diffs = v[pair_i, :] - v[pair_j, :]
     cumulative = np.einsum("pq,p->q", diffs * diffs, weights)
     variance = v.var(axis=0)
-    guarded = variance >= cfg.var_epsilon
+    guarded = variance >= VAR_EPSILON
     terms = np.ones(v.shape[1])
     terms[guarded] = 1.0 - cumulative[guarded] / variance[guarded]
     return terms

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from neat.collector import (
+    LEARNING_RATE,
     STATE_WIDTH,
     CollectorConfig,
     QAgent,
@@ -116,6 +117,39 @@ class TestDescribeState:
                                    rtol=1e-12, atol=1e-12)
 
 
+class TestReplayBuffer:
+    @staticmethod
+    def _push(buffer, k):
+        buffer.push(np.full(STATE_WIDTH, float(k)), k, -float(k),
+                    np.full(STATE_WIDTH, k + 0.5), k % 7, k % 3 == 0)
+
+    def test_storage_follows_pushes_not_capacity(self):
+        buffer = ReplayBuffer(4096)
+        assert len(buffer.states) == 0
+        for k in range(3):
+            self._push(buffer, k)
+        assert len(buffer.states) == ReplayBuffer.MIN_ROWS
+        for k in range(3, ReplayBuffer.MIN_ROWS + 1):
+            self._push(buffer, k)
+        assert len(buffer.states) == 2 * ReplayBuffer.MIN_ROWS
+        assert buffer.size == ReplayBuffer.MIN_ROWS + 1
+
+    def test_growth_keeps_rows_and_wraps_at_capacity(self):
+        buffer = ReplayBuffer(100)
+        for k in range(150):
+            self._push(buffer, k)
+        assert (buffer.size, buffer.pos) == (100, 50)
+        expected = np.array([k + 100 if k < 50 else k for k in range(100)])
+        for name in ReplayBuffer.FIELDS:
+            assert len(getattr(buffer, name)) == 100
+        assert np.array_equal(buffer.states[:, 0], expected)
+        assert np.array_equal(buffer.actions, expected)
+        assert np.array_equal(buffer.rewards, -expected.astype(float))
+        assert np.array_equal(buffer.next_states[:, -1], expected + 0.5)
+        assert np.array_equal(buffer.next_valid, expected % 7)
+        assert np.array_equal(buffer.terminal, expected % 3 == 0)
+
+
 class TestBellmanUpdate:
     def test_targets_match_hand_computation(self):
         cfg = CollectorConfig(gamma=0.5, hidden=4, sync_every=1000)
@@ -136,5 +170,5 @@ class TestBellmanUpdate:
         assert loss == pytest.approx(np.mean(diffs ** 2), rel=1e-12)
         # A first Adam step moves each picked bias by lr against its TD error.
         step = agent.d2.b.value - np.array([0.5, -1.0, 2.0])
-        assert step == pytest.approx(-cfg.lr * np.sign(diffs), rel=1e-6)
+        assert step == pytest.approx(-LEARNING_RATE * np.sign(diffs), rel=1e-6)
         assert agent.updates == 1

@@ -1,10 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 
 from neat.checkpoint import load_checkpoint, save_checkpoint
-from neat.encoder import EncoderModel, FeatureGraph, backward_many, encode_many
-from neat.errors import CheckpointMismatch
-from neat.nn import grad_check
+from neat.collector import ExplorationRecord
+from neat.encoder import (
+    TAU,
+    EncoderModel,
+    _perturb_edges,
+    FeatureGraph,
+    augment,
+    backward_many,
+    build_graph,
+    encode_many,
+    ntxent_backward,
+    ntxent_loss,
+    pretrain,
+)
+from neat.errors import BatchTooSmall, CheckpointMismatch
+from neat.expr import CrossSequence, FeatureCross, FeatureMatrix, feature_token, random_cross
+from neat.nn import Param, grad_check
+from neat.tabular import RowSample
 
 ATTR_WIDTH = 5
 
@@ -63,3 +80,154 @@ class TestParamDict:
         del params["encoder.gnn2.W"]
         with pytest.raises(CheckpointMismatch, match="encoder.gnn2.W"):
             EncoderModel(ATTR_WIDTH, np.random.default_rng(99), hidden=6).load_param_dict(params)
+
+
+class TestBuildGraph:
+    # Columns as vectors over the two sampled rows (row 1 is not sampled).
+    # Six pair similarities s0 <= ... <= s5 put the 95th percentile at
+    # s4 + 0.75 * (s5 - s4).
+    @pytest.mark.parametrize("columns, edges", [
+        # sims: (0,1) = 2/sqrt5, (1,2) = 1/sqrt5, (0,2) = (2,3) = 0,
+        # (1,3) = -2/sqrt5, (0,3) = -1; threshold 1.75/sqrt5: one edge
+        ([(1, 0), (2, 1), (0, 1), (-1, 0)], {(0, 1)}),
+        # sims 1, 1, 0, 0, 0, 0: threshold 1, so both tied pairs are edges
+        ([(1, 0), (1, 0), (0, 1), (0, 1)], {(0, 1), (2, 3)}),
+    ])
+    def test_threshold_on_hand_worked_cases(self, columns, edges):
+        sampled = np.array(columns, dtype=np.float64).T          # (2 rows, 4 features)
+        values = np.vstack([sampled[0], np.full(4, 7.0), sampled[1]])
+        F = FeatureMatrix(values, tuple(FeatureCross((feature_token(i),)) for i in range(4)))
+        graph = build_graph(F, RowSample(np.array([0, 2]), 0))
+        assert np.array_equal(graph.attrs, sampled.T)
+        expected = np.zeros((4, 4), dtype=np.int8)
+        for i, j in edges:
+            expected[i, j] = expected[j, i] = 1
+        assert graph.adjacency.dtype == np.int8
+        assert np.array_equal(graph.adjacency, expected)
+
+
+def _random_graphs(rng, sizes=(2, 3, 5, 8, 13, 20)):
+    return [_graph(m, rng) for m in sizes]
+
+
+class TestAugment:
+    def test_edge_views(self, rng):
+        graphs = _random_graphs(rng)
+        edge_views, _ = augment(graphs, rng)
+        assert len(edge_views) == len(graphs)
+        for g, view in zip(graphs, edge_views):
+            adj = view.adjacency
+            assert adj.dtype == np.int8
+            assert np.array_equal(adj, adj.T)
+            assert not adj.diagonal().any()
+            iu = np.triu_indices(g.n_nodes, k=1)
+            changed = int((adj[iu] != g.adjacency[iu]).sum())
+            assert changed <= round(0.2 * int(g.adjacency[iu].sum()))
+            assert view.attrs is g.attrs
+        # The larger graphs have edges to flip, so some view must differ.
+        assert any(not np.array_equal(g.adjacency, v.adjacency)
+                   for g, v in zip(graphs, edge_views))
+
+    def test_every_edge_view_is_drawn_first(self, rng):
+        graphs = _random_graphs(rng)
+        edge_views, _ = augment(graphs, np.random.default_rng(3))
+        alone = np.random.default_rng(3)
+        for g, view in zip(graphs, edge_views):
+            assert np.array_equal(view.adjacency, _perturb_edges(g.adjacency, alone))
+
+    def test_mask_views(self, rng):
+        graphs = _random_graphs(rng)
+        _, mask_views = augment(graphs, rng)
+        assert len(mask_views) == len(graphs)
+        for g, view in zip(graphs, mask_views):
+            zeroed = ~view.attrs.any(axis=1)
+            assert int(zeroed.sum()) == round(0.2 * g.n_nodes)
+            assert np.array_equal(view.attrs[~zeroed], g.attrs[~zeroed])
+            assert view.adjacency is g.adjacency
+
+    def test_two_node_mask_view_is_the_input(self, rng):
+        graph = _graph(2, rng)
+        _, (view,) = augment([graph], rng)
+        assert view is graph
+
+
+class TestNtxent:
+    def test_loss_matches_per_anchor_formula(self, rng):
+        Z1, Z2 = rng.normal(size=(2, 5, 4))
+        loss, _ = ntxent_loss(Z1, Z2)
+        unit1 = Z1 / np.linalg.norm(Z1, axis=1, keepdims=True)
+        unit2 = Z2 / np.linalg.norm(Z2, axis=1, keepdims=True)
+        total = 0.0
+        for i in range(5):
+            logits = [float(unit1[i] @ unit2[j]) / TAU for j in range(5)]
+            total += math.log(sum(math.exp(x) for j, x in enumerate(logits) if j != i))
+            total -= logits[i]
+        assert loss == pytest.approx(total / 5, rel=1e-12)
+
+    def test_grad_check(self, rng):
+        Z1 = Param("Z1", rng.normal(size=(5, 4)))
+        Z2 = Param("Z2", rng.normal(size=(5, 4)))
+
+        def loss_fn():
+            return ntxent_loss(Z1.value, Z2.value)[0]
+
+        _, cache = ntxent_loss(Z1.value, Z2.value)
+        Z1.grad[...], Z2.grad[...] = ntxent_backward(cache)
+        assert grad_check([Z1, Z2], loss_fn) < 1e-6
+
+    def test_one_pair_is_refused(self, rng):
+        with pytest.raises(BatchTooSmall):
+            ntxent_loss(rng.normal(size=(1, 4)), rng.normal(size=(1, 4)))
+
+
+def _record(crosses, step=0):
+    return ExplorationRecord(CrossSequence.from_crosses(crosses), 0.0, 0, step)
+
+
+@pytest.fixture
+def corpus(small_table):
+    # Every record holds the table's 5 columns plus 1-3 random crosses.
+    rng = np.random.default_rng(7)
+    originals = [FeatureCross((feature_token(i),)) for i in range(5)]
+    return [_record(originals + [random_cross(5, 3, rng) for _ in range(1 + i % 3)], i)
+            for i in range(6)]
+
+
+ROWS = RowSample(np.arange(0, 40, 3), 0)
+
+
+def _pretrain(table, records, epochs, batch=4):
+    model = EncoderModel(len(ROWS.indices), np.random.default_rng(5), hidden=6)
+    result = pretrain(records, table, model, ROWS, epochs=epochs, batch=batch,
+                      rng=np.random.default_rng(9))
+    return model, result
+
+
+class TestPretrain:
+    def test_seeded_run_repeats(self, small_table, corpus):
+        # 6 records in batches of 4: one full batch and one of 2 per epoch.
+        model, result = _pretrain(small_table, corpus, epochs=2)
+        again_model, again = _pretrain(small_table, corpus, epochs=2)
+        assert len(result.losses) == 3 and all(map(math.isfinite, result.losses))
+        assert result.losses == again.losses
+        assert result.skipped_records == 0
+        for name, value in model.param_dict().items():
+            assert np.array_equal(value, again_model.param_dict()[name]), name
+
+    def test_first_loss_is_a_no_update_pass(self, small_table, corpus):
+        fresh = EncoderModel(len(ROWS.indices), np.random.default_rng(5), hidden=6)
+        model, result = _pretrain(small_table, corpus, epochs=2)
+        _, zero = _pretrain(small_table, corpus, epochs=0)
+        assert zero.losses == result.losses[:1]
+        assert any(not np.array_equal(value, fresh.param_dict()[name])
+                   for name, value in model.param_dict().items())
+
+    def test_one_usable_record_is_refused(self, small_table, corpus):
+        # The second record has one feature, so it has no graph.
+        records = [corpus[0], _record([FeatureCross(("f0",))], 1)]
+        with pytest.raises(BatchTooSmall):
+            _pretrain(small_table, records, epochs=3)
+
+    def test_batch_of_one_is_refused(self, small_table, corpus):
+        with pytest.raises(BatchTooSmall):
+            _pretrain(small_table, corpus, epochs=3, batch=1)
