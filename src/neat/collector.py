@@ -8,6 +8,7 @@ materializes, forming the training corpus for the encoder/decoder stages.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,13 +68,10 @@ def describe_state(F: FeatureMatrix) -> np.ndarray:
     q = np.percentile(v, [25.0, 50.0, 75.0], axis=0)
     col_stats = np.vstack([
         v.mean(axis=0), v.std(axis=0), v.min(axis=0), q[0], q[1], q[2], v.max(axis=0)])
-    out = np.empty(STATE_WIDTH)
-    for s in range(7):
-        row = col_stats[s]
-        rq = np.percentile(row, [25.0, 50.0, 75.0])
-        out[s * 7:(s + 1) * 7] = (
-            row.mean(), row.std(), row.min(), rq[0], rq[1], rq[2], row.max())
-    return out
+    rq = np.percentile(col_stats, [25.0, 50.0, 75.0], axis=1)
+    summary = np.stack([col_stats.mean(axis=1), col_stats.std(axis=1), col_stats.min(axis=1),
+                        rq[0], rq[1], rq[2], col_stats.max(axis=1)], axis=1)
+    return summary.reshape(STATE_WIDTH)
 
 
 class ReplayBuffer:
@@ -233,7 +231,9 @@ def select_actions(agents: AgentTriplet, state: np.ndarray, n_features: int,
 class _Workspace:
     """Mutable exploration state of one episode: the growing matrix, column
     provenance, and the ``DistanceCache`` that lets each ``mdcg`` call pay
-    only for the appended column. The cache dies with the workspace."""
+    only for the appended column. The cache dies with the workspace.
+    ``collect`` builds and scores the table's own columns once, and each
+    episode grows a ``branch`` of that workspace."""
 
     def __init__(self, table: DataTable):
         self.table = table
@@ -251,6 +251,17 @@ class _Workspace:
         self.provenance = provenance
         self.keys = keys
         self.distances = DistanceCache()
+
+    def branch(self, last: bool) -> "_Workspace":
+        """A workspace that starts from this one's set. With ``last`` it takes
+        this one's ``DistanceCache`` instead of a copy, so this workspace must
+        not be scored again."""
+        other = copy.copy(self)
+        other.columns = list(self.columns)
+        other.provenance = list(self.provenance)
+        other.keys = set(self.keys)
+        other.distances = self.distances if last else self.distances.copy()
+        return other
 
     @property
     def n_features(self) -> int:
@@ -323,11 +334,13 @@ def collect(X: DataTable, episodes: int, steps: int,
     max_features = 2 * X.n_features
     agents = AgentTriplet.build(max_features, cfg, rng)
     records: list[ExplorationRecord] = []
+    base = _Workspace(X)                    # every episode starts from the table's columns
+    base_utility, base_state = _score(base, cfg.utility)
 
     for episode in range(episodes):
         epsilon = _epsilon(episode, episodes)
-        workspace = _Workspace(X)
-        utility, state = _score(workspace, cfg.utility)
+        workspace = base.branch(last=episode == episodes - 1)
+        utility, state = base_utility, base_state
         for step in range(steps):
             m_before = workspace.n_features
             head, opcode, tail = select_actions(agents, state, m_before, epsilon, rng)

@@ -9,6 +9,7 @@ node count, and each stack of same-size graphs is encoded in one pass.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -40,6 +41,16 @@ class FeatureGraph:
         return self.attrs.shape[0]
 
 
+@functools.lru_cache
+def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(m, k=1)``, built once per ``m``; read-only, since
+    every caller shares the arrays."""
+    iu = np.triu_indices(m, k=1)
+    for a in iu:
+        a.flags.writeable = False
+    return iu
+
+
 def build_graph(F: FeatureMatrix, rows: RowSample) -> FeatureGraph:
     """Similarity graph over features: edge iff pairwise cosine >= the 95th
     percentile (linear interpolation) of all unordered pair similarities.
@@ -54,7 +65,7 @@ def build_graph(F: FeatureMatrix, rows: RowSample) -> FeatureGraph:
         raise SingleFeature("a similarity graph needs at least 2 features")
     attrs = np.ascontiguousarray(F.values[rows.indices, :].T)
     sims, _ = nn.cosine_matrix(attrs, attrs)
-    iu = np.triu_indices(m, k=1)
+    iu = _triu(m)
     pair_sims = sims[iu]
     threshold = np.percentile(pair_sims, 95.0)
     upper = np.zeros((m, m), dtype=np.int8)
@@ -64,8 +75,7 @@ def build_graph(F: FeatureMatrix, rows: RowSample) -> FeatureGraph:
 
 
 def _perturb_edges(adjacency: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    m = adjacency.shape[0]
-    iu = np.triu_indices(m, k=1)
+    iu = _triu(adjacency.shape[0])
     state = adjacency[iu].astype(bool)
     flips = int(round(EDGE_RATIO * int(state.sum())))
     for _ in range(flips):
@@ -192,7 +202,7 @@ def _stacked_groups(graphs: Sequence[FeatureGraph]):
     for i, g in enumerate(graphs):
         by_m.setdefault(g.n_nodes, []).append(i)
     for m, idxs in sorted(by_m.items()):
-        attrs = np.stack([graphs[i].attrs for i in idxs]).astype(np.float64)
+        attrs = np.stack([graphs[i].attrs for i in idxs])
         adj = np.stack([graphs[i].adjacency for i in idxs]).astype(np.float64)
         yield idxs, attrs, adj
 

@@ -74,7 +74,8 @@ class Dense:
         if x.shape[-1] != self.n_in:
             raise ShapeMismatch(f"{self.W.name}: input width {x.shape[-1]}, expected {self.n_in}")
         flat = x.reshape(-1, self.n_in)
-        y = flat @ self.W.value + self.b.value
+        y = flat @ self.W.value
+        y += self.b.value
         return y.reshape(*x.shape[:-1], self.n_out), flat
 
     def backward(self, dout: np.ndarray, cache) -> np.ndarray:
@@ -241,31 +242,49 @@ class LstmCell:
 
 
 class Adam:
-    """Adaptive-moment optimizer; zeroes every grad after applying it."""
+    """Adaptive-moment optimizer; zeroes every grad after applying it.
+
+    The values, grads and both moments of all params live in one flat buffer
+    each, so a step is a few whole-buffer operations however many params
+    there are. Construction copies each param's value and grad into those
+    buffers and makes ``p.value`` and ``p.grad`` views of them: write to a
+    param in place (``p.value[...] = ...``, ``p.grad += ...``) and never
+    rebind either attribute, or the optimizer stops seeing it.
+    """
 
     def __init__(self, params: Sequence[Param], lr: float = 0.001,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+        params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        size = sum(p.value.size for p in params)
+        self.value = np.empty(size)
+        self.grad = np.empty(size)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        start = 0
+        for p in params:
+            stop = start + p.value.size
+            self.value[start:stop] = p.value.reshape(-1)
+            self.grad[start:stop] = p.grad.reshape(-1)
+            p.value = self.value[start:stop].reshape(p.value.shape)
+            p.grad = self.grad[start:stop].reshape(p.grad.shape)
+            start = stop
 
     def step(self) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-            p.zero_grad()
+        g, m, v = self.grad, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        self.value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        g[...] = 0.0
 
 
 def grad_check(params: Sequence[Param], loss_fn: Callable[[], float],

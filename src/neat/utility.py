@@ -163,6 +163,14 @@ class DistanceCache:
         self.columns = sub
         return sub, self.d2
 
+    def copy(self) -> "DistanceCache":
+        """An independent cache that starts from this one's set: d^2 is
+        copied, since appending columns updates it in place."""
+        other = DistanceCache()
+        other.key, other.rows, other.columns = self.key, self.rows, self.columns
+        other.d2 = None if self.d2 is None else self.d2.copy()
+        return other
+
 
 def _discounted_terms(v: np.ndarray, cfg: UtilityConfig,
                       cache: DistanceCache | None) -> np.ndarray:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from neat import utility
 from neat.collector import (
     LEARNING_RATE,
     STATE_WIDTH,
@@ -17,7 +18,7 @@ from neat.collector import (
 )
 from neat.errors import ConfigHashMismatch
 from neat.expr import VALUE_CAP, FeatureCross, FeatureMatrix, apply_sequence, eval_cross
-from neat.utility import UtilityConfig, mdcg
+from neat.utility import DistanceCache, UtilityConfig, mdcg
 
 # Small enough that the replay buffers fill within the run, so the agents
 # train and later actions depend on the TD updates.
@@ -41,8 +42,31 @@ class TestCollect:
         cfg = dataclasses.replace(SMALL, utility=UtilityConfig(max_rows=max_rows))
         records = collect(small_table, episodes=3, steps=5, cfg=cfg,
                           rng=np.random.default_rng(11))
+        assert {rec.episode for rec in records} == {0, 1, 2}
         for rec in records:
             assert rec.utility == mdcg(apply_sequence(rec.sequence, small_table), cfg.utility)
+
+    @pytest.mark.parametrize("episodes", [1, 3])
+    def test_table_columns_are_scored_once_per_call(self, small_table, monkeypatch, episodes):
+        builds, copies = [], []
+        build, copy = utility._pairwise_sq_dists, DistanceCache.copy
+
+        def counted_build(v):
+            builds.append(v.shape)
+            return build(v)
+
+        def counted_copy(cache):
+            copies.append(cache)
+            return copy(cache)
+
+        monkeypatch.setattr(utility, "_pairwise_sq_dists", counted_build)
+        monkeypatch.setattr(DistanceCache, "copy", counted_copy)
+        collect(small_table, episodes=episodes, steps=5, cfg=SMALL,
+                rng=np.random.default_rng(11))
+        assert builds == [(40, 5)]             # one build, over the table's own columns
+        # The last episode takes the base cache, so a one-episode call copies
+        # no distance matrix.
+        assert len(copies) == episodes - 1
 
     def test_record_file_round_trip(self, small_table, tmp_path):
         records = _collect(small_table)
@@ -98,7 +122,32 @@ EXTREME = ("f0 exp exp", "f1 exp exp exp", "f0 exp exp f1 exp exp -",
            "f4")
 
 
+def _describe_state_loop(F):
+    # Reference: each row of per-column statistics summarized on its own.
+    v = F.values
+    q = np.percentile(v, [25.0, 50.0, 75.0], axis=0)
+    col_stats = np.vstack([
+        v.mean(axis=0), v.std(axis=0), v.min(axis=0), q[0], q[1], q[2], v.max(axis=0)])
+    out = np.empty(STATE_WIDTH)
+    for s in range(7):
+        row = col_stats[s]
+        rq = np.percentile(row, [25.0, 50.0, 75.0])
+        out[s * 7:(s + 1) * 7] = (
+            row.mean(), row.std(), row.min(), rq[0], rq[1], rq[2], row.max())
+    return out
+
+
 class TestDescribeState:
+    @pytest.mark.parametrize("shape", [(100, 32), (2000, 12), (7, 2)])
+    def test_equals_the_per_row_loop(self, shape):
+        v = np.random.default_rng(shape[0]).normal(size=shape)
+        F = FeatureMatrix(v, tuple(FeatureCross((f"f{i}",)) for i in range(shape[1])))
+        assert np.array_equal(describe_state(F), _describe_state_loop(F))
+
+    def test_equals_the_per_row_loop_on_extreme_columns(self, small_table):
+        F = _matrix(small_table, EXTREME)
+        assert np.array_equal(describe_state(F), _describe_state_loop(F))
+
     def test_width(self, small_table):
         assert describe_state(_matrix(small_table, ["f0", "f1 f2 *"])).shape == (STATE_WIDTH,)
         assert describe_state(_matrix(small_table, EXTREME)).shape == (STATE_WIDTH,)

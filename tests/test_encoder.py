@@ -9,6 +9,7 @@ from neat.encoder import (
     TAU,
     EncoderModel,
     _perturb_edges,
+    _triu,
     FeatureGraph,
     augment,
     backward_many,
@@ -20,7 +21,7 @@ from neat.encoder import (
 )
 from neat.errors import BatchTooSmall, CheckpointMismatch
 from neat.expr import CrossSequence, FeatureCross, FeatureMatrix, feature_token, random_cross
-from neat.nn import Param, grad_check
+from neat.nn import Adam, Param, grad_check
 from neat.tabular import RowSample
 
 ATTR_WIDTH = 5
@@ -80,6 +81,29 @@ class TestParamDict:
         del params["encoder.gnn2.W"]
         with pytest.raises(CheckpointMismatch, match="encoder.gnn2.W"):
             EncoderModel(ATTR_WIDTH, np.random.default_rng(99), hidden=6).load_param_dict(params)
+
+
+    def test_load_after_adam_moves_the_loaded_values(self, model, rng):
+        opt = Adam(model.params(), lr=0.01)
+        loaded = {name: rng.normal(size=value.shape)
+                  for name, value in model.param_dict().items()}
+        model.load_param_dict(loaded)
+        for p in model.params():
+            p.grad[...] = 1.0
+        opt.step()
+        # A first Adam step moves every coordinate by lr against the sign of its grad.
+        for name, value in model.param_dict().items():
+            np.testing.assert_allclose(value, loaded[name] - 0.01, rtol=0, atol=1e-9)
+
+
+def test_cached_triu_indices_are_read_only():
+    for m in (2, 5, 13):
+        iu = _triu(m)
+        assert all(np.array_equal(a, b) for a, b in zip(iu, np.triu_indices(m, k=1)))
+        for a in iu:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestBuildGraph:

@@ -238,6 +238,49 @@ class TestOptimizers:
         opt.step()
         assert np.all(p.grad == 0.0)
 
+    def test_flat_step_equals_the_per_param_formula(self, rng):
+        shapes = [(3, 4), (4,), (2, 3, 2)]
+        params = [Param(f"p{i}", rng.normal(size=shape)) for i, shape in enumerate(shapes)]
+        ref = [p.value.copy() for p in params]
+        m = [np.zeros(shape) for shape in shapes]
+        v = [np.zeros(shape) for shape in shapes]
+        opt = Adam(params, lr=0.01)
+        for t in range(1, 6):
+            grads = [rng.normal(size=shape) for shape in shapes]
+            for p, g in zip(params, grads):
+                p.grad += g
+            opt.step()
+            b1t, b2t = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for i, g in enumerate(grads):
+                m[i] *= 0.9
+                m[i] += (1.0 - 0.9) * g
+                v[i] *= 0.999
+                v[i] += (1.0 - 0.999) * (g * g)
+                ref[i] -= 0.01 * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + 1e-8)
+            for p, r in zip(params, ref):
+                assert np.array_equal(p.value, r), (t, p.name)
+
+    def test_params_become_views_of_the_buffers(self, rng):
+        layer = Dense("d", 3, 2, rng)
+        W0, b0 = layer.W.value.copy(), layer.b.value.copy()
+        layer.b.grad[:] = 0.5                       # a grad pending at construction is kept
+        opt = Adam(layer.params(), lr=0.01)
+        assert np.array_equal(layer.W.value, W0) and np.array_equal(layer.b.value, b0)
+        assert np.array_equal(layer.b.grad, [0.5, 0.5])
+        for p in layer.params():
+            assert np.shares_memory(p.value, opt.value)
+            assert np.shares_memory(p.grad, opt.grad)
+        x = rng.normal(size=(4, 3))
+        _, cache = layer.forward(x)
+        layer.backward(np.ones((4, 2)), cache)
+        np.testing.assert_allclose(
+            opt.grad, np.concatenate([x.sum(axis=0).repeat(2), [4.5, 4.5]]), rtol=1e-12)
+        opt.step()
+        assert not np.array_equal(layer.W.value, W0)
+        assert np.all(opt.grad == 0.0)
+        for p in layer.params():
+            assert np.all(p.grad == 0.0)
+
     def test_quadratic_descent_monotone(self):
         p = Param("p", np.array([5.0]))
         opt = Adam([p], lr=0.001)
