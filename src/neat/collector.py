@@ -8,7 +8,6 @@ materializes, forming the training corpus for the encoder/decoder stages.
 
 from __future__ import annotations
 
-import copy
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,13 +17,12 @@ import numpy as np
 
 from . import nn
 from .expr import (
-    MAX_LEN,
     OPCODES,
     OP_SYMBOLS,
-    SEGMENT_CAP,
     CrossSequence,
     FeatureCross,
     FeatureMatrix,
+    FeatureSet,
     OpCode,
     eval_cross,
     feature_token,
@@ -228,93 +226,32 @@ def select_actions(agents: AgentTriplet, state: np.ndarray, n_features: int,
     return head, opcode, tail
 
 
-class _Workspace:
-    """Mutable exploration state of one episode: the growing matrix, column
-    provenance, and the ``DistanceCache`` that lets each ``mdcg`` call pay
-    only for the appended column. The cache dies with the workspace.
-    ``collect`` builds and scores the table's own columns once, and each
-    episode grows a ``branch`` of that workspace."""
-
-    def __init__(self, table: DataTable):
-        self.table = table
-        columns, provenance, keys = [], [], set()
-        for i in range(table.n_features):
-            cross = FeatureCross((feature_token(i),))
-            col = eval_cross(cross, table)
-            key = col.tobytes()
-            if key in keys:
-                continue
-            keys.add(key)
-            columns.append(col)
-            provenance.append(cross)
-        self.columns = columns
-        self.provenance = provenance
-        self.keys = keys
-        self.distances = DistanceCache()
-
-    def branch(self, last: bool) -> "_Workspace":
-        """A workspace that starts from this one's set. With ``last`` it takes
-        this one's ``DistanceCache`` instead of a copy, so this workspace must
-        not be scored again."""
-        other = copy.copy(self)
-        other.columns = list(self.columns)
-        other.provenance = list(self.provenance)
-        other.keys = set(self.keys)
-        other.distances = self.distances if last else self.distances.copy()
-        return other
-
-    @property
-    def n_features(self) -> int:
-        return len(self.columns)
-
-    def matrix(self) -> FeatureMatrix:
-        return FeatureMatrix(values=np.column_stack(self.columns),
-                             provenance=tuple(self.provenance))
-
-    def sequence_tokens(self) -> int:
-        body = sum(len(c.tokens) for c in self.provenance)
-        return body + len(self.provenance) + 1   # SOS + SEPs + EOS
-
-    def sequence(self) -> CrossSequence:
-        return CrossSequence.from_crosses(self.provenance)
-
-    def append(self, cross: FeatureCross, col: np.ndarray) -> None:
-        self.keys.add(col.tobytes())
-        self.columns.append(col)
-        self.provenance.append(cross)
-
-
-def _compose_cross(workspace: _Workspace, head: int, opcode: OpCode,
+def _compose_cross(features: FeatureSet, head: int, opcode: OpCode,
                    tail: int | None) -> FeatureCross:
-    tokens = list(workspace.provenance[head].tokens)
+    tokens = list(features.provenance[head].tokens)
     if opcode.arity == 2:
-        tokens += list(workspace.provenance[tail].tokens)
+        tokens += list(features.provenance[tail].tokens)
     tokens.append(opcode.symbol)
     return FeatureCross(tuple(tokens))
 
 
-def _advance(workspace: _Workspace, cross: FeatureCross, max_features: int) -> bool:
-    """Try to append a cross; a no-op (False, set unchanged) when the column
-    is a bitwise duplicate, the feature cap is hit, or the sequence would
-    overflow its token budgets."""
-    if workspace.n_features >= max_features:
+def _advance(features: FeatureSet, cross: FeatureCross, table: DataTable,
+             max_features: int) -> bool:
+    """Try to add a cross; a no-op (False, set unchanged) when the feature cap
+    is hit, the sequence would overflow its token budgets, or the column is a
+    bitwise duplicate. An over-budget cross is not evaluated."""
+    if features.n_features >= max_features or not features.fits(cross):
         return False
-    if len(cross.tokens) > SEGMENT_CAP:
-        return False
-    if workspace.sequence_tokens() + len(cross.tokens) + 1 > MAX_LEN:
-        return False
-    col = eval_cross(cross, workspace.table)
-    if col.tobytes() in workspace.keys:
-        return False
-    workspace.append(cross, col)
-    return True
+    return features.add(cross, eval_cross(cross, table))
 
 
-def _score(workspace: _Workspace, utility: UtilityConfig) -> tuple[float, np.ndarray]:
+def _score(features: FeatureSet, distances: DistanceCache,
+           utility: UtilityConfig) -> tuple[float, np.ndarray]:
     """Utility and state of the current set, from one stacked matrix that is
-    dropped on return."""
-    F = workspace.matrix()
-    return mdcg(F, utility, workspace.distances), describe_state(F)
+    dropped on return. ``distances`` lets each ``mdcg`` call pay only for the
+    appended column."""
+    F = features.matrix()
+    return mdcg(F, utility, distances), describe_state(F)
 
 
 def _epsilon(episode: int, episodes: int) -> float:
@@ -334,23 +271,30 @@ def collect(X: DataTable, episodes: int, steps: int,
     max_features = 2 * X.n_features
     agents = AgentTriplet.build(max_features, cfg, rng)
     records: list[ExplorationRecord] = []
-    base = _Workspace(X)                    # every episode starts from the table's columns
-    base_utility, base_state = _score(base, cfg.utility)
+    base = FeatureSet()                     # every episode starts from the table's columns
+    for i in range(X.n_features):
+        cross = FeatureCross((feature_token(i),))
+        base.add(cross, eval_cross(cross, X))
+    base_distances = DistanceCache()
+    base_utility, base_state = _score(base, base_distances, cfg.utility)
 
     for episode in range(episodes):
         epsilon = _epsilon(episode, episodes)
-        workspace = base.branch(last=episode == episodes - 1)
+        features = base.copy()
+        # The last episode takes the base cache, so a one-episode call holds
+        # no second distance matrix.
+        distances = base_distances if episode == episodes - 1 else base_distances.copy()
         utility, state = base_utility, base_state
         for step in range(steps):
-            m_before = workspace.n_features
+            m_before = features.n_features
             head, opcode, tail = select_actions(agents, state, m_before, epsilon, rng)
-            cross = _compose_cross(workspace, head, opcode, tail)
+            cross = _compose_cross(features, head, opcode, tail)
             next_state = state                  # a no-op step leaves the set as it was
-            if _advance(workspace, cross, max_features):
-                utility, next_state = _score(workspace, cfg.utility)
-            records.append(ExplorationRecord(workspace.sequence(), utility, episode, step))
+            if _advance(features, cross, X, max_features):
+                utility, next_state = _score(features, distances, cfg.utility)
+            records.append(ExplorationRecord(features.sequence(), utility, episode, step))
             terminal = step == steps - 1
-            m_after = workspace.n_features
+            m_after = features.n_features
             agents.head.buffer.push(state, head, utility, next_state, m_after, terminal)
             agents.op.buffer.push(state, OP_SYMBOLS.index(opcode.symbol), utility,
                                   next_state, len(OP_SYMBOLS), terminal)

@@ -4,6 +4,13 @@ A cross is a postfix program over original feature columns; a sequence is
 ``<SOS> cross (<SEP> cross)* <EOS>``, the unit that the collector records and
 the decoder generates. Evaluation is total: every operator carries a guard so
 any valid cross produces finite output on any finite table.
+
+``FeatureSet`` is the one owner of the rules that keep a recorded sequence
+equal to the set it was scored on: a column bitwise equal to a kept one is
+not added, and ``fits`` applies the ``SEGMENT_CAP`` and ``MAX_LEN`` token
+budgets. ``_walk`` is the one postfix walker: evaluation, validation and
+rendering are its callbacks, so all three raise the same ``InvalidPostfix``
+errors.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -24,8 +31,10 @@ from .errors import (
     SequenceTooLong,
     UnknownToken,
 )
+from .tabular import DataTable
 
 log = logging.getLogger(__name__)
+T = TypeVar("T")
 
 PAD = "<PAD>"
 SOS = "<SOS>"
@@ -105,9 +114,6 @@ class CrossSequence:
         if len(tokens) > MAX_LEN:
             raise SequenceTooLong(f"{len(tokens)} tokens exceeds MAX_LEN {MAX_LEN}")
         return cls(tuple(tokens))
-
-    def crosses(self) -> list[FeatureCross]:
-        return parse_sequence(self.tokens)
 
 
 class Vocabulary:
@@ -191,72 +197,67 @@ def _apply_op(symbol: str, a: np.ndarray, b: np.ndarray | None = None) -> np.nda
         out = np.sqrt(np.abs(a))
     elif symbol == "square":
         out = a * a
-    elif symbol == "reciprocal":
+    else:                   # "reciprocal": _walk passes only OPCODES symbols
         out = _safe_divide(np.ones_like(a), a)
-    else:
-        raise InvalidPostfix(f"unknown operator {symbol!r}")
     return np.clip(out, -VALUE_CAP, VALUE_CAP)
 
 
-def _column_source(table) -> np.ndarray:
-    values = table.values if hasattr(table, "values") else np.asarray(table, dtype=np.float64)
-    if values.ndim != 2:
-        raise InvalidPostfix(f"expected a 2-D table, got shape {values.shape}")
-    return values
+def _walk(tokens: Sequence[str], leaf: Callable[[str], T], apply: Callable[..., T],
+          segment: int | None = None) -> T:
+    """Run a postfix program: ``leaf(token)`` for each feature token,
+    ``apply(symbol, *operands)`` for each operator; returns the one value
+    left. The only place that raises the grammar's ``InvalidPostfix`` errors,
+    tagged with ``segment`` when given."""
+    stack: list[T] = []
+    for token in tokens:
+        code = OPCODES.get(token)
+        if code is None:
+            if not is_feature(token):
+                raise InvalidPostfix(f"unexpected token {token!r}", segment)
+            stack.append(leaf(token))
+            continue
+        if len(stack) < code.arity:
+            raise InvalidPostfix(f"operator {token!r} underflows the stack", segment)
+        if code.arity == 2:
+            b = stack.pop()
+            stack.append(apply(token, stack.pop(), b))
+        else:
+            stack.append(apply(token, stack.pop()))
+    if len(stack) != 1:
+        raise InvalidPostfix(f"{len(stack)} operands left on the stack", segment)
+    return stack[0]
 
 
-def eval_cross(cross: FeatureCross, table) -> np.ndarray:
+def eval_cross(cross: FeatureCross, table: DataTable) -> np.ndarray:
     """Evaluate one postfix cross against a table's original columns.
 
-    ``table`` may be a DataTable or a plain (n, d) array. Safe rules: the
-    divisor and reciprocal floor small denominators at ±1e-8, log and sqrt
-    take |x| (log adds 1e-8), exp clamps its argument to ±50, and every
-    op output is clamped to ±1e150, so results are finite everywhere.
+    Safe rules: the divisor and reciprocal floor small denominators at
+    ±1e-8, log and sqrt take |x| (log adds 1e-8), exp clamps its argument to
+    ±50, and every op output is clamped to ±1e150, so results are finite
+    everywhere.
 
     Raises:
-        InvalidPostfix: stack underflow or leftover operands.
+        InvalidPostfix: stack underflow, leftover operands or a stray token.
         FeatureIndexOutOfRange: a feature token outside the table's columns.
     """
-    values = _column_source(table)
+    values = table.values
     d = values.shape[1]
-    stack: list[np.ndarray] = []
-    for token in cross.tokens:
-        if is_feature(token):
-            idx = feature_index(token)
-            if idx >= d:
-                raise FeatureIndexOutOfRange(f"{token} but table has {d} columns")
-            stack.append(values[:, idx])
-        elif token in OPCODES:
-            code = OPCODES[token]
-            if len(stack) < code.arity:
-                raise InvalidPostfix(f"operator {token!r} underflows the stack")
-            if code.arity == 2:
-                b = stack.pop()
-                a = stack.pop()
-                stack.append(_apply_op(token, a, b))
-            else:
-                stack.append(_apply_op(token, stack.pop()))
-        else:
-            raise InvalidPostfix(f"unexpected token {token!r} inside a cross")
-    if len(stack) != 1:
-        raise InvalidPostfix(f"{len(stack)} operands left after evaluation")
-    return np.array(stack[0], dtype=np.float64, copy=True)
+
+    def column(token: str) -> np.ndarray:
+        idx = feature_index(token)
+        if idx >= d:
+            raise FeatureIndexOutOfRange(f"{token} but table has {d} columns")
+        return values[:, idx]
+
+    return np.array(_walk(cross.tokens, column, _apply_op), dtype=np.float64, copy=True)
+
+
+def _ignore(*_) -> None:
+    return None
 
 
 def _check_postfix(tokens: Sequence[str], segment: int | None = None) -> None:
-    depth = 0
-    for token in tokens:
-        if is_feature(token):
-            depth += 1
-        elif token in OPCODES:
-            need = OPCODES[token].arity
-            if depth < need:
-                raise InvalidPostfix(f"operator {token!r} underflows the stack", segment)
-            depth -= need - 1
-        else:
-            raise InvalidPostfix(f"unexpected token {token!r}", segment)
-    if depth != 1:
-        raise InvalidPostfix(f"{depth} operands left on the stack", segment)
+    _walk(tokens, _ignore, _ignore, segment)
 
 
 def parse_sequence(tokens) -> list[FeatureCross]:
@@ -312,30 +313,83 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def apply_sequence(seq, table) -> FeatureMatrix:
+class FeatureSet:
+    """A feature set under construction: columns, the cross that built each,
+    the bytes of every kept column and the running length of its sequence.
+
+    The one owner of the two rules that keep a recorded sequence equal to the
+    set it was scored on: ``add`` drops a column bitwise equal to a kept one
+    (first occurrence wins), and ``fits`` says whether one more cross keeps
+    the sequence inside ``SEGMENT_CAP`` and ``MAX_LEN``. ``add`` does not
+    check ``fits``, so a caller that must respect the budgets asks first.
+    """
+
+    def __init__(self):
+        self.provenance: list[FeatureCross] = []
+        self._columns: list[np.ndarray] = []
+        self._keys: set[bytes] = set()
+        self._length = 1    # <SOS> and <EOS>, less the <SEP> the first cross goes without
+
+    @property
+    def n_features(self) -> int:
+        return len(self._columns)
+
+    def fits(self, cross: FeatureCross) -> bool:
+        """Whether ``CrossSequence.from_crosses`` accepts the set plus ``cross``."""
+        n = len(cross.tokens)
+        return n <= SEGMENT_CAP and self._length + n + 1 <= MAX_LEN
+
+    def add(self, cross: FeatureCross, column: np.ndarray) -> bool:
+        """Keep ``column``, built by ``cross``, unless it is a bitwise duplicate."""
+        key = column.tobytes()
+        if key in self._keys:
+            return False
+        self._keys.add(key)
+        self._columns.append(column)
+        self.provenance.append(cross)
+        self._length += len(cross.tokens) + 1
+        return True
+
+    def copy(self) -> "FeatureSet":
+        other = FeatureSet()
+        other.provenance = list(self.provenance)
+        other._columns = list(self._columns)
+        other._keys = set(self._keys)
+        other._length = self._length
+        return other
+
+    def matrix(self) -> FeatureMatrix:
+        return FeatureMatrix(values=np.column_stack(self._columns),
+                             provenance=tuple(self.provenance))
+
+    def sequence(self) -> CrossSequence:
+        return CrossSequence.from_crosses(self.provenance)
+
+
+def apply_sequence(seq, table: DataTable) -> FeatureMatrix:
     """Materialize a sequence into a feature matrix, one column per cross.
 
     Bitwise-identical duplicate columns are dropped (first occurrence wins);
     the drop count is logged. Constant columns are kept.
     """
     crosses = parse_sequence(seq)
-    columns: list[np.ndarray] = []
-    kept: list[FeatureCross] = []
-    seen: set[bytes] = set()
-    duplicates = 0
+    features = FeatureSet()
     for cross in crosses:
-        col = eval_cross(cross, table)
-        key = col.tobytes()
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        columns.append(col)
-        kept.append(cross)
-    if duplicates:
-        log.info("apply_sequence dropped %d duplicate column(s)", duplicates)
-    values = np.column_stack(columns)
-    return FeatureMatrix(values=values, provenance=tuple(kept))
+        features.add(cross, eval_cross(cross, table))
+    if features.n_features < len(crosses):
+        log.info("apply_sequence dropped %d duplicate column(s)",
+                 len(crosses) - features.n_features)
+    return features.matrix()
+
+
+def _render_op(symbol: str, a: str, b: str | None = None) -> str:
+    if b is not None:
+        return f"({a}{symbol}{b})"
+    if symbol == "square":
+        return f"({a})^2"
+    if symbol == "reciprocal":
+        return f"1/({a})"
+    return f"{symbol}({a})"
 
 
 def render_infix(cross: FeatureCross, names: Sequence[str]) -> str:
@@ -344,32 +398,13 @@ def render_infix(cross: FeatureCross, names: Sequence[str]) -> str:
     Features appear as ``[column name]``; ``square`` renders as ``(x)^2``
     and ``reciprocal`` as ``1/(x)``.
     """
-    stack: list[str] = []
-    for token in cross.tokens:
-        if is_feature(token):
-            idx = feature_index(token)
-            if idx >= len(names):
-                raise FeatureIndexOutOfRange(f"{token} but only {len(names)} names")
-            stack.append(f"[{names[idx]}]")
-        elif token in OPCODES:
-            code = OPCODES[token]
-            if len(stack) < code.arity:
-                raise InvalidPostfix(f"operator {token!r} underflows the stack")
-            if code.arity == 2:
-                b = stack.pop()
-                a = stack.pop()
-                stack.append(f"({a}{token}{b})")
-            elif token == "square":
-                stack.append(f"({stack.pop()})^2")
-            elif token == "reciprocal":
-                stack.append(f"1/({stack.pop()})")
-            else:
-                stack.append(f"{token}({stack.pop()})")
-        else:
-            raise InvalidPostfix(f"unexpected token {token!r} inside a cross")
-    if len(stack) != 1:
-        raise InvalidPostfix(f"{len(stack)} operands left after rendering")
-    return stack[0]
+    def name(token: str) -> str:
+        idx = feature_index(token)
+        if idx >= len(names):
+            raise FeatureIndexOutOfRange(f"{token} but only {len(names)} names")
+        return f"[{names[idx]}]"
+
+    return _walk(cross.tokens, name, _render_op)
 
 
 def tokenize_infix(text: str, names: Sequence[str]) -> FeatureCross:

@@ -18,6 +18,12 @@ import numpy as np
 
 from .errors import ShapeMismatch
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+GRAD_CHECK_H = 1e-5         # central-difference step
+GRAD_CHECK_SEED = 0         # coordinate sample when a check is capped
+
 
 @dataclass
 class Param:
@@ -50,25 +56,14 @@ def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_param(name: str, shape: tuple[int, ...], rng: np.random.Generator,
-               scheme: str = "glorot") -> Param:
-    if scheme == "glorot":
-        value = glorot_uniform(shape, rng)
-    elif scheme == "zeros":
-        value = np.zeros(shape)
-    else:
-        raise ValueError(f"unknown init scheme {scheme!r}")
-    return Param(name, value)
-
-
 class Dense:
     """Affine map y = x @ W + b over the last axis."""
 
     def __init__(self, name: str, n_in: int, n_out: int, rng: np.random.Generator):
         self.n_in = n_in
         self.n_out = n_out
-        self.W = init_param(f"{name}.W", (n_in, n_out), rng)
-        self.b = init_param(f"{name}.b", (n_out,), rng, scheme="zeros")
+        self.W = Param(f"{name}.W", glorot_uniform((n_in, n_out), rng))
+        self.b = Param(f"{name}.b", np.zeros(n_out))
 
     def forward(self, x: np.ndarray):
         if x.shape[-1] != self.n_in:
@@ -195,9 +190,9 @@ class LstmCell:
     def __init__(self, name: str, n_in: int, n_hidden: int, rng: np.random.Generator):
         self.n_in = n_in
         self.n_hidden = n_hidden
-        self.Wx = init_param(f"{name}.Wx", (n_in, 4 * n_hidden), rng)
-        self.Wh = init_param(f"{name}.Wh", (n_hidden, 4 * n_hidden), rng)
-        self.b = init_param(f"{name}.b", (4 * n_hidden,), rng, scheme="zeros")
+        self.Wx = Param(f"{name}.Wx", glorot_uniform((n_in, 4 * n_hidden), rng))
+        self.Wh = Param(f"{name}.Wh", glorot_uniform((n_hidden, 4 * n_hidden), rng))
+        self.b = Param(f"{name}.b", np.zeros(4 * n_hidden))
 
     def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
         """One timestep over a batch: x (B, n_in), h/c (B, n_hidden)."""
@@ -252,13 +247,9 @@ class Adam:
     rebind either attribute, or the optimizer stops seeing it.
     """
 
-    def __init__(self, params: Sequence[Param], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Param], lr: float = 0.001):
         params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         size = sum(p.value.size for p in params)
         self.value = np.empty(size)
@@ -276,41 +267,42 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         g, m, v = self.grad, self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        self.value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        self.value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
         g[...] = 0.0
 
 
 def grad_check(params: Sequence[Param], loss_fn: Callable[[], float],
-               h: float = 1e-5, max_coords: int = 10_000, seed: int = 0) -> float:
+               max_coords: int = 10_000) -> float:
     """Max relative error between stored analytic grads and central differences.
 
     The caller runs forward+backward first so ``p.grad`` holds the analytic
     gradient of ``loss_fn()``; this routine then perturbs each coordinate by
-    ±h (a seeded sample when the total exceeds ``max_coords``) and compares.
+    ±``GRAD_CHECK_H`` (a sample seeded by ``GRAD_CHECK_SEED`` when the total
+    exceeds ``max_coords``) and compares.
     """
     coords = [(pi, idx) for pi, p in enumerate(params)
               for idx in range(p.value.size)]
     if len(coords) > max_coords:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(GRAD_CHECK_SEED)
         picked = rng.choice(len(coords), size=max_coords, replace=False)
         coords = [coords[i] for i in picked]
     worst = 0.0
     for pi, idx in coords:
         flat = params[pi].value.reshape(-1)
         saved = flat[idx]
-        flat[idx] = saved + h
+        flat[idx] = saved + GRAD_CHECK_H
         plus = loss_fn()
-        flat[idx] = saved - h
+        flat[idx] = saved - GRAD_CHECK_H
         minus = loss_fn()
         flat[idx] = saved
-        numeric = (plus - minus) / (2.0 * h)
+        numeric = (plus - minus) / (2.0 * GRAD_CHECK_H)
         analytic = params[pi].grad.reshape(-1)[idx]
         rel = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-8)
         worst = max(worst, rel)

@@ -14,8 +14,11 @@ from neat.errors import (
     UnknownToken,
 )
 from neat.expr import (
+    SEGMENT_CAP,
+    SEP,
     CrossSequence,
     FeatureCross,
+    FeatureSet,
     Vocabulary,
     apply_sequence,
     eval_cross,
@@ -189,6 +192,108 @@ class TestApplySequence:
         assert F.values.shape[1] == len(expected)
         for got, want in zip(F.values.T, expected):
             assert np.array_equal(got, want)
+
+
+# One move grows every live set: a random cross, a chain of unary ops of a
+# given length (around SEGMENT_CAP), a forced bitwise duplicate, or a branch
+# that starts a copy of the newest set.
+MOVES = st.one_of(
+    st.tuples(st.just("random"), st.integers(1, 6)),
+    st.tuples(st.just("chain"), st.integers(1, SEGMENT_CAP + 2)),
+    st.tuples(st.just("swap"), st.integers(0, 4)),
+    st.tuples(st.just("branch"), st.just(0)),
+)
+
+
+def _chain(feature, length):
+    return cross(f"f{feature}", *["sin"] * (length - 1))
+
+
+def _candidates(move, rng):
+    kind, arg = move
+    if kind == "random":
+        return [random_cross(5, arg, rng)]
+    if kind == "chain":
+        return [_chain(int(rng.integers(5)), arg)]
+    if kind == "swap":     # b+a after a+b: equal columns, different crosses
+        a, b = f"f{arg}", f"f{(arg + 1) % 5}"
+        return [cross(a, b, "+"), cross(b, a, "+")]
+    return []
+
+
+def _offer(features, c, table):
+    """Add ``c`` as a budget-respecting caller would, checking both rules
+    against their definitions: ``from_crosses`` for the budgets, the bytes
+    of the set's own matrix for duplicates."""
+    try:
+        CrossSequence.from_crosses(features.provenance + [c])
+        accepted = True
+    except SequenceTooLong:
+        accepted = False
+    assert features.fits(c) == accepted
+    if accepted:
+        col = eval_cross(c, table)
+        fresh = col.tobytes() not in {
+            np.ascontiguousarray(v).tobytes() for v in features.matrix().values.T}
+        n = features.n_features
+        assert features.add(c, col) == fresh
+        assert features.n_features == n + fresh
+
+
+class TestFeatureSet:
+    @given(seed=st.integers(0, 2**32 - 1), moves=st.lists(MOVES, max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_is_the_one_rule(self, seed, moves):
+        table = make_table(np.random.default_rng(7).normal(size=(20, 5)))
+        rng = np.random.default_rng(seed)
+        base = FeatureSet()
+        for i in range(5):
+            base.add(cross(f"f{i}"), eval_cross(cross(f"f{i}"), table))
+        sets = [base]
+        for move in moves:
+            if move[0] == "branch":
+                sets.append(sets[-1].copy())
+            for c in _candidates(move, rng):
+                for features in sets:
+                    _offer(features, c, table)
+        # Fill each set with chains of falling length: the budget checks then
+        # land on SEGMENT_CAP and on MAX_LEN exactly.
+        for features in sets:
+            for length in range(SEGMENT_CAP + 1, 0, -1):
+                for feature in range(5):
+                    _offer(features, _chain(feature, length), table)
+        for features in sets:
+            F = apply_sequence(features.sequence(), table)
+            assert np.array_equal(F.values, features.matrix().values)
+            assert F.provenance == tuple(features.provenance)
+
+
+# Malformed programs: an operator short of operands, two operands left, a
+# special token inside a cross, and a token outside the grammar.
+MALFORMED = ["f0 +", "f0 f1", "f0 <SEP>", "f0 <PAD>", "f0 foo"]
+
+
+class TestOneWalker:
+    @pytest.mark.parametrize("program", MALFORMED)
+    def test_every_walk_raises_the_same_error(self, program):
+        c = FeatureCross(tuple(program.split()))
+        table = make_table(np.zeros((2, 2)))
+        with pytest.raises(InvalidPostfix) as evaluated:
+            eval_cross(c, table)
+        with pytest.raises(InvalidPostfix) as rendered:
+            render_infix(c, ["a", "b"])
+        assert evaluated.value.segment is None and rendered.value.segment is None
+        assert str(rendered.value) == str(evaluated.value)
+        if SEP in c.tokens:     # a <SEP> in a sequence ends the cross instead
+            return
+        with pytest.raises(InvalidPostfix) as parsed:
+            parse_sequence(f"<SOS> f1 <SEP> {program} <EOS>")
+        assert parsed.value.segment == 1
+        assert str(parsed.value) == f"segment 1: {evaluated.value}"
+
+    def test_render_refuses_a_feature_past_its_names(self):
+        with pytest.raises(FeatureIndexOutOfRange):
+            render_infix(cross("f0", "f2", "+"), ["a", "b"])
 
 
 class TestRenderInfix:

@@ -14,7 +14,6 @@ from neat.nn import (
     cosine_matrix_backward,
     glorot_uniform,
     grad_check,
-    init_param,
     mse,
     mse_backward,
     relu,
@@ -302,13 +301,14 @@ class TestInit:
         assert np.max(np.abs(w)) > 0.8 * bound     # actually fills the range
 
     def test_seeded_determinism(self):
-        a = init_param("w", (4, 4), np.random.default_rng(3))
-        b = init_param("w", (4, 4), np.random.default_rng(3))
-        assert np.array_equal(a.value, b.value)
+        a = glorot_uniform((4, 4), np.random.default_rng(3))
+        b = glorot_uniform((4, 4), np.random.default_rng(3))
+        assert np.array_equal(a, b)
 
-    def test_zeros_scheme(self):
-        p = init_param("b", (5,), np.random.default_rng(0), scheme="zeros")
-        assert np.all(p.value == 0.0)
+    def test_biases_start_at_zero(self):
+        layer = Dense("d", 3, 5, np.random.default_rng(0))
+        assert layer.b.value.shape == (5,)
+        assert np.all(layer.b.value == 0.0)
 
 
 class TestGradCheckHarness:
