@@ -8,7 +8,7 @@ gradient-search the embedding space and decode an improved feature set.
 
 __version__ = "0.1.0"
 
-from .expr import CrossSequence, FeatureCross, FeatureMatrix
+from .expr import CrossSequence, FeatureCross
 from .tabular import DataTable, load_csv
 from .utility import UtilityConfig, feature_importance, mdcg, redundancy_utility
 
@@ -16,7 +16,6 @@ __all__ = [
     "__version__",
     "CrossSequence",
     "FeatureCross",
-    "FeatureMatrix",
     "DataTable",
     "load_csv",
     "UtilityConfig",

@@ -21,7 +21,6 @@ from .expr import (
     OP_SYMBOLS,
     CrossSequence,
     FeatureCross,
-    FeatureMatrix,
     FeatureSet,
     OpCode,
     eval_cross,
@@ -59,10 +58,10 @@ class CollectorConfig:
     hidden: int = 64
 
 
-def describe_state(F: FeatureMatrix) -> np.ndarray:
-    """Fixed-width description of a feature set: 7 per-column statistics,
-    each summarized across columns by the same 7 statistics."""
-    v = F.values
+def describe_state(v: np.ndarray) -> np.ndarray:
+    """Fixed-width description of a feature set's ``(n, m)`` values: 7
+    per-column statistics, each summarized across columns by the same 7
+    statistics."""
     q = np.percentile(v, [25.0, 50.0, 75.0], axis=0)
     col_stats = np.vstack([
         v.mean(axis=0), v.std(axis=0), v.min(axis=0), q[0], q[1], q[2], v.max(axis=0)])
@@ -250,8 +249,8 @@ def _score(features: FeatureSet, distances: DistanceCache,
     """Utility and state of the current set, from one stacked matrix that is
     dropped on return. ``distances`` lets each ``mdcg`` call pay only for the
     appended column."""
-    F = features.matrix()
-    return mdcg(F, utility, distances), describe_state(F)
+    v = features.matrix()
+    return mdcg(v, utility, distances), describe_state(v)
 
 
 def _epsilon(episode: int, episodes: int) -> float:

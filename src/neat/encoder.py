@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .errors import BatchTooSmall, CheckpointMismatch, NeatError, SingleFeature
-from .expr import FeatureMatrix, apply_sequence
+from .expr import apply_sequence
 from .tabular import RowSample
 
 log = logging.getLogger(__name__)
@@ -51,19 +51,20 @@ def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def build_graph(F: FeatureMatrix, rows: RowSample) -> FeatureGraph:
-    """Similarity graph over features: edge iff pairwise cosine >= the 95th
-    percentile (linear interpolation) of all unordered pair similarities.
+def build_graph(v: np.ndarray, rows: RowSample) -> FeatureGraph:
+    """Similarity graph over the columns of ``v``, an ``(n, m)`` array: edge
+    iff pairwise cosine >= the 95th percentile (linear interpolation) of all
+    unordered pair similarities.
 
     Zero-vector columns have similarity 0 with everything.
 
     Raises:
         SingleFeature: fewer than two features.
     """
-    m = F.values.shape[1]
+    m = v.shape[1]
     if m < 2:
         raise SingleFeature("a similarity graph needs at least 2 features")
-    attrs = np.ascontiguousarray(F.values[rows.indices, :].T)
+    attrs = np.ascontiguousarray(v[rows.indices, :].T)
     sims, _ = nn.cosine_matrix(attrs, attrs)
     iu = _triu(m)
     pair_sims = sims[iu]
@@ -207,12 +208,11 @@ def _stacked_groups(graphs: Sequence[FeatureGraph]):
         yield idxs, attrs, adj
 
 
-def encode_many(graphs: Sequence[FeatureGraph], model: EncoderModel,
-                want_cache: bool = False):
+def encode_many(graphs: Sequence[FeatureGraph], model: EncoderModel):
     """Encode a mixed-size list of graphs via same-size stacks.
 
-    Returns (H, Z) arrays aligned with the input order, plus per-group
-    caches when requested (for a following backward pass).
+    Returns (H, Z, caches): H and Z aligned with the input order, and the
+    per-group caches that ``backward_many`` takes.
     """
     H = np.zeros((len(graphs), model.hidden))
     Z = np.zeros((len(graphs), model.hidden))
@@ -221,9 +221,8 @@ def encode_many(graphs: Sequence[FeatureGraph], model: EncoderModel,
         h, z, cache = forward_stack(model, attrs, adj)
         H[idxs] = h
         Z[idxs] = z
-        if want_cache:
-            caches.append((idxs, cache))
-    return (H, Z, caches) if want_cache else (H, Z)
+        caches.append((idxs, cache))
+    return H, Z, caches
 
 
 def backward_many(model: EncoderModel, dZ: np.ndarray, caches,
@@ -316,12 +315,8 @@ def pretrain(records, table, model: EncoderModel, rows: RowSample,
             if chunk.size < 2:
                 continue
             view1, view2 = augment([graphs[i] for i in chunk], rng)
-            if train:
-                _, Z1, c1 = encode_many(view1, model, want_cache=True)
-                _, Z2, c2 = encode_many(view2, model, want_cache=True)
-            else:
-                _, Z1 = encode_many(view1, model)
-                _, Z2 = encode_many(view2, model)
+            _, Z1, c1 = encode_many(view1, model)
+            _, Z2, c2 = encode_many(view2, model)
             loss, cache = ntxent_loss(Z1, Z2)
             if train:
                 dZ1, dZ2 = ntxent_backward(cache)

@@ -26,15 +26,8 @@ class TooFewRows(NeatError):
 # --- expressions ---
 
 class InvalidPostfix(NeatError):
-    """Stack evaluation underflowed or left more than one operand.
-
-    ``segment`` is the index of the offending segment when the error comes
-    from a multi-segment sequence, else None.
-    """
-
-    def __init__(self, message: str, segment: int | None = None):
-        super().__init__(message if segment is None else f"segment {segment}: {message}")
-        self.segment = segment
+    """A postfix walk underflowed, left more than one operand or met a token
+    outside the grammar."""
 
 
 class FeatureIndexOutOfRange(NeatError):

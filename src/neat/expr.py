@@ -5,12 +5,15 @@ A cross is a postfix program over original feature columns; a sequence is
 the decoder generates. Evaluation is total: every operator carries a guard so
 any valid cross produces finite output on any finite table.
 
-``FeatureSet`` is the one owner of the rules that keep a recorded sequence
-equal to the set it was scored on: a column bitwise equal to a kept one is
-not added, and ``fits`` applies the ``SEGMENT_CAP`` and ``MAX_LEN`` token
-budgets. ``_walk`` is the one postfix walker: evaluation, validation and
-rendering are its callbacks, so all three raise the same ``InvalidPostfix``
-errors.
+A feature set has two forms: its values, a plain ``(n, m)`` float64 array
+that the utility and the graph encoder read, and its crosses, a
+``CrossSequence``. ``_within_budget`` is the one statement of the
+``SEGMENT_CAP`` and ``MAX_LEN`` token budgets, applied by
+``CrossSequence.from_crosses``, ``FeatureSet.fits`` and ``parse_sequence``.
+``FeatureSet`` owns the rule that a column bitwise equal to a kept one is not
+added. ``_walk`` is the one postfix walker: evaluation and rendering are its
+callbacks, so both raise the same ``InvalidPostfix`` errors, and a cross is
+checked only by the walk that uses it.
 """
 
 from __future__ import annotations
@@ -77,9 +80,21 @@ def feature_token(index: int) -> str:
     return f"f{index}"
 
 
+def _within_budget(longest: int, length: int) -> bool:
+    """The token budgets: no cross longer than ``SEGMENT_CAP`` tokens and no
+    sequence, ``<SOS>`` to ``<EOS>``, longer than ``MAX_LEN``."""
+    return longest <= SEGMENT_CAP and length <= MAX_LEN
+
+
+def _over_budget(longest: int, length: int) -> str:
+    return (f"{length} tokens with a {longest}-token cross "
+            f"(MAX_LEN {MAX_LEN}, SEGMENT_CAP {SEGMENT_CAP})")
+
+
 @dataclass(frozen=True)
 class FeatureCross:
-    """A valid postfix program over feature tokens and operators."""
+    """A postfix program over feature tokens and operators. Its validity is
+    checked by the walk that uses it (``eval_cross``, ``render_infix``)."""
 
     tokens: tuple[str, ...]
 
@@ -102,17 +117,18 @@ class CrossSequence:
 
     @classmethod
     def from_crosses(cls, crosses: Iterable[FeatureCross]) -> "CrossSequence":
+        """Lay ``crosses`` out as a sequence; raises ``SequenceTooLong`` if it
+        breaks a token budget."""
         tokens: list[str] = [SOS]
+        longest = 0
         for i, cross in enumerate(crosses):
-            if len(cross.tokens) > SEGMENT_CAP:
-                raise SequenceTooLong(
-                    f"segment {i} has {len(cross.tokens)} tokens (cap {SEGMENT_CAP})")
             if i > 0:
                 tokens.append(SEP)
             tokens.extend(cross.tokens)
+            longest = max(longest, len(cross.tokens))
         tokens.append(EOS)
-        if len(tokens) > MAX_LEN:
-            raise SequenceTooLong(f"{len(tokens)} tokens exceeds MAX_LEN {MAX_LEN}")
+        if not _within_budget(longest, len(tokens)):
+            raise SequenceTooLong(_over_budget(longest, len(tokens)))
         return cls(tuple(tokens))
 
 
@@ -202,29 +218,27 @@ def _apply_op(symbol: str, a: np.ndarray, b: np.ndarray | None = None) -> np.nda
     return np.clip(out, -VALUE_CAP, VALUE_CAP)
 
 
-def _walk(tokens: Sequence[str], leaf: Callable[[str], T], apply: Callable[..., T],
-          segment: int | None = None) -> T:
+def _walk(tokens: Sequence[str], leaf: Callable[[str], T], apply: Callable[..., T]) -> T:
     """Run a postfix program: ``leaf(token)`` for each feature token,
     ``apply(symbol, *operands)`` for each operator; returns the one value
-    left. The only place that raises the grammar's ``InvalidPostfix`` errors,
-    tagged with ``segment`` when given."""
+    left. The only place that raises the grammar's ``InvalidPostfix`` errors."""
     stack: list[T] = []
     for token in tokens:
         code = OPCODES.get(token)
         if code is None:
             if not is_feature(token):
-                raise InvalidPostfix(f"unexpected token {token!r}", segment)
+                raise InvalidPostfix(f"unexpected token {token!r}")
             stack.append(leaf(token))
             continue
         if len(stack) < code.arity:
-            raise InvalidPostfix(f"operator {token!r} underflows the stack", segment)
+            raise InvalidPostfix(f"operator {token!r} underflows the stack")
         if code.arity == 2:
             b = stack.pop()
             stack.append(apply(token, stack.pop(), b))
         else:
             stack.append(apply(token, stack.pop()))
     if len(stack) != 1:
-        raise InvalidPostfix(f"{len(stack)} operands left on the stack", segment)
+        raise InvalidPostfix(f"{len(stack)} operands left on the stack")
     return stack[0]
 
 
@@ -252,65 +266,36 @@ def eval_cross(cross: FeatureCross, table: DataTable) -> np.ndarray:
     return np.array(_walk(cross.tokens, column, _apply_op), dtype=np.float64, copy=True)
 
 
-def _ignore(*_) -> None:
-    return None
+def parse_sequence(seq: CrossSequence) -> list[FeatureCross]:
+    """Split a sequence into its crosses, checking the layout and the token
+    budgets but not the crosses themselves (their walk does that).
 
-
-def _check_postfix(tokens: Sequence[str], segment: int | None = None) -> None:
-    _walk(tokens, _ignore, _ignore, segment)
-
-
-def parse_sequence(tokens) -> list[FeatureCross]:
-    """Split a token sequence into validated crosses.
-
-    Accepts a CrossSequence, a token list, or serialized text. PAD tokens
-    after EOS are ignored; anything else after EOS is ignored as well (a
-    decoded sequence ends at its first EOS).
+    Anything after the first EOS is ignored (a decoded sequence ends there,
+    padded with PAD); the budgets count tokens up to and including it.
 
     Raises:
         MissingSOS, MissingEOS, EmptySegment,
-        InvalidPostfix: carries the offending segment index.
+        SequenceTooLong: the sequence breaks a token budget.
     """
-    if isinstance(tokens, CrossSequence):
-        tokens = tokens.tokens
-    elif isinstance(tokens, str):
-        tokens = tokens.split()
-    tokens = list(tokens)
+    tokens = seq.tokens
     if not tokens or tokens[0] != SOS:
         raise MissingSOS("sequence must start with <SOS>")
     if EOS not in tokens:
         raise MissingEOS("sequence has no <EOS>")
-    body = tokens[1:tokens.index(EOS)]
+    end = tokens.index(EOS)
 
-    segments: list[list[str]] = [[]]
-    for token in body:
-        if token == SEP:
-            segments.append([])
-        else:
-            segments[-1].append(token)
-    crosses = []
-    for i, seg in enumerate(segments):
-        if not seg:
-            raise EmptySegment(f"segment {i} is empty")
-        _check_postfix(seg, segment=i)
-        crosses.append(FeatureCross(tuple(seg)))
+    crosses: list[FeatureCross] = []
+    start = 1
+    for i in range(1, end + 1):
+        if tokens[i] == SEP or i == end:
+            if i == start:
+                raise EmptySegment(f"segment {len(crosses)} is empty")
+            crosses.append(FeatureCross(tokens[start:i]))
+            start = i + 1
+    longest = max(len(cross.tokens) for cross in crosses)
+    if not _within_budget(longest, end + 1):
+        raise SequenceTooLong(_over_budget(longest, end + 1))
     return crosses
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """A materialized feature set: columns plus the cross that built each one."""
-
-    values: np.ndarray                 # (n, m) float64
-    provenance: tuple[FeatureCross, ...]
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.values.shape[1]
 
 
 class FeatureSet:
@@ -335,9 +320,10 @@ class FeatureSet:
         return len(self._columns)
 
     def fits(self, cross: FeatureCross) -> bool:
-        """Whether ``CrossSequence.from_crosses`` accepts the set plus ``cross``."""
+        """Whether ``CrossSequence.from_crosses`` accepts the set plus
+        ``cross``, given that it accepts the set."""
         n = len(cross.tokens)
-        return n <= SEGMENT_CAP and self._length + n + 1 <= MAX_LEN
+        return _within_budget(n, self._length + n + 1)
 
     def add(self, cross: FeatureCross, column: np.ndarray) -> bool:
         """Keep ``column``, built by ``cross``, unless it is a bitwise duplicate."""
@@ -358,19 +344,23 @@ class FeatureSet:
         other._length = self._length
         return other
 
-    def matrix(self) -> FeatureMatrix:
-        return FeatureMatrix(values=np.column_stack(self._columns),
-                             provenance=tuple(self.provenance))
+    def matrix(self) -> np.ndarray:
+        """The set's values, one column per kept cross: ``(n, m)`` float64."""
+        return np.column_stack(self._columns)
 
     def sequence(self) -> CrossSequence:
         return CrossSequence.from_crosses(self.provenance)
 
 
-def apply_sequence(seq, table: DataTable) -> FeatureMatrix:
-    """Materialize a sequence into a feature matrix, one column per cross.
+def apply_sequence(seq: CrossSequence, table: DataTable) -> np.ndarray:
+    """Materialize a sequence into an ``(n, m)`` array, one column per cross.
 
-    Bitwise-identical duplicate columns are dropped (first occurrence wins);
-    the drop count is logged. Constant columns are kept.
+    Each cross is walked once, by ``eval_cross``. Bitwise-identical duplicate
+    columns are dropped (first occurrence wins); the drop count is logged.
+    Constant columns are kept.
+
+    Raises:
+        the errors of ``parse_sequence`` and of ``eval_cross``.
     """
     crosses = parse_sequence(seq)
     features = FeatureSet()

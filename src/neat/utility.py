@@ -13,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateK
-from .expr import FeatureMatrix
 from .tabular import sample_indices
 
 __all__ = [
     "UtilityConfig",
-    "pair_gain",
     "knn_indicator",
     "mdcg",
     "feature_importance",
@@ -48,23 +46,10 @@ class UtilityConfig:
     row_seed: int = 0
 
 
-def _values(F) -> np.ndarray:
-    v = F.values if isinstance(F, FeatureMatrix) else np.asarray(F, dtype=np.float64)
+def _values(v: np.ndarray) -> np.ndarray:
     if v.ndim != 2:
         raise ValueError(f"expected a 2-D feature matrix, got shape {v.shape}")
     return v
-
-
-def pair_gain(F, i: int, j: int, q: int, constant: float = DISCOUNT_SCALE) -> float:
-    """Discounted gain of feature q between rows i and j.
-
-    (F_iq - F_jq)^2 * exp(-||F_i - F_j||^2 / constant); lower means the pair
-    stays more consistent on that feature.
-    """
-    v = _values(F)
-    diff = v[i, q] - v[j, q]
-    dist2 = float(np.sum((v[i, :] - v[j, :]) ** 2))
-    return float(diff * diff * np.exp(-dist2 / constant))
 
 
 # Rows of d2 updated per pass in _add_sq_dists, so the (block, n) temporary
@@ -114,7 +99,7 @@ def _knn_membership(d2: np.ndarray, k: int) -> np.ndarray:
     return near
 
 
-def knn_indicator(F, k: int) -> np.ndarray:
+def knn_indicator(F: np.ndarray, k: int) -> np.ndarray:
     """Symmetric binary matrix with S_ij = 1 iff i in kNN(j) or j in kNN(i).
 
     Euclidean distance over rows; the diagonal is always 0.
@@ -194,7 +179,7 @@ def _discounted_terms(v: np.ndarray, cfg: UtilityConfig,
     return terms
 
 
-def feature_importance(F, cfg: UtilityConfig = UtilityConfig(),
+def feature_importance(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
                        cache: DistanceCache | None = None) -> np.ndarray:
     """Per-feature discounted consistency scores; their mean is the set utility.
 
@@ -204,7 +189,7 @@ def feature_importance(F, cfg: UtilityConfig = UtilityConfig(),
     return _discounted_terms(_values(F), cfg, cache)
 
 
-def mdcg(F, cfg: UtilityConfig = UtilityConfig(),
+def mdcg(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
          cache: DistanceCache | None = None) -> float:
     """Mean discounted cumulative gain of a feature set (may be negative).
 
@@ -217,7 +202,7 @@ def mdcg(F, cfg: UtilityConfig = UtilityConfig(),
     return float(feature_importance(F, cfg, cache).mean())
 
 
-def redundancy_utility(F) -> float:
+def redundancy_utility(F: np.ndarray) -> float:
     """1 minus the mean absolute pairwise correlation between features.
 
     Constant columns correlate 0 with everything. A single-feature set has no

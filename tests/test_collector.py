@@ -17,7 +17,7 @@ from neat.collector import (
     write_records,
 )
 from neat.errors import ConfigHashMismatch
-from neat.expr import VALUE_CAP, FeatureCross, FeatureMatrix, apply_sequence, eval_cross
+from neat.expr import VALUE_CAP, FeatureCross, apply_sequence, eval_cross
 from neat.utility import DistanceCache, UtilityConfig, mdcg
 
 # Small enough that the replay buffers fill within the run, so the agents
@@ -110,9 +110,7 @@ class TestRecordHeader:
 
 
 def _matrix(table, crosses):
-    crosses = [FeatureCross(tuple(c.split())) for c in crosses]
-    return FeatureMatrix(np.column_stack([eval_cross(c, table) for c in crosses]),
-                         tuple(crosses))
+    return np.column_stack([eval_cross(FeatureCross(tuple(c.split())), table) for c in crosses])
 
 
 # Columns near the evaluator's limits: exp(exp(x)) up to e^50, and repeated
@@ -122,9 +120,8 @@ EXTREME = ("f0 exp exp", "f1 exp exp exp", "f0 exp exp f1 exp exp -",
            "f4")
 
 
-def _describe_state_loop(F):
+def _describe_state_loop(v):
     # Reference: each row of per-column statistics summarized on its own.
-    v = F.values
     q = np.percentile(v, [25.0, 50.0, 75.0], axis=0)
     col_stats = np.vstack([
         v.mean(axis=0), v.std(axis=0), v.min(axis=0), q[0], q[1], q[2], v.max(axis=0)])
@@ -141,8 +138,7 @@ class TestDescribeState:
     @pytest.mark.parametrize("shape", [(100, 32), (2000, 12), (7, 2)])
     def test_equals_the_per_row_loop(self, shape):
         v = np.random.default_rng(shape[0]).normal(size=shape)
-        F = FeatureMatrix(v, tuple(FeatureCross((f"f{i}",)) for i in range(shape[1])))
-        assert np.array_equal(describe_state(F), _describe_state_loop(F))
+        assert np.array_equal(describe_state(v), _describe_state_loop(v))
 
     def test_equals_the_per_row_loop_on_extreme_columns(self, small_table):
         F = _matrix(small_table, EXTREME)
@@ -154,15 +150,14 @@ class TestDescribeState:
 
     def test_finite_on_extreme_columns(self, small_table):
         F = _matrix(small_table, EXTREME)
-        assert F.values.max() == VALUE_CAP and F.values.min() == -VALUE_CAP
+        assert F.max() == VALUE_CAP and F.min() == -VALUE_CAP
         assert np.all(np.isfinite(describe_state(F)))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_column_permutation_invariance(self, small_table, seed):
         F = _matrix(small_table, ["f0", "f1", "f2 f3 *", "f4 exp", "f0 sin", "f1 square"])
-        perm = np.random.default_rng(seed).permutation(F.n_features)
-        permuted = FeatureMatrix(F.values[:, perm], tuple(F.provenance[i] for i in perm))
-        np.testing.assert_allclose(describe_state(permuted), describe_state(F),
+        perm = np.random.default_rng(seed).permutation(F.shape[1])
+        np.testing.assert_allclose(describe_state(F[:, perm]), describe_state(F),
                                    rtol=1e-12, atol=1e-12)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neat import expr
@@ -14,8 +14,10 @@ from neat.errors import (
     UnknownToken,
 )
 from neat.expr import (
+    EOS,
     SEGMENT_CAP,
     SEP,
+    SOS,
     CrossSequence,
     FeatureCross,
     FeatureSet,
@@ -113,85 +115,146 @@ class TestEvalCross:
         assert np.all(np.isfinite(out))
 
 
+def seq(*tokens):
+    return CrossSequence(tuple(tokens))
+
+
+def _unchecked(crosses):
+    """The layout of ``CrossSequence.from_crosses``, built without its budget
+    check."""
+    tokens = [SOS]
+    for c in crosses:
+        tokens += [*c.tokens, SEP]
+    tokens[-1] = EOS
+    return CrossSequence(tuple(tokens))
+
+
+def _too_long(read, arg) -> bool:
+    try:
+        read(arg)
+    except SequenceTooLong:
+        return True
+    return False
+
+
 class TestParseSequence:
     def test_two_segments(self):
-        crosses = parse_sequence(["<SOS>", "f1", "f2", "+", "<SEP>", "f3", "<EOS>"])
+        crosses = parse_sequence(seq("<SOS>", "f1", "f2", "+", "<SEP>", "f3", "<EOS>"))
         assert len(crosses) == 2
         assert crosses[0].tokens == ("f1", "f2", "+")
         assert crosses[1].tokens == ("f3",)
 
-    def test_underflow_reports_segment(self):
-        with pytest.raises(InvalidPostfix) as err:
-            parse_sequence(["<SOS>", "+", "<EOS>"])
-        assert err.value.segment == 0
-
-    def test_leftovers_invalid(self):
-        with pytest.raises(InvalidPostfix):
-            parse_sequence(["<SOS>", "f1", "f2", "<EOS>"])
-
-    def test_second_segment_indexed(self):
-        with pytest.raises(InvalidPostfix) as err:
-            parse_sequence(["<SOS>", "f1", "<SEP>", "f1", "f2", "<EOS>"])
-        assert err.value.segment == 1
+    def test_crosses_are_left_to_their_walk(self):
+        crosses = parse_sequence(seq("<SOS>", "+", "<SEP>", "f1", "f2", "<EOS>"))
+        assert crosses == [cross("+"), cross("f1", "f2")]
 
     def test_missing_sos(self):
         with pytest.raises(MissingSOS):
-            parse_sequence(["f1", "<EOS>"])
+            parse_sequence(seq("f1", "<EOS>"))
 
     def test_missing_eos(self):
         with pytest.raises(MissingEOS):
-            parse_sequence(["<SOS>", "f1"])
+            parse_sequence(seq("<SOS>", "f1"))
 
     def test_empty_segment(self):
         with pytest.raises(EmptySegment):
-            parse_sequence(["<SOS>", "f1", "<SEP>", "<EOS>"])
+            parse_sequence(seq("<SOS>", "f1", "<SEP>", "<EOS>"))
 
     def test_pad_after_eos_ignored(self):
-        crosses = parse_sequence(["<SOS>", "f0", "<EOS>", "<PAD>", "<PAD>"])
+        # Padding past EOS does not count against MAX_LEN either.
+        crosses = parse_sequence(seq("<SOS>", "f0", "<EOS>", *["<PAD>"] * 200))
         assert len(crosses) == 1
 
     def test_accepts_serialized_text(self):
-        crosses = parse_sequence("<SOS> f1 f2 + <SEP> f3 sin <EOS>")
+        crosses = parse_sequence(CrossSequence.from_text("<SOS> f1 f2 + <SEP> f3 sin <EOS>"))
         assert [c.tokens for c in crosses] == [("f1", "f2", "+"), ("f3", "sin")]
+
+    @pytest.mark.parametrize("text", [
+        "<SOS> " + " <SEP> ".join(["f0"] * 100) + " <EOS>",    # MAX_LEN is 128
+        "<SOS> f0" + " sin" * 40 + " <EOS>",                   # SEGMENT_CAP is 24
+    ], ids=["201-token-sequence", "41-token-cross"])
+    def test_token_budgets_enforced(self, text):
+        with pytest.raises(SequenceTooLong):
+            parse_sequence(CrossSequence.from_text(text))
+
+    # Unary chains (feature, length) of up to SEGMENT_CAP + 2 tokens, up to 70
+    # of them: both budgets are crossed, and met exactly in the examples.
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, SEGMENT_CAP + 2)),
+                    min_size=1, max_size=70))
+    @example([(0, 1)] * 63)
+    @example([(0, 1)] * 64)
+    @example([(0, SEGMENT_CAP)])
+    @example([(0, SEGMENT_CAP + 1)])
+    @settings(max_examples=200, deadline=None)
+    def test_budgets_agree_with_from_crosses(self, chains):
+        crosses = [_chain(feature, length) for feature, length in chains]
+        built = not _too_long(CrossSequence.from_crosses, crosses)
+        assert _too_long(parse_sequence, _unchecked(crosses)) != built
+        if built:
+            assert CrossSequence.from_crosses(crosses) == _unchecked(crosses)
 
     @given(st.lists(st.sampled_from(
         ["<SOS>", "<EOS>", "<SEP>", "<PAD>", "f0", "f1", "+", "sin", "/"]),
         max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_never_crashes_on_token_soup(self, tokens):
-        # any input either parses or raises one of the declared grammar errors
+        # Any input either materializes or raises one of the declared errors:
+        # a layout error from parse_sequence, InvalidPostfix from the walk.
         try:
-            crosses = parse_sequence(tokens)
-        except (MissingSOS, MissingEOS, EmptySegment, InvalidPostfix):
+            crosses = parse_sequence(seq(*tokens))
+        except (MissingSOS, MissingEOS, EmptySegment):
             return
         assert crosses
+        try:
+            F = apply_sequence(seq(*tokens), make_table(np.eye(2)))
+        except InvalidPostfix:
+            return
+        assert 1 <= F.shape[1] <= len(crosses)
 
 
 class TestApplySequence:
     def test_one_column_per_segment(self, small_table):
-        seq = CrossSequence.from_text("<SOS> f0 f1 + <SEP> f2 <EOS>")
-        F = apply_sequence(seq, small_table)
-        assert F.values.shape == (40, 2)
-        assert len(F.provenance) == 2
+        F = apply_sequence(CrossSequence.from_text("<SOS> f0 f1 + <SEP> f2 <EOS>"), small_table)
+        assert F.shape == (40, 2)
+        assert F.dtype == np.float64
 
     def test_bitwise_duplicates_dropped(self, small_table):
-        seq = CrossSequence.from_text("<SOS> f1 <SEP> f1 <EOS>")
-        F = apply_sequence(seq, small_table)
-        assert F.values.shape == (40, 1)
+        F = apply_sequence(CrossSequence.from_text("<SOS> f1 <SEP> f1 <EOS>"), small_table)
+        assert F.shape == (40, 1)
 
     def test_matches_per_segment_oracle(self, small_table, rng):
         crosses = [random_cross(5, 4, rng) for _ in range(6)]
-        seq = CrossSequence.from_crosses(crosses)
-        F = apply_sequence(seq, small_table)
+        F = apply_sequence(CrossSequence.from_crosses(crosses), small_table)
         expected, seen = [], set()
         for c in crosses:
             col = eval_cross(c, small_table)
             if col.tobytes() not in seen:
                 seen.add(col.tobytes())
                 expected.append(col)
-        assert F.values.shape[1] == len(expected)
-        for got, want in zip(F.values.T, expected):
+        assert F.shape[1] == len(expected)
+        for got, want in zip(F.T, expected):
             assert np.array_equal(got, want)
+
+    def test_each_cross_walked_once(self, small_table, rng, monkeypatch):
+        walked = []
+        walk = expr._walk
+
+        def counted(tokens, *args):
+            walked.append(tuple(tokens))
+            return walk(tokens, *args)
+
+        monkeypatch.setattr(expr, "_walk", counted)
+        crosses = [random_cross(5, 4, rng) for _ in range(7)]
+        apply_sequence(CrossSequence.from_crosses(crosses), small_table)
+        assert walked == [c.tokens for c in crosses]
+
+    def test_underflow_invalid(self, small_table):
+        with pytest.raises(InvalidPostfix, match=r"^operator '\+' underflows the stack$"):
+            apply_sequence(CrossSequence.from_text("<SOS> + <EOS>"), small_table)
+
+    def test_leftovers_invalid(self, small_table):
+        with pytest.raises(InvalidPostfix, match=r"^2 operands left on the stack$"):
+            apply_sequence(CrossSequence.from_text("<SOS> f1 f2 <EOS>"), small_table)
 
 
 # One move grows every live set: a random cross, a chain of unary ops of a
@@ -223,18 +286,16 @@ def _candidates(move, rng):
 
 def _offer(features, c, table):
     """Add ``c`` as a budget-respecting caller would, checking both rules
-    against their definitions: ``from_crosses`` for the budgets, the bytes
-    of the set's own matrix for duplicates."""
-    try:
-        CrossSequence.from_crosses(features.provenance + [c])
-        accepted = True
-    except SequenceTooLong:
-        accepted = False
+    against their definitions: ``from_crosses`` and ``parse_sequence`` for
+    the budgets, the bytes of the set's own matrix for duplicates."""
+    crosses = features.provenance + [c]
+    accepted = not _too_long(CrossSequence.from_crosses, crosses)
+    assert _too_long(parse_sequence, _unchecked(crosses)) != accepted
     assert features.fits(c) == accepted
     if accepted:
         col = eval_cross(c, table)
         fresh = col.tobytes() not in {
-            np.ascontiguousarray(v).tobytes() for v in features.matrix().values.T}
+            np.ascontiguousarray(v).tobytes() for v in features.matrix().T}
         n = features.n_features
         assert features.add(c, col) == fresh
         assert features.n_features == n + fresh
@@ -263,9 +324,9 @@ class TestFeatureSet:
                 for feature in range(5):
                     _offer(features, _chain(feature, length), table)
         for features in sets:
-            F = apply_sequence(features.sequence(), table)
-            assert np.array_equal(F.values, features.matrix().values)
-            assert F.provenance == tuple(features.provenance)
+            sequence = features.sequence()
+            assert parse_sequence(sequence) == features.provenance
+            assert np.array_equal(apply_sequence(sequence, table), features.matrix())
 
 
 # Malformed programs: an operator short of operands, two operands left, a
@@ -282,14 +343,12 @@ class TestOneWalker:
             eval_cross(c, table)
         with pytest.raises(InvalidPostfix) as rendered:
             render_infix(c, ["a", "b"])
-        assert evaluated.value.segment is None and rendered.value.segment is None
         assert str(rendered.value) == str(evaluated.value)
         if SEP in c.tokens:     # a <SEP> in a sequence ends the cross instead
             return
-        with pytest.raises(InvalidPostfix) as parsed:
-            parse_sequence(f"<SOS> f1 <SEP> {program} <EOS>")
-        assert parsed.value.segment == 1
-        assert str(parsed.value) == f"segment 1: {evaluated.value}"
+        with pytest.raises(InvalidPostfix) as applied:
+            apply_sequence(CrossSequence.from_text(f"<SOS> f1 <SEP> {program} <EOS>"), table)
+        assert str(applied.value) == str(evaluated.value)
 
     def test_render_refuses_a_feature_past_its_names(self):
         with pytest.raises(FeatureIndexOutOfRange):

@@ -12,7 +12,6 @@ from neat.utility import (
     feature_importance,
     knn_indicator,
     mdcg,
-    pair_gain,
     redundancy_utility,
 )
 
@@ -64,22 +63,6 @@ def oracle_mdcg(F, k, constant=2.0):
 
 
 BIG = UtilityConfig(max_rows=10_000)
-
-
-class TestPairGain:
-    def test_identical_rows(self):
-        F = np.array([[1.0, 2.0], [1.0, 2.0]])
-        assert pair_gain(F, 0, 1, 0) == 0.0
-
-    def test_hand_value_two_dims(self):
-        F = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert pair_gain(F, 0, 1, 0, constant=2.0) == pytest.approx(
-            math.exp(-1.0), abs=1e-12)
-
-    def test_hand_value_one_dim(self):
-        F = np.array([[0.0], [2.0]])
-        assert pair_gain(F, 0, 1, 0, constant=2.0) == pytest.approx(
-            4.0 * math.exp(-2.0), abs=1e-12)
 
 
 class TestKnnIndicator:
