@@ -187,7 +187,7 @@ def bellman_update(agent: QAgent, batch) -> float:
     c1, r1, c2 = cache
     dh = agent.d2.backward(dq, c2)
     da = nn.relu_backward(dh, r1)
-    agent.d1.backward(da, c1)
+    agent.d1.backward_params(da, c1)
     agent.opt.step()
     agent.updates += 1
     if agent.updates % agent.sync_every == 0:

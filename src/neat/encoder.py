@@ -3,8 +3,18 @@ a two-layer mean-aggregation GNN with a projection head, and contrastive
 pretraining over exploration records.
 
 Graphs within one run share a fixed row subsample so every graph has the same
-attribute width and one encoder serves them all. A batch of graphs is split by
-node count, and each stack of same-size graphs is encoded in one pass.
+attribute width and one encoder serves them all.
+
+A batch of graphs stays in node-count stacks from materialization to the
+loss. A ``GraphStack`` holds the graphs of one node count ``m``: ``attrs``
+(B, m, r) float64, ``adjacency`` (B, m, m) float64 0/1 (symmetric, zero
+diagonal) and ``positions`` (B,), the increasing indices of its graphs in the
+batch. A batch is a list of stacks in increasing node count; each stack is
+encoded in one pass and its results land at its positions.
+
+``augment`` draws from its generator in batch-position order across stacks:
+first the edge flips of every graph, then the masked rows of every graph. So
+the draws, and the views, do not depend on how a batch splits into stacks.
 """
 
 from __future__ import annotations
@@ -30,15 +40,17 @@ LEARNING_RATE = 0.001  # Adam
 
 
 @dataclass(frozen=True)
-class FeatureGraph:
-    """Nodes are features; attributes are subsampled column values."""
+class GraphStack:
+    """Same-size feature graphs: nodes are features, attributes are the
+    subsampled column values."""
 
-    attrs: np.ndarray        # (m, r) float64
-    adjacency: np.ndarray    # (m, m) int8, symmetric, zero diagonal
+    attrs: np.ndarray        # (B, m, r) float64
+    adjacency: np.ndarray    # (B, m, m) float64 0/1, symmetric, zero diagonal
+    positions: np.ndarray    # (B,) increasing indices of the graphs in their batch
 
     @property
     def n_nodes(self) -> int:
-        return self.attrs.shape[0]
+        return self.attrs.shape[1]
 
 
 @functools.lru_cache
@@ -51,66 +63,92 @@ def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def build_graph(v: np.ndarray, rows: RowSample) -> FeatureGraph:
-    """Similarity graph over the columns of ``v``, an ``(n, m)`` array: edge
-    iff pairwise cosine >= the 95th percentile (linear interpolation) of all
-    unordered pair similarities.
+def build_graph(attrs: np.ndarray, positions: np.ndarray) -> GraphStack:
+    """Similarity graphs over a stack of same-size feature sets, ``attrs``
+    (B, m, r) holding each set's columns over the sampled rows: edge iff the
+    pair's cosine >= the 95th percentile (linear interpolation) of that
+    graph's unordered pair similarities.
 
-    Zero-vector columns have similarity 0 with everything.
+    Zero-vector columns have similarity 0 with everything. Each graph's
+    similarities come from its own 2-D ``nn.cosine_matrix`` over a C-ordered
+    ``(m, r)`` array: a batched matmul, or another memory layout, can round
+    differently and move a tied pair across the threshold. The returned
+    ``attrs`` is C-ordered.
 
     Raises:
         SingleFeature: fewer than two features.
     """
-    m = v.shape[1]
+    B, m, _ = attrs.shape
     if m < 2:
         raise SingleFeature("a similarity graph needs at least 2 features")
-    attrs = np.ascontiguousarray(v[rows.indices, :].T)
-    sims, _ = nn.cosine_matrix(attrs, attrs)
-    iu = _triu(m)
-    pair_sims = sims[iu]
-    threshold = np.percentile(pair_sims, 95.0)
-    upper = np.zeros((m, m), dtype=np.int8)
-    hit = pair_sims >= threshold
-    upper[iu[0][hit], iu[1][hit]] = 1
-    return FeatureGraph(attrs=attrs, adjacency=upper | upper.T)
+    attrs = np.ascontiguousarray(attrs)
+    i, j = _triu(m)
+    pair_sims = np.empty((B, i.size))
+    for b in range(B):
+        pair_sims[b] = nn.cosine_matrix(attrs[b], attrs[b])[0][i, j]
+    threshold = np.percentile(pair_sims, 95.0, axis=1, keepdims=True)
+    upper = np.zeros((B, m, m))
+    upper[:, i, j] = pair_sims >= threshold
+    return GraphStack(attrs, upper + upper.transpose(0, 2, 1), positions)
 
 
-def _perturb_edges(adjacency: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    iu = _triu(adjacency.shape[0])
-    state = adjacency[iu].astype(bool)
-    flips = int(round(EDGE_RATIO * int(state.sum())))
+def _batch_order(stacks: Sequence[GraphStack], chosen: Sequence[np.ndarray]):
+    """(stack, row) of every chosen graph, in order of batch position."""
+    stack = np.concatenate([np.full(int(c.sum()), k) for k, c in enumerate(chosen)])
+    row = np.concatenate([np.flatnonzero(c) for c in chosen])
+    order = np.argsort(np.concatenate([s.positions[c] for s, c in zip(stacks, chosen)]))
+    return zip(stack[order].tolist(), row[order].tolist())
+
+
+def _perturb_edges(state: np.ndarray, flips: int, rng: np.random.Generator) -> None:
+    """Flip ``flips`` node pairs of one graph's upper-triangle edge ``state``
+    in place. Each flip drops an edge or adds a non-edge with equal odds, and
+    flips the other kind when there is none of the drawn kind."""
     for _ in range(flips):
         drop = rng.random() < 0.5
-        pool = np.nonzero(state if drop else ~state)[0]
+        pool = np.flatnonzero(state == drop)
         if pool.size == 0:
-            pool = np.nonzero(~state if drop else state)[0]
-            if pool.size == 0:
-                break
-            drop = not drop
-        pick = pool[int(rng.integers(pool.size))]
+            pool = np.flatnonzero(state != drop)
+        pick = pool[rng.integers(pool.size)]
         state[pick] = not state[pick]
-    out = np.zeros_like(adjacency)
-    out[iu[0][state], iu[1][state]] = 1
-    return out | out.T
 
 
-def augment(graphs: Sequence[FeatureGraph], rng: np.random.Generator
-            ) -> tuple[list[FeatureGraph], list[FeatureGraph]]:
+def augment(stacks: Sequence[GraphStack], rng: np.random.Generator
+            ) -> tuple[list[GraphStack], list[GraphStack]]:
     """The two views of one batch: edge perturbation and attribute masking.
 
-    Every edge view is drawn before any mask view. A view shares the array it
-    does not change with its input; a graph too small to mask a row is its
-    own mask view.
+    Every graph's edge flips are drawn before any graph's masked rows, each in
+    batch-position order; a graph with no pair to flip draws nothing. A view
+    shares the array it does not change with its input, and a stack with
+    nothing to flip, or too small to mask a row, is its own view.
     """
-    edge_views = [replace(g, adjacency=_perturb_edges(g.adjacency, rng)) for g in graphs]
-    mask_views = []
-    for g in graphs:
-        masked = int(round(MASK_RATIO * g.n_nodes))
-        if masked:
-            attrs = g.attrs.copy()
-            attrs[rng.choice(g.n_nodes, size=masked, replace=False), :] = 0.0
-            g = replace(g, attrs=attrs)
-        mask_views.append(g)
+    states, flips = [], []
+    for s in stacks:
+        i, j = _triu(s.n_nodes)
+        state = s.adjacency[:, i, j] > 0
+        states.append(state)
+        flips.append(np.rint(EDGE_RATIO * state.sum(axis=1)).astype(np.intp))
+    for k, b in _batch_order(stacks, [f > 0 for f in flips]):
+        _perturb_edges(states[k][b], int(flips[k][b]), rng)
+    masked = [int(round(MASK_RATIO * s.n_nodes)) for s in stacks]
+    picks = [np.empty((s.positions.size, c), dtype=np.intp) for s, c in zip(stacks, masked)]
+    for k, b in _batch_order(stacks, [np.full(s.positions.size, c > 0)
+                                      for s, c in zip(stacks, masked)]):
+        picks[k][b] = rng.choice(stacks[k].n_nodes, size=masked[k], replace=False)
+    edge_views, mask_views = [], []
+    for s, state, f, pick in zip(stacks, states, flips, picks):
+        edge_view = mask_view = s
+        if f.any():
+            i, j = _triu(s.n_nodes)
+            upper = np.zeros_like(s.adjacency)
+            upper[:, i, j] = state
+            edge_view = replace(s, adjacency=upper + upper.transpose(0, 2, 1))
+        if pick.size:
+            attrs = s.attrs.copy()
+            attrs[np.arange(pick.shape[0])[:, None], pick] = 0.0
+            mask_view = replace(s, attrs=attrs)
+        edge_views.append(edge_view)
+        mask_views.append(mask_view)
     return edge_views, mask_views
 
 
@@ -194,34 +232,24 @@ def backward_stack(model: EncoderModel, dz: np.ndarray, cache,
     dA1 = nn.relu_backward(dH1, r1)
     dC1 = model.gnn1.backward(dA1, c_g1)
     dX0 = dC1[..., :hidden] + np.matmul(adj_t, dC1[..., hidden:] / denom)
-    model.input_proj.backward(dX0, c_in)
+    model.input_proj.backward_params(dX0, c_in)
 
 
-def _stacked_groups(graphs: Sequence[FeatureGraph]):
-    """Group graph indices by node count for batched encoding."""
-    by_m: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_m.setdefault(g.n_nodes, []).append(i)
-    for m, idxs in sorted(by_m.items()):
-        attrs = np.stack([graphs[i].attrs for i in idxs])
-        adj = np.stack([graphs[i].adjacency for i in idxs]).astype(np.float64)
-        yield idxs, attrs, adj
+def encode_many(stacks: Sequence[GraphStack], model: EncoderModel):
+    """Encode a batch of node-count stacks, one ``forward_stack`` per stack.
 
-
-def encode_many(graphs: Sequence[FeatureGraph], model: EncoderModel):
-    """Encode a mixed-size list of graphs via same-size stacks.
-
-    Returns (H, Z, caches): H and Z aligned with the input order, and the
-    per-group caches that ``backward_many`` takes.
+    Returns (H, Z, caches): H and Z rows in batch-position order, and the
+    per-stack caches that ``backward_many`` takes.
     """
-    H = np.zeros((len(graphs), model.hidden))
-    Z = np.zeros((len(graphs), model.hidden))
+    n = sum(s.positions.size for s in stacks)
+    H = np.zeros((n, model.hidden))
+    Z = np.zeros((n, model.hidden))
     caches = []
-    for idxs, attrs, adj in _stacked_groups(graphs):
-        h, z, cache = forward_stack(model, attrs, adj)
-        H[idxs] = h
-        Z[idxs] = z
-        caches.append((idxs, cache))
+    for s in stacks:
+        h, z, cache = forward_stack(model, s.attrs, s.adjacency)
+        H[s.positions] = h
+        Z[s.positions] = z
+        caches.append((s.positions, cache))
     return H, Z, caches
 
 
@@ -273,16 +301,45 @@ class PretrainResult:
 
 
 def materialize_graphs(records, table, rows: RowSample):
-    """Build one graph per record; returns the graphs and the number of
-    records skipped because they fail to materialize."""
-    graphs, skipped = [], 0
-    for rec in records:
+    """Build every record's graph, in node-count stacks of increasing node
+    count; a graph's position is its record's index among the records kept.
+    Returns the stacks and the number of records skipped because they fail
+    to materialize."""
+    groups: dict[int, list[tuple[int, np.ndarray]]] = {}
+    skipped = 0
+    for i, rec in enumerate(records):
         try:
-            F = apply_sequence(rec.sequence, table)
-            graphs.append(build_graph(F, rows))
+            v = apply_sequence(rec.sequence, table)
         except NeatError:
             skipped += 1
-    return graphs, skipped
+            continue
+        groups.setdefault(v.shape[1], []).append((i, v[rows.indices, :].T))
+    stacks, kept = [], []
+    for m in sorted(groups):
+        index, attrs = zip(*groups.pop(m))
+        try:
+            stacks.append(build_graph(np.stack(attrs), np.array(index)))
+        except SingleFeature:
+            skipped += len(index)
+            continue
+        kept.extend(index)
+    kept = np.sort(kept)
+    return [replace(s, positions=np.searchsorted(kept, s.positions)) for s in stacks], skipped
+
+
+def _gather(stacks: Sequence[GraphStack], chunk: np.ndarray, n: int) -> list[GraphStack]:
+    """The stacks of the graphs at ``chunk``, positions in a batch of ``n``,
+    each graph moved to its index in ``chunk``."""
+    rank = np.full(n, -1)
+    rank[chunk] = np.arange(chunk.size)
+    out = []
+    for s in stacks:
+        at = rank[s.positions]
+        rows = np.flatnonzero(at >= 0)
+        rows = rows[np.argsort(at[rows])]
+        if rows.size:
+            out.append(GraphStack(s.attrs[rows], s.adjacency[rows], at[rows]))
+    return out
 
 
 def pretrain(records, table, model: EncoderModel, rows: RowSample,
@@ -298,23 +355,24 @@ def pretrain(records, table, model: EncoderModel, rows: RowSample,
         BatchTooSmall: fewer than two usable records, or ``batch`` < 2.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    graphs, skipped = materialize_graphs(records, table, rows)
+    stacks, skipped = materialize_graphs(records, table, rows)
     if skipped:
         log.warning("pretrain skipped %d unmaterializable record(s)", skipped)
-    if len(graphs) < 2 or batch < 2:
+    n = sum(s.positions.size for s in stacks)
+    if n < 2 or batch < 2:
         raise BatchTooSmall(f"pretraining needs >= 2 usable records and batch >= 2, "
-                            f"got {len(graphs)} and {batch}")
+                            f"got {n} and {batch}")
     opt = nn.Adam(model.params(), lr=LEARNING_RATE)
     result = PretrainResult(skipped_records=skipped)
     for epoch in range(epochs + 1):
         train = epoch > 0
-        order = rng.permutation(len(graphs))
+        order = rng.permutation(n)
         total, count = 0.0, 0
         for start in range(0, len(order), batch):
             chunk = order[start:start + batch]
             if chunk.size < 2:
                 continue
-            view1, view2 = augment([graphs[i] for i in chunk], rng)
+            view1, view2 = augment(_gather(stacks, chunk, n), rng)
             _, Z1, c1 = encode_many(view1, model)
             _, Z2, c2 = encode_many(view2, model)
             loss, cache = ntxent_loss(Z1, Z2)
@@ -325,6 +383,7 @@ def pretrain(records, table, model: EncoderModel, rows: RowSample,
                 opt.step()
             total += loss * chunk.size
             count += chunk.size
+            del view1, view2, c1, c2    # freed before the next batch's forward pass
         epoch_loss = total / count
         result.losses.append(epoch_loss)
         log.info("stage=pretrain epoch=%d loss=%.6f", epoch, epoch_loss)

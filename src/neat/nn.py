@@ -73,12 +73,17 @@ class Dense:
         y += self.b.value
         return y.reshape(*x.shape[:-1], self.n_out), flat
 
-    def backward(self, dout: np.ndarray, cache) -> np.ndarray:
+    def backward_params(self, dout: np.ndarray, cache) -> None:
+        """Accumulate ``W.grad`` and ``b.grad`` only: the backward pass of a
+        layer whose input gradient nobody reads."""
         flat = cache
         dflat = dout.reshape(-1, self.n_out)
         self.W.grad += flat.T @ dflat
         self.b.grad += dflat.sum(axis=0)
-        dx = dflat @ self.W.value.T
+
+    def backward(self, dout: np.ndarray, cache) -> np.ndarray:
+        self.backward_params(dout, cache)
+        dx = dout.reshape(-1, self.n_out) @ self.W.value.T
         return dx.reshape(*dout.shape[:-1], self.n_in)
 
     def params(self) -> list[Param]:

@@ -1,35 +1,156 @@
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from conftest import make_table
 from neat.checkpoint import load_checkpoint, save_checkpoint
 from neat.collector import ExplorationRecord
 from neat.encoder import (
+    EDGE_RATIO,
+    LEARNING_RATE,
+    MASK_RATIO,
     TAU,
     EncoderModel,
-    _perturb_edges,
+    GraphStack,
     _triu,
-    FeatureGraph,
     augment,
     backward_many,
+    backward_stack,
     build_graph,
     encode_many,
+    forward_stack,
+    materialize_graphs,
     ntxent_backward,
     ntxent_loss,
     pretrain,
 )
-from neat.errors import BatchTooSmall, CheckpointMismatch
-from neat.expr import CrossSequence, FeatureCross, feature_token, random_cross
-from neat.nn import Adam, Param, grad_check
+from neat.errors import BatchTooSmall, CheckpointMismatch, NeatError, SingleFeature
+from neat.expr import CrossSequence, FeatureCross, apply_sequence, feature_token, random_cross
+from neat.nn import Adam, Param, cosine_matrix, grad_check
 from neat.tabular import RowSample
 
 ATTR_WIDTH = 5
 
 
-def _graph(m: int, rng: np.random.Generator) -> FeatureGraph:
+# The per-graph pipeline that node-count stacks replaced, kept as an oracle:
+# one object per graph, per-graph views, and stacks built per encode.
+@dataclass(frozen=True)
+class Graph:
+    attrs: np.ndarray        # (m, r) float64
+    adjacency: np.ndarray    # (m, m) int8
+
+    @property
+    def n_nodes(self) -> int:
+        return self.attrs.shape[0]
+
+
+def graph_of(attrs: np.ndarray) -> Graph:
+    m = attrs.shape[0]
+    if m < 2:
+        raise SingleFeature("a similarity graph needs at least 2 features")
+    sims, _ = cosine_matrix(attrs, attrs)
+    iu = np.triu_indices(m, k=1)
+    pair_sims = sims[iu]
+    threshold = np.percentile(pair_sims, 95.0)
+    upper = np.zeros((m, m), dtype=np.int8)
+    hit = pair_sims >= threshold
+    upper[iu[0][hit], iu[1][hit]] = 1
+    return Graph(attrs, upper | upper.T)
+
+
+def perturbed(adjacency: np.ndarray, rng) -> np.ndarray:
+    iu = np.triu_indices(adjacency.shape[0], k=1)
+    state = adjacency[iu].astype(bool)
+    for _ in range(int(round(EDGE_RATIO * int(state.sum())))):
+        drop = rng.random() < 0.5
+        pool = np.nonzero(state if drop else ~state)[0]
+        if pool.size == 0:
+            pool = np.nonzero(~state if drop else state)[0]
+        pick = pool[int(rng.integers(pool.size))]
+        state[pick] = not state[pick]
+    out = np.zeros_like(adjacency)
+    out[iu[0][state], iu[1][state]] = 1
+    return out | out.T
+
+
+def views(graphs, rng):
+    edge_views = [replace(g, adjacency=perturbed(g.adjacency, rng)) for g in graphs]
+    mask_views = []
+    for g in graphs:
+        masked = int(round(MASK_RATIO * g.n_nodes))
+        if masked:
+            attrs = g.attrs.copy()
+            attrs[rng.choice(g.n_nodes, size=masked, replace=False), :] = 0.0
+            g = replace(g, attrs=attrs)
+        mask_views.append(g)
+    return edge_views, mask_views
+
+
+def stacked_groups(graphs):
+    by_m: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_m.setdefault(g.n_nodes, []).append(i)
+    for m, idxs in sorted(by_m.items()):
+        attrs = np.stack([graphs[i].attrs for i in idxs])
+        adj = np.stack([graphs[i].adjacency for i in idxs]).astype(np.float64)
+        yield idxs, attrs, adj
+
+
+def per_graph_pretrain(records, table, model, rows, epochs, batch, rng):
+    graphs = []
+    for rec in records:
+        try:
+            graphs.append(graph_of(np.ascontiguousarray(
+                apply_sequence(rec.sequence, table)[rows.indices, :].T)))
+        except NeatError:
+            pass
+    opt = Adam(model.params(), lr=LEARNING_RATE)
+    losses = []
+    for epoch in range(epochs + 1):
+        order = rng.permutation(len(graphs))
+        total, count = 0.0, 0
+        for start in range(0, len(order), batch):
+            chunk = order[start:start + batch]
+            if chunk.size < 2:
+                continue
+            Z, caches = [], []
+            for view in views([graphs[i] for i in chunk], rng):
+                z_all = np.zeros((len(view), model.hidden))
+                cache_list = []
+                for idxs, attrs, adj in stacked_groups(view):
+                    _, z, cache = forward_stack(model, attrs, adj)
+                    z_all[idxs] = z
+                    cache_list.append((idxs, cache))
+                Z.append(z_all)
+                caches.append(cache_list)
+            loss, cache = ntxent_loss(*Z)
+            if epoch:
+                for dZ, cache_list in zip(ntxent_backward(cache), caches):
+                    for idxs, c in cache_list:
+                        backward_stack(model, dZ[idxs], c)
+                opt.step()
+            total += loss * chunk.size
+            count += chunk.size
+        losses.append(total / count)
+    return losses
+
+
+def _graph(m: int, rng: np.random.Generator) -> Graph:
     upper = np.triu((rng.random((m, m)) < 0.5).astype(np.int8), k=1)
-    return FeatureGraph(attrs=rng.normal(size=(m, ATTR_WIDTH)), adjacency=upper | upper.T)
+    return Graph(attrs=rng.normal(size=(m, ATTR_WIDTH)), adjacency=upper | upper.T)
+
+
+def _stacks(graphs) -> list[GraphStack]:
+    """The node-count stacks of a batch of graphs in list order."""
+    return [GraphStack(attrs, adj, np.array(idxs)) for idxs, attrs, adj in stacked_groups(graphs)]
+
+
+def _unstack(stacks):
+    """(attrs, adjacency) of every graph, in batch-position order."""
+    out = {int(p): (s.attrs[b], s.adjacency[b]) for s in stacks for b, p in enumerate(s.positions)}
+    return [out[p] for p in range(len(out))]
 
 
 @pytest.fixture
@@ -45,23 +166,24 @@ def model(rng):
 
 class TestEncodeMany:
     def test_matches_each_graph_alone(self, graphs, model):
-        H, Z, _ = encode_many(graphs, model)
+        H, Z, _ = encode_many(_stacks(graphs), model)
         for i, g in enumerate(graphs):
-            h, z, _ = encode_many([g], model)
+            h, z, _ = encode_many(_stacks([g]), model)
             # A stack of one may take another BLAS path: equal up to rounding.
             np.testing.assert_allclose(H[i], h[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(Z[i], z[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("with_dh", [False, True])
     def test_grad_check(self, graphs, model, rng, with_dh):
+        stacks = _stacks(graphs)
         RZ = rng.normal(size=(len(graphs), model.hidden))
         RH = rng.normal(size=(len(graphs), model.hidden)) if with_dh else None
 
         def loss_fn():
-            H, Z, _ = encode_many(graphs, model)
+            H, Z, _ = encode_many(stacks, model)
             return float((Z * RZ).sum() + (0.0 if RH is None else (H * RH).sum()))
 
-        _, _, caches = encode_many(graphs, model)
+        _, _, caches = encode_many(stacks, model)
         backward_many(model, RZ, caches, dH=RH)
         assert grad_check(model.params(), loss_fn) < 1e-4
 
@@ -73,7 +195,8 @@ class TestParamDict:
         params, _ = load_checkpoint(path)
         fresh = EncoderModel(ATTR_WIDTH, np.random.default_rng(99), hidden=6)
         fresh.load_param_dict(params)
-        for a, b in zip(encode_many(graphs, model)[:2], encode_many(graphs, fresh)[:2]):
+        stacks = _stacks(graphs)
+        for a, b in zip(encode_many(stacks, model)[:2], encode_many(stacks, fresh)[:2]):
             assert np.array_equal(a, b)
 
     def test_missing_parameter(self, model):
@@ -107,7 +230,7 @@ def test_cached_triu_indices_are_read_only():
 
 
 class TestBuildGraph:
-    # Columns as vectors over the two sampled rows (row 1 is not sampled).
+    # Columns as vectors over the two sampled rows.
     # Six pair similarities s0 <= ... <= s5 put the 95th percentile at
     # s4 + 0.75 * (s5 - s4).
     @pytest.mark.parametrize("columns, edges", [
@@ -118,60 +241,112 @@ class TestBuildGraph:
         ([(1, 0), (1, 0), (0, 1), (0, 1)], {(0, 1), (2, 3)}),
     ])
     def test_threshold_on_hand_worked_cases(self, columns, edges):
-        sampled = np.array(columns, dtype=np.float64).T          # (2 rows, 4 features)
-        values = np.vstack([sampled[0], np.full(4, 7.0), sampled[1]])
-        graph = build_graph(values, RowSample(np.array([0, 2]), 0))
-        assert np.array_equal(graph.attrs, sampled.T)
-        expected = np.zeros((4, 4), dtype=np.int8)
+        attrs = np.array(columns, dtype=np.float64)[None]          # 1 graph, 4 features
+        stack = build_graph(attrs, np.array([3]))
+        assert stack.attrs is attrs and stack.positions.tolist() == [3]
+        expected = np.zeros((1, 4, 4))
         for i, j in edges:
-            expected[i, j] = expected[j, i] = 1
-        assert graph.adjacency.dtype == np.int8
-        assert np.array_equal(graph.adjacency, expected)
+            expected[0, i, j] = expected[0, j, i] = 1
+        assert stack.adjacency.dtype == np.float64
+        assert np.array_equal(stack.adjacency, expected)
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 13])
+    def test_each_graph_equals_its_own_build(self, m):
+        # Small integer attributes give zero columns and tied similarities.
+        rng = np.random.default_rng(m)
+        attrs = rng.integers(-1, 2, size=(40, m, 3)).astype(np.float64)
+        attrs[::5, 0] = 0.0
+        stack = build_graph(attrs, np.arange(40))
+        assert (~attrs.any(axis=2)).any()
+        ties = 0
+        for b in range(40):
+            expected = graph_of(attrs[b]).adjacency
+            assert np.array_equal(stack.adjacency[b], expected), b
+            ties += int(expected[np.triu_indices(m, k=1)].sum()) > 1
+        assert ties or m == 2        # two nodes have one pair, and it is an edge
+
+    @pytest.mark.parametrize("column_major", [False, True])
+    @pytest.mark.parametrize("m", [7, 13])
+    def test_near_ties_follow_each_graphs_own_cosines(self, m, column_major):
+        # Scaled copies of one column have cosines of 1 give or take an ulp,
+        # so a batched matmul's rounding, or a column-major graph's (as from
+        # stacking transposed row samples), would move pairs across the
+        # threshold.
+        rng = np.random.default_rng(m)
+        attrs = rng.normal(size=(60, m, 64))
+        attrs[:, 1:m // 3] = attrs[:, :1] * rng.uniform(0.1, 10, size=(60, m // 3 - 1, 1))
+        given = attrs.transpose(0, 2, 1).copy().transpose(0, 2, 1) if column_major else attrs
+        stack = build_graph(given, np.arange(60))
+        assert np.array_equal(stack.attrs, attrs) and stack.attrs.flags.c_contiguous
+        for b in range(60):
+            assert np.array_equal(stack.adjacency[b], graph_of(attrs[b]).adjacency), b
+
+    def test_single_feature_is_refused(self, rng):
+        with pytest.raises(SingleFeature):
+            build_graph(rng.normal(size=(3, 1, 4)), np.arange(3))
 
 
-def _random_graphs(rng, sizes=(2, 3, 5, 8, 13, 20)):
+def _random_batch(rng, sizes=(13, 2, 20, 5, 13, 3, 20, 8)):
+    # Node counts interleave, so batch order crosses stacks.
     return [_graph(m, rng) for m in sizes]
 
 
 class TestAugment:
     def test_edge_views(self, rng):
-        graphs = _random_graphs(rng)
-        edge_views, _ = augment(graphs, rng)
-        assert len(edge_views) == len(graphs)
-        for g, view in zip(graphs, edge_views):
+        stacks = _stacks(_random_batch(rng))
+        edge_views, _ = augment(stacks, rng)
+        assert len(edge_views) == len(stacks)
+        for s, view in zip(stacks, edge_views):
             adj = view.adjacency
-            assert adj.dtype == np.int8
-            assert np.array_equal(adj, adj.T)
-            assert not adj.diagonal().any()
-            iu = np.triu_indices(g.n_nodes, k=1)
-            changed = int((adj[iu] != g.adjacency[iu]).sum())
-            assert changed <= round(0.2 * int(g.adjacency[iu].sum()))
-            assert view.attrs is g.attrs
+            assert adj.dtype == np.float64 and set(np.unique(adj)) <= {0.0, 1.0}
+            assert np.array_equal(adj, adj.transpose(0, 2, 1))
+            assert not adj.diagonal(axis1=1, axis2=2).any()
+            i, j = _triu(s.n_nodes)
+            changed = (adj[:, i, j] != s.adjacency[:, i, j]).sum(axis=1)
+            assert (changed <= np.rint(0.2 * s.adjacency[:, i, j].sum(axis=1))).all()
+            assert view.attrs is s.attrs and view.positions is s.positions
         # The larger graphs have edges to flip, so some view must differ.
-        assert any(not np.array_equal(g.adjacency, v.adjacency)
-                   for g, v in zip(graphs, edge_views))
+        assert any(not np.array_equal(s.adjacency, v.adjacency)
+                   for s, v in zip(stacks, edge_views))
 
     def test_every_edge_view_is_drawn_first(self, rng):
-        graphs = _random_graphs(rng)
-        edge_views, _ = augment(graphs, np.random.default_rng(3))
-        alone = np.random.default_rng(3)
-        for g, view in zip(graphs, edge_views):
-            assert np.array_equal(view.adjacency, _perturb_edges(g.adjacency, alone))
+        # One generator, in batch order: every graph's flips, then every
+        # graph's masked rows, however the batch splits into stacks.
+        graphs = _random_batch(rng)
+        edge_views, mask_views = augment(_stacks(graphs), np.random.default_rng(3))
+        expected_edges, expected_masks = views(graphs, np.random.default_rng(3))
+        for (_, adj), g in zip(_unstack(edge_views), expected_edges):
+            assert np.array_equal(adj, g.adjacency)
+        for (attrs, _), g in zip(_unstack(mask_views), expected_masks):
+            assert np.array_equal(attrs, g.attrs)
+
+    def test_zero_flip_graph_draws_nothing(self, rng):
+        # Two edges round to zero flips; two nodes mask no row.
+        upper = np.zeros((6, 6), dtype=np.int8)
+        upper[0, 1] = upper[2, 3] = 1
+        sparse = Graph(rng.normal(size=(6, ATTR_WIDTH)), upper | upper.T)
+        stacks = _stacks([sparse, _graph(2, rng)])
+        draws = np.random.default_rng(4)
+        edge_views, _ = augment(stacks, draws)
+        alone = np.random.default_rng(4)
+        alone.choice(6, size=1, replace=False)          # the 6-node graph's masked row
+        assert draws.random() == alone.random()
+        assert all(v is s for v, s in zip(edge_views, stacks))
 
     def test_mask_views(self, rng):
-        graphs = _random_graphs(rng)
-        _, mask_views = augment(graphs, rng)
-        assert len(mask_views) == len(graphs)
-        for g, view in zip(graphs, mask_views):
-            zeroed = ~view.attrs.any(axis=1)
-            assert int(zeroed.sum()) == round(0.2 * g.n_nodes)
-            assert np.array_equal(view.attrs[~zeroed], g.attrs[~zeroed])
-            assert view.adjacency is g.adjacency
+        stacks = _stacks(_random_batch(rng))
+        _, mask_views = augment(stacks, rng)
+        assert len(mask_views) == len(stacks)
+        for s, view in zip(stacks, mask_views):
+            zeroed = ~view.attrs.any(axis=2)
+            assert (zeroed.sum(axis=1) == round(0.2 * s.n_nodes)).all()
+            assert np.array_equal(view.attrs[~zeroed], s.attrs[~zeroed])
+            assert view.adjacency is s.adjacency and view.positions is s.positions
 
     def test_two_node_mask_view_is_the_input(self, rng):
-        graph = _graph(2, rng)
-        _, (view,) = augment([graph], rng)
-        assert view is graph
+        stacks = _stacks([_graph(2, rng), _graph(2, rng)])
+        _, (view,) = augment(stacks, rng)
+        assert view is stacks[0]
 
 
 class TestNtxent:
@@ -254,3 +429,53 @@ class TestPretrain:
     def test_batch_of_one_is_refused(self, small_table, corpus):
         with pytest.raises(BatchTooSmall):
             _pretrain(small_table, corpus, epochs=3, batch=1)
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus():
+    """Records of 6-14 features over a 40 x 6 table, the larger ones with
+    edges to flip and some with near-tied similarities, plus two that do not
+    materialize."""
+    table = make_table(np.random.default_rng(21).normal(size=(40, 6)))
+    rng = np.random.default_rng(11)
+    originals = [FeatureCross((feature_token(i),)) for i in range(6)]
+    # k * f_i as a sum of k copies: cosine 1 with f_i, give or take an ulp.
+    multiples = [FeatureCross(("f2",) + ("f2", "+") * k) for k in range(1, 5)]
+    records = [_record(originals + [random_cross(6, 3, rng) for _ in range(k)]
+                       + (multiples if i % 3 == 1 else []), i)
+               for i, k in enumerate((0, 4, 8, 8, 6, 4, 7, 8, 2, 0, 5))]
+    records.insert(3, _record([FeatureCross(("f0",))]))             # one feature
+    records.insert(7, _record(originals + [FeatureCross(("f9",))]))  # no such column
+    return table, records
+
+
+class TestMatchesPerGraphPipeline:
+    def test_stacks_hold_each_record_graph_in_record_order(self, mixed_corpus):
+        table, records = mixed_corpus
+        stacks, skipped = materialize_graphs(records, table, ROWS)
+        assert skipped == 2
+        assert [s.n_nodes for s in stacks] == sorted({s.n_nodes for s in stacks})
+        assert 1 in [s.positions.size for s in stacks]     # a node count held by one graph
+        kept = [graph_of(np.ascontiguousarray(apply_sequence(r.sequence, table)[ROWS.indices].T))
+                for i, r in enumerate(records) if i not in (3, 7)]
+        graphs = _unstack(stacks)
+        assert len(graphs) == len(kept)
+        for (attrs, adj), g in zip(graphs, kept):
+            assert np.array_equal(attrs, g.attrs) and np.array_equal(adj, g.adjacency)
+        assert any(g.adjacency.sum() >= 6 for g in kept)   # some graph flips an edge
+
+    @pytest.mark.parametrize("batch", [2, 3, 7, "N-1", "N", "N+5"])
+    def test_pretrain_equals_the_per_graph_pipeline(self, mixed_corpus, batch):
+        table, records = mixed_corpus
+        n = len(records) - 2
+        batch = {"N-1": n - 1, "N": n, "N+5": n + 5}.get(batch, batch)
+        width = len(ROWS.indices)
+        model = EncoderModel(width, np.random.default_rng(5), hidden=6)
+        result = pretrain(records, table, model, ROWS, epochs=2, batch=batch,
+                          rng=np.random.default_rng(9))
+        oracle = EncoderModel(width, np.random.default_rng(5), hidden=6)
+        losses = per_graph_pretrain(records, table, oracle, ROWS, epochs=2, batch=batch,
+                                    rng=np.random.default_rng(9))
+        assert result.losses == losses
+        for name, value in model.param_dict().items():
+            assert np.array_equal(value, oracle.param_dict()[name]), name

@@ -73,6 +73,16 @@ class TestDense:
         xp.grad += layer.backward(R, cache)
         assert grad_check([xp], loss_fn) < 1e-4
 
+    def test_backward_params_accumulates_what_backward_does(self, rng):
+        full, grads_only = (Dense("d", 4, 3, np.random.default_rng(2)) for _ in range(2))
+        x = rng.normal(size=(2, 5, 4))
+        dout = rng.normal(size=(2, 5, 3))
+        for _ in range(2):                    # grads accumulate across calls
+            full.backward(dout, full.forward(x)[1])
+            assert grads_only.backward_params(dout, grads_only.forward(x)[1]) is None
+        for a, b in zip(full.params(), grads_only.params()):
+            assert np.array_equal(a.grad, b.grad) and a.grad.any()
+
     def test_batched_3d_input(self, rng):
         layer = Dense("d", 4, 3, rng)
         x = rng.normal(size=(2, 5, 4))
