@@ -9,6 +9,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -65,14 +66,20 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def text(self) -> str:
-        return self.take(self.u64()).decode("utf-8")
+        start = self.pos
+        raw = self.take(self.u64())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptCheckpoint(f"{self.path}: text at byte {start} is not UTF-8") from None
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a checkpoint back into (params, metadata).
 
     Raises:
-        CorruptCheckpoint: bad magic or truncated file.
+        CorruptCheckpoint: bad magic, a key or name that is not UTF-8, dims
+            that do not fit the values stored, or a truncated file.
         VersionMismatch: format version other than the current one.
     """
     path = Path(path)
@@ -91,9 +98,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, 
         name = reader.text()
         rank = reader.u64()
         shape = tuple(reader.u64() for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        raw = reader.take(count * 8)
-        params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        raw = reader.take(math.prod(shape) * 8)     # exact, unlike np.prod's int64
+        try:
+            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        except ValueError:      # a zero dim beside one larger than numpy allows
+            raise CorruptCheckpoint(f"{path}: parameter {name!r} has dims {shape}") from None
     if reader.pos != len(reader.data):
         raise CorruptCheckpoint(f"{path}: {len(reader.data) - reader.pos} trailing bytes")
     return params, metadata

@@ -27,7 +27,7 @@ from .expr import (
     feature_token,
     op_set_hash,
 )
-from .errors import ConfigHashMismatch
+from .errors import ConfigHashMismatch, MalformedRecord
 from .tabular import DataTable
 from .utility import DistanceCache, UtilityConfig, mdcg
 
@@ -329,6 +329,8 @@ def read_records(path: str | Path) -> tuple[list[ExplorationRecord], dict[str, s
 
     Raises:
         ConfigHashMismatch: the header is missing or names another op set.
+        MalformedRecord: a record line has no tab or a utility that is not a
+            float; the message names the line.
     """
     lines = Path(path).read_text().splitlines()
     header = dict(kv.split("=", 1) for kv in lines[0].split("\t") if "=" in kv) if lines else {}
@@ -337,9 +339,12 @@ def read_records(path: str | Path) -> tuple[list[ExplorationRecord], dict[str, s
             f"{path}: op set {header.get('opset')!r}, this build has {op_set_hash()!r}")
     steps = int(header.get("steps", 1))
     records = []
-    for i, line in enumerate(lines[1:]):
-        utility, text = line.split("\t", 1)
-        episode, step = divmod(i, steps)
-        records.append(ExplorationRecord(
-            CrossSequence.from_text(text), float(utility), episode, step))
+    try:
+        for i, line in enumerate(lines[1:]):
+            utility, text = line.split("\t", 1)
+            episode, step = divmod(i, steps)
+            records.append(ExplorationRecord(
+                CrossSequence.from_text(text), float(utility), episode, step))
+    except ValueError as exc:
+        raise MalformedRecord(f"{path}: line {i + 2}: {exc}") from None
     return records, header

@@ -92,3 +92,7 @@ class CheckpointMismatch(NeatError):
 
 class ConfigHashMismatch(NeatError):
     pass
+
+
+class MalformedRecord(NeatError):
+    """A record line of a record file is not ``<utility>\\t<sequence>``."""

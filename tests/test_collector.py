@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import make_table
 
 from neat import utility
 from neat.collector import (
@@ -16,7 +17,7 @@ from neat.collector import (
     read_records,
     write_records,
 )
-from neat.errors import ConfigHashMismatch
+from neat.errors import ConfigHashMismatch, MalformedRecord
 from neat.expr import VALUE_CAP, FeatureCross, apply_sequence, eval_cross
 from neat.utility import DistanceCache, UtilityConfig, mdcg
 
@@ -45,6 +46,26 @@ class TestCollect:
         assert {rec.episode for rec in records} == {0, 1, 2}
         for rec in records:
             assert rec.utility == mdcg(apply_sequence(rec.sequence, small_table), cfg.utility)
+
+    def test_utilities_equal_a_cold_recompute_on_candidate_lists(self, monkeypatch):
+        # 300 subsampled rows: above LIST_MIN_ROWS, so grown sets re-rank the
+        # cache's candidate lists instead of whole rows.
+        table = make_table(np.random.default_rng(5).normal(size=(400, 5)))
+        cfg = dataclasses.replace(SMALL, utility=UtilityConfig(max_rows=300))
+        assert cfg.utility.max_rows > utility.LIST_MIN_ROWS
+        refreshed = []
+        refresh = DistanceCache._refresh
+
+        def counted_refresh(cache, rows):
+            refreshed.append(len(rows))
+            return refresh(cache, rows)
+
+        monkeypatch.setattr(DistanceCache, "_refresh", counted_refresh)
+        records = collect(table, episodes=3, steps=5, cfg=cfg, rng=np.random.default_rng(11))
+        assert refreshed.count(300) >= 1        # the lists were built ...
+        assert len(refreshed) > refreshed.count(300)    # ... and some rows refreshed
+        for rec in records:
+            assert rec.utility == mdcg(apply_sequence(rec.sequence, table), cfg.utility)
 
     @pytest.mark.parametrize("episodes", [1, 3])
     def test_table_columns_are_scored_once_per_call(self, small_table, monkeypatch, episodes):
@@ -100,6 +121,16 @@ class TestRecordHeader:
         path = tmp_path / "records.tsv"
         path.write_text("")
         with pytest.raises(ConfigHashMismatch):
+            read_records(path)
+
+    # a line with no tab, a blank line, a utility that is not a float
+    @pytest.mark.parametrize("bad", ["<SOS> f0 <EOS>", "", "high\t<SOS> f0 <EOS>"])
+    def test_malformed_record_names_its_line(self, small_table, tmp_path, bad):
+        path = self._write(small_table, tmp_path)
+        lines = path.read_text().splitlines()
+        lines[4] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord, match=r"line 5\b"):
             read_records(path)
 
     def test_headerless_file_is_refused(self, small_table, tmp_path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -389,6 +391,29 @@ class TestCheckpoint:
         path = tmp_path / "future.ckpt"
         path.write_bytes(MAGIC + (99).to_bytes(4, "little") + (0).to_bytes(8, "little") * 2)
         with pytest.raises(VersionMismatch):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", [b"dataset_id", b"demo", b"enc.W"])
+    def test_text_that_is_not_utf8(self, tmp_path, rng, text):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self.params(rng), {"dataset_id": "demo"})
+        data = path.read_bytes()
+        assert data.count(text) == 1
+        path.write_bytes(data.replace(text, b"\xff" + text[1:]))
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(path)
+
+    # (2**32, 2**32) overflows an int64 product to 0 values; (0, 2**63) holds
+    # 0 values in a dim numpy cannot make
+    @pytest.mark.parametrize("dims", [(2**32, 2**32), (0, 2**63), (400, 3)])
+    def test_dims_that_the_values_do_not_fill(self, tmp_path, rng, dims):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self.params(rng), {})
+        data = path.read_bytes()
+        shape = struct.pack("<QQ", 4, 3)           # enc.W
+        assert data.count(shape) == 1
+        path.write_bytes(data.replace(shape, struct.pack("<QQ", *dims)))
+        with pytest.raises(CorruptCheckpoint):
             load_checkpoint(path)
 
     def test_trailing_garbage(self, tmp_path, rng):

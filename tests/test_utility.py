@@ -3,9 +3,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from neat import utility
 from neat.errors import DegenerateK
+from neat.expr import VALUE_CAP
 from neat.utility import (
+    LIST_LEN,
+    LIST_MIN_ROWS,
     DistanceCache,
     UtilityConfig,
     _pairwise_sq_dists,
@@ -215,6 +221,146 @@ class TestDistanceCache:
                           (UtilityConfig(max_rows=100, row_seed=1), F[:250]),
                           (UtilityConfig(max_rows=1000), F[:250])]:
             assert mdcg(rows, cfg, cache) == mdcg(rows, cfg)
+
+
+# Columns that stress the candidate lists: integer lattices tie rows at their
+# k-th distance and at a list's bound; a constant adds nothing; +-VALUE_CAP
+# squares to 4e300; exp(exp(x)) reorders most rows' neighbours, so most lists
+# refresh; and values beyond the cap overflow d2 to inf, so rows in small
+# groups have an infinite k-th distance.
+COLUMN_KINDS = ("normal", "lattice", "constant", "cap", "expexp", "overflow")
+
+
+def _column(kind, rng, n):
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "lattice":
+        return rng.integers(0, 4, size=n).astype(float)
+    if kind == "constant":
+        return np.full(n, 2.5)
+    if kind == "cap":
+        return rng.choice([-VALUE_CAP, 0.0, VALUE_CAP], size=n)
+    if kind == "overflow":
+        return rng.choice([-1e155, 0.0, 1e155], size=n, p=[0.01, 0.98, 0.01])
+    return np.exp(np.exp(rng.normal(size=n)))
+
+
+def _neighbour_sets(codes, n):
+    # row j's neighbours from the codes j * n + i
+    found = [set() for _ in range(n)]
+    for j, i in zip(*np.divmod(codes, n)):
+        found[j].add(int(i))
+    return found
+
+
+class TestCandidateLists:
+    """A DistanceCache above LIST_MIN_ROWS re-ranks per-row candidate lists
+    on grown sets; the result must equal a cold call bit for bit."""
+
+    # (rows, max_rows): the subsample path, then the full-row path; both
+    # above the row count where the lists are used
+    PATHS = [(400, 300), (LIST_MIN_ROWS + 44, 1000)]
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           shared=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=3),
+           branches=st.lists(st.tuples(st.sampled_from(COLUMN_KINDS),
+                                       st.sampled_from(COLUMN_KINDS)),
+                             min_size=1, max_size=3),
+           k=st.integers(1, LIST_LEN),
+           path=st.sampled_from(PATHS))
+    @example(seed=1, shared=["lattice", "lattice"], branches=[("expexp", "overflow")],
+             k=1, path=PATHS[0])
+    @example(seed=2, shared=["normal"], branches=[("cap", "constant")],
+             k=LIST_LEN, path=PATHS[1])
+    @settings(max_examples=40, deadline=None)
+    def test_grown_sets_match_cold_calls(self, seed, shared, branches, k, path):
+        n, max_rows = path
+        assert min(n, max_rows) > LIST_MIN_ROWS
+        rng = np.random.default_rng(seed)
+        cfg = UtilityConfig(k_neighbors=k, max_rows=max_rows, row_seed=seed % 7)
+
+        def check(F, cache):
+            with np.errstate(over="ignore", invalid="ignore"):    # overflow columns
+                assert np.array_equal(feature_importance(F, cfg, cache),
+                                      feature_importance(F, cfg), equal_nan=True)
+            # the same neighbour sets as the full-row rule, not only the same sums
+            assert np.array_equal(np.sort(cache.neighbours(k)),
+                                  utility._knn_membership(cache.d2, k))
+
+        F = rng.normal(size=(n, 1))
+        cache = DistanceCache()
+        for kind in shared:
+            check(F, cache)
+            F = np.column_stack([F, _column(kind, rng, n)])
+        check(F, cache)
+        # Two branches grown apart from one set, in turns, so that a list
+        # shared between them would show.
+        sets, caches = [F, F], [cache, cache.copy()]
+        for kinds in branches:
+            for b, kind in enumerate(kinds):
+                sets[b] = np.column_stack([sets[b], _column(kind, rng, n)])
+                check(sets[b], caches[b])
+        assert (caches[0].lists is not None) == (k < LIST_LEN)
+        # The other branch's set is no prefix of this one's: a rebuild, whose
+        # next growth must not re-rank the old set's lists.
+        check(sets[1], caches[0])
+        check(np.column_stack([sets[1], _column(shared[0], rng, n)]), caches[0])
+
+    def test_tie_at_the_list_bound_falls_back_to_the_full_row(self, monkeypatch):
+        # Row 0 and rows 1..LIST_LEN share column a; row LIST_LEN + 1 sits at
+        # exactly the list's bound (d2 = 9) and the other rows beyond it.
+        # Column b then moves rows 1..LIST_LEN to d2 = 9 from row 0: its k-th
+        # candidate equals its bound, a refresh meets the same tie, and the
+        # row takes the full-row rule.
+        n, k = LIST_MIN_ROWS + 44, 3
+        a = np.zeros(n)
+        a[LIST_LEN + 1] = 3.0
+        a[LIST_LEN + 2:] = 3.0 + 0.01 * np.arange(1, n - LIST_LEN - 1)
+        b = np.zeros(n)
+        b[1:LIST_LEN + 1] = 3.0
+        cfg = UtilityConfig(k_neighbors=k)
+        cache = DistanceCache()
+        mdcg(a[:, None], cfg, cache)
+        mdcg(np.column_stack([a, np.zeros(n)]), cfg, cache)      # builds the lists
+        assert sorted(cache.lists[0] % n) == list(range(1, LIST_LEN + 1))
+        assert cache.outside[0] == 9.0
+        full_rows = []
+        knn = utility._knn_membership
+
+        def recorded(d2, k, rows=None):
+            full_rows.append(rows)
+            return knn(d2, k, rows)
+
+        monkeypatch.setattr(utility, "_knn_membership", recorded)
+        F = np.column_stack([a, np.zeros(n), b])
+        assert np.array_equal(feature_importance(F, cfg, cache), feature_importance(F, cfg))
+        assert 0 in full_rows[0]
+        codes = cache.neighbours(k)
+        assert 0 in full_rows[-1]
+        found = _neighbour_sets(codes, n)
+        assert found == oracle_knn_sets(F, k)
+        assert found[0] == {1, 2, 3}
+
+    def test_ties_beside_fallback_rows_are_repaired(self):
+        # Rows 0..49 are duplicates, more than a list holds, so each takes the
+        # full-row rule and has no list members. Row 200 then has two rows at
+        # its nearest distance (199 and 201, each with a closer partner of
+        # its own), and the list rule must drop the higher-indexed one although
+        # the members over all rows number fewer than k per row.
+        n, k = LIST_MIN_ROWS + 44, 1
+        x = np.zeros(n)
+        x[50:] = 1000.0 + np.cumsum(np.random.default_rng(3).uniform(2.0, 3.0, n - 50))
+        x[198:203] = [498.6, 499.0, 500.0, 501.0, 501.5]
+        cfg = UtilityConfig(k_neighbors=k)
+        cache = DistanceCache()
+        mdcg(x[:, None], cfg, cache)
+        F = np.column_stack([x, np.zeros(n)])
+        assert np.array_equal(feature_importance(F, cfg, cache), feature_importance(F, cfg))
+        assert cache.lists is not None
+        codes = cache.neighbours(k)
+        found = _neighbour_sets(codes, n)
+        assert found == oracle_knn_sets(F, k)
+        assert found[200] == {199}
 
 
 class TestFeatureImportance:
