@@ -329,15 +329,22 @@ def read_records(path: str | Path) -> tuple[list[ExplorationRecord], dict[str, s
 
     Raises:
         ConfigHashMismatch: the header is missing or names another op set.
-        MalformedRecord: a record line has no tab or a utility that is not a
-            float; the message names the line.
+        MalformedRecord: the header's ``steps`` is not a positive integer, or
+            a record line has no tab or a utility that is not a float; the
+            message names the line.
     """
     lines = Path(path).read_text().splitlines()
     header = dict(kv.split("=", 1) for kv in lines[0].split("\t") if "=" in kv) if lines else {}
     if header.get("opset") != op_set_hash():
         raise ConfigHashMismatch(
             f"{path}: op set {header.get('opset')!r}, this build has {op_set_hash()!r}")
-    steps = int(header.get("steps", 1))
+    try:
+        steps = int(header.get("steps", 1))
+    except ValueError:
+        steps = 0
+    if steps < 1:
+        raise MalformedRecord(
+            f"{path}: line 1: header steps={header['steps']!r} is not a positive integer")
     records = []
     try:
         for i, line in enumerate(lines[1:]):

@@ -7,14 +7,12 @@ attribute width and one encoder serves them all.
 
 A batch of graphs stays in node-count stacks from materialization to the
 loss. A ``GraphStack`` holds the graphs of one node count ``m``: ``attrs``
-(B, m, r) float64, ``adjacency`` (B, m, m) float64 0/1 (symmetric, zero
-diagonal) and ``positions`` (B,), the increasing indices of its graphs in the
-batch. A batch is a list of stacks in increasing node count; each stack is
-encoded in one pass and its results land at its positions.
-
-``augment`` draws from its generator in batch-position order across stacks:
-first the edge flips of every graph, then the masked rows of every graph. So
-the draws, and the views, do not depend on how a batch splits into stacks.
+(B, m, r) float64 and ``adjacency`` (B, m, m) float64 0/1 (symmetric, zero
+diagonal). A batch is its stacks in increasing node count, and its layout
+is those stacks laid end to end: graph ``i`` of the layout is row ``i`` of
+``encode_many``'s H and Z and of the gradients ``backward_many`` takes, and
+``augment`` draws its views in layout order. The contrastive loss does not
+depend on the order of its pairs.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from .tabular import RowSample
 
 log = logging.getLogger(__name__)
 
-EDGE_RATIO = 0.2       # edge view: flips round(EDGE_RATIO * edges) node pairs
+EDGE_RATIO = 0.2       # edge view: flips max(1, round(EDGE_RATIO * edges)) node pairs
 MASK_RATIO = 0.2       # mask view: zeroes round(MASK_RATIO * nodes) attribute rows
 TAU = 0.5              # NT-Xent temperature
 LEARNING_RATE = 0.001  # Adam
@@ -46,7 +44,6 @@ class GraphStack:
 
     attrs: np.ndarray        # (B, m, r) float64
     adjacency: np.ndarray    # (B, m, m) float64 0/1, symmetric, zero diagonal
-    positions: np.ndarray    # (B,) increasing indices of the graphs in their batch
 
     @property
     def n_nodes(self) -> int:
@@ -63,11 +60,11 @@ def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def build_graph(attrs: np.ndarray, positions: np.ndarray) -> GraphStack:
+def build_graph(attrs: np.ndarray) -> GraphStack:
     """Similarity graphs over a stack of same-size feature sets, ``attrs``
     (B, m, r) holding each set's columns over the sampled rows: edge iff the
     pair's cosine >= the 95th percentile (linear interpolation) of that
-    graph's unordered pair similarities.
+    graph's unordered pair similarities, so every graph has an edge.
 
     Zero-vector columns have similarity 0 with everything. Each graph's
     similarities come from its own 2-D ``nn.cosine_matrix`` over a C-ordered
@@ -89,15 +86,7 @@ def build_graph(attrs: np.ndarray, positions: np.ndarray) -> GraphStack:
     threshold = np.percentile(pair_sims, 95.0, axis=1, keepdims=True)
     upper = np.zeros((B, m, m))
     upper[:, i, j] = pair_sims >= threshold
-    return GraphStack(attrs, upper + upper.transpose(0, 2, 1), positions)
-
-
-def _batch_order(stacks: Sequence[GraphStack], chosen: Sequence[np.ndarray]):
-    """(stack, row) of every chosen graph, in order of batch position."""
-    stack = np.concatenate([np.full(int(c.sum()), k) for k, c in enumerate(chosen)])
-    row = np.concatenate([np.flatnonzero(c) for c in chosen])
-    order = np.argsort(np.concatenate([s.positions[c] for s, c in zip(stacks, chosen)]))
-    return zip(stack[order].tolist(), row[order].tolist())
+    return GraphStack(attrs, upper + upper.transpose(0, 2, 1))
 
 
 def _perturb_edges(state: np.ndarray, flips: int, rng: np.random.Generator) -> None:
@@ -117,38 +106,29 @@ def augment(stacks: Sequence[GraphStack], rng: np.random.Generator
             ) -> tuple[list[GraphStack], list[GraphStack]]:
     """The two views of one batch: edge perturbation and attribute masking.
 
-    Every graph's edge flips are drawn before any graph's masked rows, each in
-    batch-position order; a graph with no pair to flip draws nothing. A view
-    shares the array it does not change with its input, and a stack with
-    nothing to flip, or too small to mask a row, is its own view.
+    Every graph's edge flips are drawn before any graph's masked rows, each
+    in layout order. A view shares the array it does not change with its
+    input, and a stack too small to mask a row is its own mask view.
     """
-    states, flips = [], []
+    edge_views = []
     for s in stacks:
         i, j = _triu(s.n_nodes)
         state = s.adjacency[:, i, j] > 0
-        states.append(state)
-        flips.append(np.rint(EDGE_RATIO * state.sum(axis=1)).astype(np.intp))
-    for k, b in _batch_order(stacks, [f > 0 for f in flips]):
-        _perturb_edges(states[k][b], int(flips[k][b]), rng)
-    masked = [int(round(MASK_RATIO * s.n_nodes)) for s in stacks]
-    picks = [np.empty((s.positions.size, c), dtype=np.intp) for s, c in zip(stacks, masked)]
-    for k, b in _batch_order(stacks, [np.full(s.positions.size, c > 0)
-                                      for s, c in zip(stacks, masked)]):
-        picks[k][b] = rng.choice(stacks[k].n_nodes, size=masked[k], replace=False)
-    edge_views, mask_views = [], []
-    for s, state, f, pick in zip(stacks, states, flips, picks):
-        edge_view = mask_view = s
-        if f.any():
-            i, j = _triu(s.n_nodes)
-            upper = np.zeros_like(s.adjacency)
-            upper[:, i, j] = state
-            edge_view = replace(s, adjacency=upper + upper.transpose(0, 2, 1))
-        if pick.size:
+        flips = np.maximum(1, np.rint(EDGE_RATIO * state.sum(axis=1))).astype(np.intp)
+        for b, f in enumerate(flips.tolist()):
+            _perturb_edges(state[b], f, rng)
+        upper = np.zeros_like(s.adjacency)
+        upper[:, i, j] = state
+        edge_views.append(replace(s, adjacency=upper + upper.transpose(0, 2, 1)))
+    mask_views = []
+    for s in stacks:
+        masked = int(round(MASK_RATIO * s.n_nodes))
+        if masked:
+            pick = rng.random(s.attrs.shape[:2]).argsort(axis=1)[:, :masked]
             attrs = s.attrs.copy()
-            attrs[np.arange(pick.shape[0])[:, None], pick] = 0.0
-            mask_view = replace(s, attrs=attrs)
-        edge_views.append(edge_view)
-        mask_views.append(mask_view)
+            attrs[np.arange(len(attrs))[:, None], pick] = 0.0
+            s = replace(s, attrs=attrs)
+        mask_views.append(s)
     return edge_views, mask_views
 
 
@@ -238,26 +218,22 @@ def backward_stack(model: EncoderModel, dz: np.ndarray, cache,
 def encode_many(stacks: Sequence[GraphStack], model: EncoderModel):
     """Encode a batch of node-count stacks, one ``forward_stack`` per stack.
 
-    Returns (H, Z, caches): H and Z rows in batch-position order, and the
-    per-stack caches that ``backward_many`` takes.
+    Returns (H, Z, caches): H and Z rows in layout order, and the per-stack
+    caches that ``backward_many`` takes.
     """
-    n = sum(s.positions.size for s in stacks)
-    H = np.zeros((n, model.hidden))
-    Z = np.zeros((n, model.hidden))
-    caches = []
-    for s in stacks:
-        h, z, cache = forward_stack(model, s.attrs, s.adjacency)
-        H[s.positions] = h
-        Z[s.positions] = z
-        caches.append((s.positions, cache))
-    return H, Z, caches
+    hs, zs, caches = zip(*(forward_stack(model, s.attrs, s.adjacency) for s in stacks))
+    return np.concatenate(hs), np.concatenate(zs), caches
 
 
 def backward_many(model: EncoderModel, dZ: np.ndarray, caches,
                   dH: np.ndarray | None = None) -> None:
-    for idxs, cache in caches:
-        backward_stack(model, dZ[idxs], cache,
-                       dh=None if dH is None else dH[idxs])
+    """Accumulate parameter grads for an ``encode_many`` call; ``dZ`` and
+    ``dH`` rows are in its layout order."""
+    stop = 0
+    for cache in caches:
+        start, stop = stop, stop + len(cache[0])    # the stack's adjacency
+        backward_stack(model, dZ[start:stop], cache,
+                       dh=None if dH is None else dH[start:stop])
 
 
 def ntxent_loss(Z1: np.ndarray, Z2: np.ndarray):
@@ -302,43 +278,38 @@ class PretrainResult:
 
 def materialize_graphs(records, table, rows: RowSample):
     """Build every record's graph, in node-count stacks of increasing node
-    count; a graph's position is its record's index among the records kept.
-    Returns the stacks and the number of records skipped because they fail
-    to materialize."""
-    groups: dict[int, list[tuple[int, np.ndarray]]] = {}
+    count, each in record order. Returns the stacks and the number of
+    records skipped because they fail to materialize."""
+    groups: dict[int, list[np.ndarray]] = {}
     skipped = 0
-    for i, rec in enumerate(records):
+    for rec in records:
         try:
             v = apply_sequence(rec.sequence, table)
         except NeatError:
             skipped += 1
             continue
-        groups.setdefault(v.shape[1], []).append((i, v[rows.indices, :].T))
-    stacks, kept = [], []
+        groups.setdefault(v.shape[1], []).append(v[rows.indices, :].T)
+    stacks = []
     for m in sorted(groups):
-        index, attrs = zip(*groups.pop(m))
+        attrs = groups.pop(m)
         try:
-            stacks.append(build_graph(np.stack(attrs), np.array(index)))
+            stacks.append(build_graph(np.stack(attrs)))
         except SingleFeature:
-            skipped += len(index)
-            continue
-        kept.extend(index)
-    kept = np.sort(kept)
-    return [replace(s, positions=np.searchsorted(kept, s.positions)) for s in stacks], skipped
+            skipped += len(attrs)
+    return stacks, skipped
 
 
-def _gather(stacks: Sequence[GraphStack], chunk: np.ndarray, n: int) -> list[GraphStack]:
-    """The stacks of the graphs at ``chunk``, positions in a batch of ``n``,
-    each graph moved to its index in ``chunk``."""
-    rank = np.full(n, -1)
-    rank[chunk] = np.arange(chunk.size)
-    out = []
+def _gather(stacks: Sequence[GraphStack], chunk: np.ndarray) -> list[GraphStack]:
+    """The graphs at layout indices ``chunk``: each stack's rows that are in
+    it, in layout order."""
+    member = np.zeros(sum(len(s.attrs) for s in stacks), dtype=bool)
+    member[chunk] = True
+    out, stop = [], 0
     for s in stacks:
-        at = rank[s.positions]
-        rows = np.flatnonzero(at >= 0)
-        rows = rows[np.argsort(at[rows])]
+        start, stop = stop, stop + len(s.attrs)
+        rows = np.flatnonzero(member[start:stop])
         if rows.size:
-            out.append(GraphStack(s.attrs[rows], s.adjacency[rows], at[rows]))
+            out.append(GraphStack(s.attrs[rows], s.adjacency[rows]))
     return out
 
 
@@ -358,7 +329,7 @@ def pretrain(records, table, model: EncoderModel, rows: RowSample,
     stacks, skipped = materialize_graphs(records, table, rows)
     if skipped:
         log.warning("pretrain skipped %d unmaterializable record(s)", skipped)
-    n = sum(s.positions.size for s in stacks)
+    n = sum(len(s.attrs) for s in stacks)
     if n < 2 or batch < 2:
         raise BatchTooSmall(f"pretraining needs >= 2 usable records and batch >= 2, "
                             f"got {n} and {batch}")
@@ -372,7 +343,7 @@ def pretrain(records, table, model: EncoderModel, rows: RowSample,
             chunk = order[start:start + batch]
             if chunk.size < 2:
                 continue
-            view1, view2 = augment(_gather(stacks, chunk, n), rng)
+            view1, view2 = augment(_gather(stacks, chunk), rng)
             _, Z1, c1 = encode_many(view1, model)
             _, Z2, c2 = encode_many(view2, model)
             loss, cache = ntxent_loss(Z1, Z2)

@@ -117,17 +117,13 @@ def _knn_membership(d2: np.ndarray, k: int,
     return codes
 
 
-def _drop_extra_ties(near: np.ndarray, dist: np.ndarray, kth: np.ndarray, k: int,
-                     slot_codes: np.ndarray | None = None) -> None:
+def _drop_extra_ties(near: np.ndarray, dist: np.ndarray, kth: np.ndarray, k: int) -> None:
     # A row of ``near`` with more than k entries has ties at its k-th distance
-    # ``kth``: keep the tied entries of the lowest row indices, so k remain.
-    # Slot s of row r stands for row s, or for the row coded in
-    # ``slot_codes[r, s]``.
+    # ``kth``: keep the tied entries of the lowest slots, so k remain. Slots
+    # are in row order: whole d2 rows, or a cache's sorted candidate lists.
     counts = np.count_nonzero(near, axis=1)
     for r in np.nonzero(counts > k)[0]:
         ties = np.nonzero(near[r] & (dist[r] == kth[r]))[0]
-        if slot_codes is not None:
-            ties = ties[np.argsort(slot_codes[r, ties])]
         near[r, ties[k - counts[r] + len(ties):]] = False
 
 
@@ -190,7 +186,7 @@ class DistanceCache:
         self.columns: np.ndarray | None = None         # subsampled columns in d2
         self.d2: np.ndarray | None = None
         self.grown = False              # the last call extended d2, not rebuilt it
-        self.lists: np.ndarray | None = None           # (rows, LIST_LEN) codes into d2
+        self.lists: np.ndarray | None = None           # (rows, LIST_LEN) sorted codes into d2
         self.outside: np.ndarray | None = None         # d2 lower bound beyond each list
 
     def distances(self, v: np.ndarray, cfg: UtilityConfig
@@ -232,19 +228,19 @@ class DistanceCache:
         exact = kth < self.outside     # fails only on a tie at the list's bound
         member = (cand <= kth[:, None]) & exact[:, None]
         if np.count_nonzero(member) > k * np.count_nonzero(exact):
-            _drop_extra_ties(member, cand, kth, k, self.lists)
+            _drop_extra_ties(member, cand, kth, k)
         return np.concatenate([self.lists[member],
                                _knn_membership(self.d2, k, np.flatnonzero(~exact))])
 
     def _refresh(self, rows: np.ndarray) -> None:
-        # Each row's LIST_LEN nearest rows, as codes row * n + i into d2, and
-        # the next smallest d2 as the row's bound; _ROW_BLOCK rows at a time,
-        # so the temporaries stay small next to d2.
+        # Each row's LIST_LEN nearest rows, as codes row * n + i into d2 in
+        # increasing i, and the next smallest d2 as the row's bound;
+        # _ROW_BLOCK rows at a time, so the temporaries stay small next to d2.
         for start in range(0, len(rows), _ROW_BLOCK):
             chunk = rows[start:start + _ROW_BLOCK]
             block = self.d2[chunk]
             part = np.argpartition(block, LIST_LEN, axis=1)
-            self.lists[chunk] = part[:, :LIST_LEN] + chunk[:, None] * len(self.d2)
+            self.lists[chunk] = np.sort(part[:, :LIST_LEN], axis=1) + chunk[:, None] * len(self.d2)
             self.outside[chunk] = block[np.arange(len(chunk)), part[:, LIST_LEN]]
 
     def copy(self) -> "DistanceCache":

@@ -133,6 +133,16 @@ class TestRecordHeader:
         with pytest.raises(MalformedRecord, match=r"line 5\b"):
             read_records(path)
 
+    @pytest.mark.parametrize("steps", ["x", "0", "-2", ""])
+    def test_bad_steps_header_names_line_1(self, small_table, tmp_path, steps):
+        path = self._write(small_table, tmp_path)
+        lines = path.read_text().splitlines()
+        lines[0] = "\t".join(f"steps={steps}" if kv.startswith("steps=") else kv
+                              for kv in lines[0].split("\t"))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord, match=r"line 1\b.*steps"):
+            read_records(path)
+
     def test_headerless_file_is_refused(self, small_table, tmp_path):
         path = self._write(small_table, tmp_path)
         path.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")

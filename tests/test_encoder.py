@@ -14,6 +14,7 @@ from neat.encoder import (
     TAU,
     EncoderModel,
     GraphStack,
+    _gather,
     _triu,
     augment,
     backward_many,
@@ -35,7 +36,8 @@ ATTR_WIDTH = 5
 
 
 # The per-graph pipeline that node-count stacks replaced, kept as an oracle:
-# one object per graph, per-graph views, and stacks built per encode.
+# one object per graph, per-graph views, and stacks built per encode. Its
+# batches follow the stacks' layout: graphs sorted stably by node count.
 @dataclass(frozen=True)
 class Graph:
     attrs: np.ndarray        # (m, r) float64
@@ -63,7 +65,7 @@ def graph_of(attrs: np.ndarray) -> Graph:
 def perturbed(adjacency: np.ndarray, rng) -> np.ndarray:
     iu = np.triu_indices(adjacency.shape[0], k=1)
     state = adjacency[iu].astype(bool)
-    for _ in range(int(round(EDGE_RATIO * int(state.sum())))):
+    for _ in range(max(1, int(round(EDGE_RATIO * int(state.sum()))))):
         drop = rng.random() < 0.5
         pool = np.nonzero(state if drop else ~state)[0]
         if pool.size == 0:
@@ -82,7 +84,7 @@ def views(graphs, rng):
         masked = int(round(MASK_RATIO * g.n_nodes))
         if masked:
             attrs = g.attrs.copy()
-            attrs[rng.choice(g.n_nodes, size=masked, replace=False), :] = 0.0
+            attrs[np.argsort(rng.random(g.n_nodes))[:masked], :] = 0.0
             g = replace(g, attrs=attrs)
         mask_views.append(g)
     return edge_views, mask_views
@@ -98,6 +100,10 @@ def stacked_groups(graphs):
         yield idxs, attrs, adj
 
 
+def layout(graphs):
+    return sorted(graphs, key=lambda g: g.n_nodes)     # stable: ties keep list order
+
+
 def per_graph_pretrain(records, table, model, rows, epochs, batch, rng):
     graphs = []
     for rec in records:
@@ -106,13 +112,14 @@ def per_graph_pretrain(records, table, model, rows, epochs, batch, rng):
                 apply_sequence(rec.sequence, table)[rows.indices, :].T)))
         except NeatError:
             pass
+    graphs = layout(graphs)
     opt = Adam(model.params(), lr=LEARNING_RATE)
     losses = []
     for epoch in range(epochs + 1):
         order = rng.permutation(len(graphs))
         total, count = 0.0, 0
         for start in range(0, len(order), batch):
-            chunk = order[start:start + batch]
+            chunk = np.sort(order[start:start + batch])
             if chunk.size < 2:
                 continue
             Z, caches = [], []
@@ -143,14 +150,13 @@ def _graph(m: int, rng: np.random.Generator) -> Graph:
 
 
 def _stacks(graphs) -> list[GraphStack]:
-    """The node-count stacks of a batch of graphs in list order."""
-    return [GraphStack(attrs, adj, np.array(idxs)) for idxs, attrs, adj in stacked_groups(graphs)]
+    """The node-count stacks of a batch of graphs; their layout is ``layout(graphs)``."""
+    return [GraphStack(attrs, adj) for _, attrs, adj in stacked_groups(graphs)]
 
 
 def _unstack(stacks):
-    """(attrs, adjacency) of every graph, in batch-position order."""
-    out = {int(p): (s.attrs[b], s.adjacency[b]) for s in stacks for b, p in enumerate(s.positions)}
-    return [out[p] for p in range(len(out))]
+    """(attrs, adjacency) of every graph, in layout order."""
+    return [(s.attrs[b], s.adjacency[b]) for s in stacks for b in range(len(s.attrs))]
 
 
 @pytest.fixture
@@ -167,7 +173,7 @@ def model(rng):
 class TestEncodeMany:
     def test_matches_each_graph_alone(self, graphs, model):
         H, Z, _ = encode_many(_stacks(graphs), model)
-        for i, g in enumerate(graphs):
+        for i, g in enumerate(layout(graphs)):
             h, z, _ = encode_many(_stacks([g]), model)
             # A stack of one may take another BLAS path: equal up to rounding.
             np.testing.assert_allclose(H[i], h[0], rtol=0, atol=1e-12)
@@ -242,8 +248,8 @@ class TestBuildGraph:
     ])
     def test_threshold_on_hand_worked_cases(self, columns, edges):
         attrs = np.array(columns, dtype=np.float64)[None]          # 1 graph, 4 features
-        stack = build_graph(attrs, np.array([3]))
-        assert stack.attrs is attrs and stack.positions.tolist() == [3]
+        stack = build_graph(attrs)
+        assert stack.attrs is attrs
         expected = np.zeros((1, 4, 4))
         for i, j in edges:
             expected[0, i, j] = expected[0, j, i] = 1
@@ -256,7 +262,7 @@ class TestBuildGraph:
         rng = np.random.default_rng(m)
         attrs = rng.integers(-1, 2, size=(40, m, 3)).astype(np.float64)
         attrs[::5, 0] = 0.0
-        stack = build_graph(attrs, np.arange(40))
+        stack = build_graph(attrs)
         assert (~attrs.any(axis=2)).any()
         ties = 0
         for b in range(40):
@@ -276,18 +282,18 @@ class TestBuildGraph:
         attrs = rng.normal(size=(60, m, 64))
         attrs[:, 1:m // 3] = attrs[:, :1] * rng.uniform(0.1, 10, size=(60, m // 3 - 1, 1))
         given = attrs.transpose(0, 2, 1).copy().transpose(0, 2, 1) if column_major else attrs
-        stack = build_graph(given, np.arange(60))
+        stack = build_graph(given)
         assert np.array_equal(stack.attrs, attrs) and stack.attrs.flags.c_contiguous
         for b in range(60):
             assert np.array_equal(stack.adjacency[b], graph_of(attrs[b]).adjacency), b
 
     def test_single_feature_is_refused(self, rng):
         with pytest.raises(SingleFeature):
-            build_graph(rng.normal(size=(3, 1, 4)), np.arange(3))
+            build_graph(rng.normal(size=(3, 1, 4)))
 
 
 def _random_batch(rng, sizes=(13, 2, 20, 5, 13, 3, 20, 8)):
-    # Node counts interleave, so batch order crosses stacks.
+    # Node counts interleave, so list order is not layout order.
     return [_graph(m, rng) for m in sizes]
 
 
@@ -303,35 +309,36 @@ class TestAugment:
             assert not adj.diagonal(axis1=1, axis2=2).any()
             i, j = _triu(s.n_nodes)
             changed = (adj[:, i, j] != s.adjacency[:, i, j]).sum(axis=1)
-            assert (changed <= np.rint(0.2 * s.adjacency[:, i, j].sum(axis=1))).all()
-            assert view.attrs is s.attrs and view.positions is s.positions
-        # The larger graphs have edges to flip, so some view must differ.
+            flips = np.maximum(1, np.rint(EDGE_RATIO * s.adjacency[:, i, j].sum(axis=1)))
+            assert (changed <= flips).all()
+            assert view.attrs is s.attrs
+        # Every graph flips a pair; only a re-flip of the same pair undoes it.
         assert any(not np.array_equal(s.adjacency, v.adjacency)
                    for s, v in zip(stacks, edge_views))
 
     def test_every_edge_view_is_drawn_first(self, rng):
-        # One generator, in batch order: every graph's flips, then every
-        # graph's masked rows, however the batch splits into stacks.
+        # One generator, in layout order: every graph's flips, then every
+        # graph's masked rows, one block per stack. The batch's node counts
+        # interleave, so its list order is not its layout order.
         graphs = _random_batch(rng)
-        edge_views, mask_views = augment(_stacks(graphs), np.random.default_rng(3))
-        expected_edges, expected_masks = views(graphs, np.random.default_rng(3))
-        for (_, adj), g in zip(_unstack(edge_views), expected_edges):
+        draws = np.random.default_rng(3)
+        edge_views, mask_views = augment(_stacks(graphs), draws)
+        oracle = np.random.default_rng(3)
+        expected_edges, expected_masks = views(layout(graphs), oracle)
+        assert [g.n_nodes for g in graphs] != [g.n_nodes for g in layout(graphs)]
+        for (_, adj), g in zip(_unstack(edge_views), expected_edges, strict=True):
             assert np.array_equal(adj, g.adjacency)
-        for (attrs, _), g in zip(_unstack(mask_views), expected_masks):
+        for (attrs, _), g in zip(_unstack(mask_views), expected_masks, strict=True):
             assert np.array_equal(attrs, g.attrs)
+        assert draws.random() == oracle.random()
 
-    def test_zero_flip_graph_draws_nothing(self, rng):
-        # Two edges round to zero flips; two nodes mask no row.
+    def test_sparse_graph_flips_one_pair(self, rng):
+        # Two edges would round to zero flips; every edge view flips one.
         upper = np.zeros((6, 6), dtype=np.int8)
         upper[0, 1] = upper[2, 3] = 1
-        sparse = Graph(rng.normal(size=(6, ATTR_WIDTH)), upper | upper.T)
-        stacks = _stacks([sparse, _graph(2, rng)])
-        draws = np.random.default_rng(4)
-        edge_views, _ = augment(stacks, draws)
-        alone = np.random.default_rng(4)
-        alone.choice(6, size=1, replace=False)          # the 6-node graph's masked row
-        assert draws.random() == alone.random()
-        assert all(v is s for v, s in zip(edge_views, stacks))
+        (stack,) = _stacks([Graph(rng.normal(size=(6, ATTR_WIDTH)), upper | upper.T)])
+        (view,), _ = augment([stack], rng)
+        assert (view.adjacency != stack.adjacency).sum() == 2    # one pair, both halves
 
     def test_mask_views(self, rng):
         stacks = _stacks(_random_batch(rng))
@@ -341,7 +348,7 @@ class TestAugment:
             zeroed = ~view.attrs.any(axis=2)
             assert (zeroed.sum(axis=1) == round(0.2 * s.n_nodes)).all()
             assert np.array_equal(view.attrs[~zeroed], s.attrs[~zeroed])
-            assert view.adjacency is s.adjacency and view.positions is s.positions
+            assert view.adjacency is s.adjacency
 
     def test_two_node_mask_view_is_the_input(self, rng):
         stacks = _stacks([_graph(2, rng), _graph(2, rng)])
@@ -455,14 +462,28 @@ class TestMatchesPerGraphPipeline:
         stacks, skipped = materialize_graphs(records, table, ROWS)
         assert skipped == 2
         assert [s.n_nodes for s in stacks] == sorted({s.n_nodes for s in stacks})
-        assert 1 in [s.positions.size for s in stacks]     # a node count held by one graph
+        assert 1 in [len(s.attrs) for s in stacks]         # a node count held by one graph
         kept = [graph_of(np.ascontiguousarray(apply_sequence(r.sequence, table)[ROWS.indices].T))
                 for i, r in enumerate(records) if i not in (3, 7)]
-        graphs = _unstack(stacks)
-        assert len(graphs) == len(kept)
-        for (attrs, adj), g in zip(graphs, kept):
-            assert np.array_equal(attrs, g.attrs) and np.array_equal(adj, g.adjacency)
+        for s in stacks:
+            group = [g for g in kept if g.n_nodes == s.n_nodes]     # in record order
+            assert len(group) == len(s.attrs)
+            for b, g in enumerate(group):
+                assert np.array_equal(s.attrs[b], g.attrs)
+                assert np.array_equal(s.adjacency[b], g.adjacency)
+        assert sum(len(s.attrs) for s in stacks) == len(kept)
         assert any(g.adjacency.sum() >= 6 for g in kept)   # some graph flips an edge
+
+    def test_gather_keeps_the_chunk_in_layout_order(self, rng):
+        graphs = layout(_random_batch(rng))
+        chunk = np.array([6, 0, 5, 3, 4])       # node counts 20, 2, 13, 8, 13
+        stacks = _gather(_stacks(graphs), chunk)
+        got = _unstack(stacks)
+        assert len(got) == chunk.size
+        for (attrs, adj), i in zip(got, np.sort(chunk)):
+            assert np.array_equal(attrs, graphs[i].attrs)
+            assert np.array_equal(adj, graphs[i].adjacency)
+        assert [s.n_nodes for s in stacks] == sorted({graphs[i].n_nodes for i in chunk})
 
     @pytest.mark.parametrize("batch", [2, 3, 7, "N-1", "N", "N+5"])
     def test_pretrain_equals_the_per_graph_pipeline(self, mixed_corpus, batch):
