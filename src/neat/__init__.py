@@ -1,9 +1,10 @@
 """Unsupervised generative feature transformation for tabular data.
 
-Workflow: score feature sets without labels (mdcg), collect exploration
-records with reinforcement-learning agents, pretrain a graph contrastive
-encoder over them, fine-tune an encoder/decoder/evaluator jointly, then
-gradient-search the embedding space and decode an improved feature set.
+Built so far: score feature sets without labels (mdcg), collect exploration
+records with reinforcement-learning agents, and pretrain a graph contrastive
+encoder over them. Still to come (ROADMAP items 6-7): fine-tune an
+encoder/decoder/evaluator jointly, then gradient-search the embedding space
+and decode an improved feature set.
 """
 
 __version__ = "0.1.0"

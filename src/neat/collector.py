@@ -123,7 +123,6 @@ class QAgent:
 
     def __init__(self, name: str, n_actions: int, cfg: CollectorConfig,
                  rng: np.random.Generator):
-        self.name = name
         self.n_actions = n_actions
         self.gamma = cfg.gamma
         self.sync_every = cfg.sync_every
@@ -144,24 +143,23 @@ class QAgent:
         self.t2.b.value[...] = self.d2.b.value
 
     def q_values(self, states: np.ndarray, target: bool = False):
-        one = states.ndim == 1
-        x = states[None, :] if one else states
+        """Q-values ``(B, n_actions)`` of a batch of states ``(B, STATE_WIDTH)``,
+        with the cache that ``bellman_update`` backpropagates."""
         l1, l2 = (self.t1, self.t2) if target else (self.d1, self.d2)
-        a1, c1 = l1.forward(x)
+        a1, c1 = l1.forward(states)
         h1, r1 = nn.relu(a1)
         q, c2 = l2.forward(h1)
         cache = (c1, r1, c2)
-        return (q[0] if one else q), cache
+        return q, cache
 
     def select(self, state: np.ndarray, valid: int, epsilon: float,
                rng: np.random.Generator) -> int:
         valid = min(valid, self.n_actions)
         if rng.random() < epsilon:
             return int(rng.integers(valid))
-        q, _ = self.q_values(state)
-        q = q.copy()
-        q[valid:] = -np.inf
-        return int(np.argmax(q))
+        q, _ = self.q_values(state[None, :])
+        q[0, valid:] = -np.inf
+        return int(np.argmax(q[0]))
 
 
 def bellman_update(agent: QAgent, batch) -> float:
@@ -259,14 +257,13 @@ def _epsilon(episode: int, episodes: int) -> float:
 
 
 def collect(X: DataTable, episodes: int, steps: int,
-            cfg: CollectorConfig | None = None,
-            rng: np.random.Generator | None = None) -> list[ExplorationRecord]:
+            cfg: CollectorConfig | None = None, *,
+            rng: np.random.Generator) -> list[ExplorationRecord]:
     """Q-learning exploration: one record per step, agents shared across
     episodes. Epsilon decays linearly from ``EPSILON_START`` to
     ``EPSILON_END`` over the first ``EPSILON_FRACTION`` of the episodes. A
     set holds at most twice the table's feature count."""
     cfg = cfg or CollectorConfig()
-    rng = np.random.default_rng(0) if rng is None else rng
     max_features = 2 * X.n_features
     agents = AgentTriplet.build(max_features, cfg, rng)
     records: list[ExplorationRecord] = []

@@ -136,7 +136,6 @@ class EncoderModel:
     """Input projection, two mean-aggregation GNN layers, projection head."""
 
     def __init__(self, attr_width: int, rng: np.random.Generator, hidden: int = 64):
-        self.attr_width = attr_width
         self.hidden = hidden
         self.input_proj = nn.Dense("encoder.input", attr_width, hidden, rng)
         self.gnn1 = nn.Dense("encoder.gnn1", 2 * hidden, hidden, rng)
@@ -314,8 +313,8 @@ def _gather(stacks: Sequence[GraphStack], chunk: np.ndarray) -> list[GraphStack]
 
 
 def pretrain(records, table, model: EncoderModel, rows: RowSample,
-             epochs: int = 100, batch: int = 1024,
-             rng: np.random.Generator | None = None) -> PretrainResult:
+             epochs: int = 100, batch: int = 1024, *,
+             rng: np.random.Generator) -> PretrainResult:
     """Contrastive pretraining; mutates ``model`` and returns the loss log.
 
     Epoch 0 in the log is a full evaluation pass before any update, so the
@@ -325,7 +324,6 @@ def pretrain(records, table, model: EncoderModel, rows: RowSample,
     Raises:
         BatchTooSmall: fewer than two usable records, or ``batch`` < 2.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     stacks, skipped = materialize_graphs(records, table, rows)
     if skipped:
         log.warning("pretrain skipped %d unmaterializable record(s)", skipped)

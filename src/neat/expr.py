@@ -98,9 +98,6 @@ class FeatureCross:
 
     tokens: tuple[str, ...]
 
-    def __str__(self) -> str:
-        return " ".join(self.tokens)
-
 
 @dataclass(frozen=True)
 class CrossSequence:
@@ -395,67 +392,6 @@ def render_infix(cross: FeatureCross, names: Sequence[str]) -> str:
         return f"[{names[idx]}]"
 
     return _walk(cross.tokens, name, _render_op)
-
-
-def tokenize_infix(text: str, names: Sequence[str]) -> FeatureCross:
-    """Parse a string produced by render_infix back into the same postfix cross."""
-    index_of = {name: i for i, name in enumerate(names)}
-    pos = 0
-
-    def fail(msg: str):
-        return InvalidPostfix(f"{msg} at position {pos}: {text!r}")
-
-    def parse() -> list[str]:
-        nonlocal pos
-        if pos >= len(text):
-            raise fail("unexpected end of input")
-        ch = text[pos]
-        if ch == "[":
-            end = text.index("]", pos)
-            name = text[pos + 1:end]
-            if name not in index_of:
-                raise FeatureIndexOutOfRange(f"unknown column {name!r}")
-            pos = end + 1
-            return [feature_token(index_of[name])]
-        if text.startswith("1/(", pos):
-            pos += 3
-            inner = parse()
-            if pos >= len(text) or text[pos] != ")":
-                raise fail("unclosed reciprocal")
-            pos += 1
-            return inner + ["reciprocal"]
-        if ch == "(":
-            pos += 1
-            left = parse()
-            if pos < len(text) and text[pos] in "+-*/":
-                op = text[pos]
-                pos += 1
-                right = parse()
-                if pos >= len(text) or text[pos] != ")":
-                    raise fail("unclosed binary expression")
-                pos += 1
-                return left + right + [op]
-            if pos < len(text) and text[pos] == ")":
-                pos += 1
-                if text.startswith("^2", pos):
-                    pos += 2
-                    return left + ["square"]
-                raise fail("bare parenthesized group")
-            raise fail("expected operator or ')'")
-        for sym in ("sqrt", "sin", "cos", "log", "exp"):
-            if text.startswith(sym + "(", pos):
-                pos += len(sym) + 1
-                inner = parse()
-                if pos >= len(text) or text[pos] != ")":
-                    raise fail(f"unclosed {sym}")
-                pos += 1
-                return inner + [sym]
-        raise fail(f"unrecognized syntax {ch!r}")
-
-    tokens = parse()
-    if pos != len(text):
-        raise fail("trailing characters")
-    return FeatureCross(tuple(tokens))
 
 
 def random_cross(n_features: int, depth_limit: int, rng: np.random.Generator) -> FeatureCross:

@@ -42,16 +42,10 @@ class Param:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
 
 def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Uniform(-bound, bound) with bound = sqrt(6 / (fan_in + fan_out))."""
-    if len(shape) == 1:
-        fan_in = fan_out = shape[0]
-    else:
-        fan_in, fan_out = shape[0], int(np.prod(shape[1:]))
+    fan_in, fan_out = shape[0], int(np.prod(shape[1:]))
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
@@ -148,15 +142,6 @@ def mse(pred: np.ndarray, target: np.ndarray):
 def mse_backward(dloss: float, cache) -> np.ndarray:
     diff = cache
     return (2.0 * dloss / diff.size) * diff
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; defined as 0 when either vector is all zero."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
 
 
 def cosine_matrix(A: np.ndarray, B: np.ndarray):

@@ -1,7 +1,8 @@
 """CSV ingestion into a normalized numeric matrix, plus seeded sampling and splits.
 
 The target column is held out at load time and never touches feature-side
-computation; only the evaluation harness reads it.
+computation. Nothing reads it yet: the downstream evaluation that will is
+ROADMAP item 1.
 """
 
 from __future__ import annotations

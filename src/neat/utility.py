@@ -1,5 +1,8 @@
-"""Unsupervised feature-set utility: the mean discounted cumulative gain metric,
-a redundancy baseline, and per-feature importance scores.
+"""Unsupervised feature-set utility: the mean discounted cumulative gain
+metric (``mdcg``), its per-feature terms (``feature_importance``), a
+``DistanceCache`` that lets a set grown by appended columns pay only for the
+new ones, and a redundancy baseline (``redundancy_utility``) that no stage
+calls yet (ROADMAP item 2).
 
 The metric rewards feature sets whose near-neighbor instance pairs stay
 consistent per feature, discounting by feature variance. It needs no labels.
@@ -17,7 +20,6 @@ from .tabular import sample_indices
 
 __all__ = [
     "UtilityConfig",
-    "knn_indicator",
     "mdcg",
     "feature_importance",
     "DistanceCache",
@@ -141,23 +143,6 @@ def _pair_codes(codes: np.ndarray, n: int) -> np.ndarray:
     return both[keep]
 
 
-def knn_indicator(F: np.ndarray, k: int) -> np.ndarray:
-    """Symmetric binary matrix with S_ij = 1 iff i in kNN(j) or j in kNN(i).
-
-    Euclidean distance over rows; the diagonal is always 0.
-
-    Raises:
-        DegenerateK: k >= number of rows.
-    """
-    v = _values(F)
-    n = v.shape[0]
-    if k >= n:
-        raise DegenerateK(f"k={k} with only {n} rows")
-    S = np.zeros(n * n, dtype=np.int8)
-    S[_pair_codes(_knn_membership(_pairwise_sq_dists(v), k), n)] = 1
-    return S.reshape(n, n)
-
-
 class DistanceCache:
     """Row subsample and pairwise squared distances of the last set scored,
     with a short candidate list of near rows per subsampled row.
@@ -254,14 +239,23 @@ class DistanceCache:
         return other
 
 
-def _discounted_terms(v: np.ndarray, cfg: UtilityConfig,
-                      cache: DistanceCache | None) -> np.ndarray:
+def feature_importance(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
+                       cache: DistanceCache | None = None) -> np.ndarray:
+    """Per-feature discounted consistency scores; their mean is the set utility.
+
+    Zero-variance columns score exactly 1 (a constant feature trivially keeps
+    neighbor pairs consistent). ``cache`` is as for ``mdcg``.
+
+    Raises:
+        DegenerateK: ``cfg.k_neighbors`` is below 1, or not below the
+            number of subsampled rows.
+    """
     if cache is None:
         cache = DistanceCache()
-    v, d2 = cache.distances(v, cfg)
+    v, d2 = cache.distances(_values(F), cfg)
     n = v.shape[0]
-    if cfg.k_neighbors >= n:
-        raise DegenerateK(f"k={cfg.k_neighbors} with only {n} subsampled rows")
+    if not 1 <= cfg.k_neighbors < n:
+        raise DegenerateK(f"k={cfg.k_neighbors}: need 1 <= k < {n}, the subsampled row count")
     # Ordered pairs, both directions, in row-major order, so the sums below
     # run in the same order whichever way the neighbours were found.
     codes = _pair_codes(cache.neighbours(cfg.k_neighbors), n)
@@ -274,16 +268,6 @@ def _discounted_terms(v: np.ndarray, cfg: UtilityConfig,
     terms = np.ones(v.shape[1])
     terms[guarded] = 1.0 - cumulative[guarded] / variance[guarded]
     return terms
-
-
-def feature_importance(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
-                       cache: DistanceCache | None = None) -> np.ndarray:
-    """Per-feature discounted consistency scores; their mean is the set utility.
-
-    Zero-variance columns score exactly 1 (a constant feature trivially keeps
-    neighbor pairs consistent). ``cache`` is as for ``mdcg``.
-    """
-    return _discounted_terms(_values(F), cfg, cache)
 
 
 def mdcg(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),

@@ -14,9 +14,10 @@ from neat.utility import (
     LIST_MIN_ROWS,
     DistanceCache,
     UtilityConfig,
+    _knn_membership,
+    _pair_codes,
     _pairwise_sq_dists,
     feature_importance,
-    knn_indicator,
     mdcg,
     redundancy_utility,
 )
@@ -43,6 +44,14 @@ def oracle_indicator(F, k):
             if i != j and (i in knn[j] or j in knn[i]):
                 S[i, j] = 1
     return S
+
+
+def knn_indicator(F, k):
+    """The metric's own symmetric kNN pairs, as an (n, n) 0/1 matrix."""
+    n = F.shape[0]
+    S = np.zeros(n * n, dtype=np.int8)
+    S[_pair_codes(_knn_membership(_pairwise_sq_dists(F), k), n)] = 1
+    return S.reshape(n, n)
 
 
 def oracle_terms(F, k, constant=2.0, var_epsilon=1e-12):
@@ -91,7 +100,7 @@ class TestKnnIndicator:
 
     def test_degenerate_k(self):
         with pytest.raises(DegenerateK):
-            knn_indicator(np.zeros((3, 2)), k=3)
+            feature_importance(np.zeros((3, 2)), UtilityConfig(k_neighbors=3))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_oracle_on_random(self, seed):
@@ -185,8 +194,9 @@ class TestMdcg:
         assert mdcg(F, UtilityConfig(k_neighbors=1)) < 0.0
 
     def test_degenerate_k_propagates(self):
-        with pytest.raises(DegenerateK):
-            mdcg(np.zeros((4, 2)), UtilityConfig(k_neighbors=5))
+        for k in (5, 0, -1):
+            with pytest.raises(DegenerateK):
+                mdcg(np.zeros((4, 2)), UtilityConfig(k_neighbors=k))
 
 
 class TestDistanceCache:
