@@ -58,17 +58,31 @@ class CollectorConfig:
     hidden: int = 64
 
 
-def describe_state(v: np.ndarray) -> np.ndarray:
+def describe_state(v: np.ndarray, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-width description of a feature set's ``(n, m)`` values: 7
     per-column statistics, each summarized across columns by the same 7
-    statistics."""
-    q = np.percentile(v, [25.0, 50.0, 75.0], axis=0)
-    col_stats = np.vstack([
-        v.mean(axis=0), v.std(axis=0), v.min(axis=0), q[0], q[1], q[2], v.max(axis=0)])
+    statistics. Returns ``(state, summaries)``.
+
+    ``known`` is the ``(5, j)`` five-number summary (min, 25th percentile,
+    median, 75th percentile, max) of ``v``'s first ``j`` columns, as returned
+    by the call for the set before it grew; pass ``np.empty((5, 0))`` for a
+    set seen for the first time. Sets only grow by appending columns, so only
+    columns ``j`` to ``m - 1`` are summarized here, and ``summaries`` covers
+    all ``m``. It is read-only, so an episode can share the base set's.
+
+    Column mean and std are recomputed over the whole of ``v`` on every call:
+    ``v.mean(axis=0)`` on the C-ordered matrix sums row by row, while a single
+    column's mean sums pairwise, so cached per-column moments would round
+    differently from a cold call."""
+    new = v[:, known.shape[1]:]
+    q = np.percentile(new, [25.0, 50.0, 75.0], axis=0)
+    summaries = np.hstack([known, np.vstack([new.min(axis=0), q, new.max(axis=0)])])
+    summaries.setflags(write=False)
+    col_stats = np.vstack([v.mean(axis=0), v.std(axis=0), summaries])
     rq = np.percentile(col_stats, [25.0, 50.0, 75.0], axis=1)
     summary = np.stack([col_stats.mean(axis=1), col_stats.std(axis=1), col_stats.min(axis=1),
                         rq[0], rq[1], rq[2], col_stats.max(axis=1)], axis=1)
-    return summary.reshape(STATE_WIDTH)
+    return summary.reshape(STATE_WIDTH), summaries
 
 
 class ReplayBuffer:
@@ -242,13 +256,14 @@ def _advance(features: FeatureSet, cross: FeatureCross, table: DataTable,
     return features.add(cross, eval_cross(cross, table))
 
 
-def _score(features: FeatureSet, distances: DistanceCache,
-           utility: UtilityConfig) -> tuple[float, np.ndarray]:
-    """Utility and state of the current set, from one stacked matrix that is
-    dropped on return. ``distances`` lets each ``mdcg`` call pay only for the
-    appended column."""
+def _score(features: FeatureSet, distances: DistanceCache, summaries: np.ndarray,
+           utility: UtilityConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """Utility, state and column summaries of the current set, from one
+    stacked matrix that is dropped on return. ``distances`` and
+    ``summaries`` let each call pay only for the appended column."""
     v = features.matrix()
-    return mdcg(v, utility, distances), describe_state(v)
+    state, summaries = describe_state(v, summaries)
+    return mdcg(v, utility, distances), state, summaries
 
 
 def _epsilon(episode: int, episodes: int) -> float:
@@ -272,7 +287,8 @@ def collect(X: DataTable, episodes: int, steps: int,
         cross = FeatureCross((feature_token(i),))
         base.add(cross, eval_cross(cross, X))
     base_distances = DistanceCache()
-    base_utility, base_state = _score(base, base_distances, cfg.utility)
+    base_utility, base_state, base_summaries = _score(
+        base, base_distances, np.empty((5, 0)), cfg.utility)
 
     for episode in range(episodes):
         epsilon = _epsilon(episode, episodes)
@@ -280,14 +296,15 @@ def collect(X: DataTable, episodes: int, steps: int,
         # The last episode takes the base cache, so a one-episode call holds
         # no second distance matrix.
         distances = base_distances if episode == episodes - 1 else base_distances.copy()
-        utility, state = base_utility, base_state
+        utility, state, summaries = base_utility, base_state, base_summaries
         for step in range(steps):
             m_before = features.n_features
             head, opcode, tail = select_actions(agents, state, m_before, epsilon, rng)
             cross = _compose_cross(features, head, opcode, tail)
             next_state = state                  # a no-op step leaves the set as it was
             if _advance(features, cross, X, max_features):
-                utility, next_state = _score(features, distances, cfg.utility)
+                utility, next_state, summaries = _score(
+                    features, distances, summaries, cfg.utility)
             records.append(ExplorationRecord(features.sequence(), utility, episode, step))
             terminal = step == steps - 1
             m_after = features.n_features

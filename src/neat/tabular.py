@@ -8,7 +8,7 @@ ROADMAP item 1.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ class DataTable:
 
     ``values`` holds the z-scored feature matrix (population statistics,
     computed once at load). Columns whose raw variance is zero are centered
-    but not scaled. ``raw_mean``/``raw_std`` keep the statistics used.
+    but not scaled.
     """
 
     values: np.ndarray            # (n, d) float64, Fortran order
@@ -34,8 +34,6 @@ class DataTable:
     target_name: str
     dataset_id: str
     dropped_rows: int = 0
-    raw_mean: np.ndarray = field(default=None, repr=False)
-    raw_std: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_rows(self) -> int:
@@ -110,19 +108,18 @@ def load_csv(path: str | Path, target_column: str, task: TaskKind,
             if len(raw) != len(header):
                 dropped += 1
                 continue
-            parsed = [_parse_cell(c) for c in raw]
-            if all(np.isfinite(v) for v in parsed):
-                rows.append(parsed)
-            else:
-                dropped += 1
+            rows.append([_parse_cell(c) for c in raw])
 
+    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
+    finite = np.isfinite(data).all(axis=1)
+    dropped += len(data) - int(finite.sum())
+    data = data[finite]
     names = [h for i, h in enumerate(header) if i != t_idx]
-    if len(rows) < 2:
-        raise EmptyAfterCleaning(f"{path}: {len(rows)} usable rows after dropping {dropped}")
+    if len(data) < 2:
+        raise EmptyAfterCleaning(f"{path}: {len(data)} usable rows after dropping {dropped}")
     if not names:
         raise EmptyAfterCleaning(f"{path}: no feature columns besides the target")
 
-    data = np.asarray(rows, dtype=np.float64)
     target = data[:, t_idx].copy()
     features = np.delete(data, t_idx, axis=1)
 
@@ -142,8 +139,6 @@ def load_csv(path: str | Path, target_column: str, task: TaskKind,
         target_name=target_column,
         dataset_id=dataset_id if dataset_id is not None else path.stem,
         dropped_rows=dropped,
-        raw_mean=mean,
-        raw_std=std,
     )
 
 

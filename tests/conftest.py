@@ -20,8 +20,6 @@ def make_table(values: np.ndarray, task: str = "regression",
         task=task,
         target_name="y",
         dataset_id=dataset_id,
-        raw_mean=np.zeros(d),
-        raw_std=np.ones(d),
     )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import make_table
 
-from neat import utility
+from neat import collector, utility
 from neat.collector import (
     LEARNING_RATE,
     STATE_WIDTH,
@@ -18,7 +18,7 @@ from neat.collector import (
     write_records,
 )
 from neat.errors import ConfigHashMismatch, MalformedRecord
-from neat.expr import VALUE_CAP, FeatureCross, apply_sequence, eval_cross
+from neat.expr import VALUE_CAP, FeatureCross, apply_sequence, eval_cross, random_cross
 from neat.utility import DistanceCache, UtilityConfig, mdcg
 
 # Small enough that the replay buffers fill within the run, so the agents
@@ -175,31 +175,81 @@ def _describe_state_loop(v):
     return out
 
 
+def _cold(v):
+    # A set seen for the first time: no column summaries known.
+    return describe_state(v, np.empty((5, 0)))
+
+
 class TestDescribeState:
     @pytest.mark.parametrize("shape", [(100, 32), (2000, 12), (7, 2)])
     def test_equals_the_per_row_loop(self, shape):
         v = np.random.default_rng(shape[0]).normal(size=shape)
-        assert np.array_equal(describe_state(v), _describe_state_loop(v))
+        assert np.array_equal(_cold(v)[0], _describe_state_loop(v))
 
     def test_equals_the_per_row_loop_on_extreme_columns(self, small_table):
         F = _matrix(small_table, EXTREME)
-        assert np.array_equal(describe_state(F), _describe_state_loop(F))
+        assert np.array_equal(_cold(F)[0], _describe_state_loop(F))
 
     def test_width(self, small_table):
-        assert describe_state(_matrix(small_table, ["f0", "f1 f2 *"])).shape == (STATE_WIDTH,)
-        assert describe_state(_matrix(small_table, EXTREME)).shape == (STATE_WIDTH,)
+        assert _cold(_matrix(small_table, ["f0", "f1 f2 *"]))[0].shape == (STATE_WIDTH,)
+        assert _cold(_matrix(small_table, EXTREME))[0].shape == (STATE_WIDTH,)
 
     def test_finite_on_extreme_columns(self, small_table):
         F = _matrix(small_table, EXTREME)
         assert F.max() == VALUE_CAP and F.min() == -VALUE_CAP
-        assert np.all(np.isfinite(describe_state(F)))
+        assert np.all(np.isfinite(_cold(F)[0]))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_column_permutation_invariance(self, small_table, seed):
         F = _matrix(small_table, ["f0", "f1", "f2 f3 *", "f4 exp", "f0 sin", "f1 square"])
         perm = np.random.default_rng(seed).permutation(F.shape[1])
-        np.testing.assert_allclose(describe_state(F[:, perm]), describe_state(F),
+        np.testing.assert_allclose(_cold(F[:, perm])[0], _cold(F)[0],
                                    rtol=1e-12, atol=1e-12)
+
+    # 40 rows, and the table's first 2 rows
+    @pytest.mark.parametrize("rows", [40, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grown_equals_cold(self, small_table, rows, seed):
+        table = make_table(small_table.values[:rows])
+        rng = np.random.default_rng(seed)
+        columns = [eval_cross(random_cross(5, 4, rng), table) for _ in range(14)]
+        columns += [_matrix(table, [cross])[:, 0] for cross in EXTREME]
+        columns.append(np.full(rows, 3.0))
+        order = rng.permutation(len(columns))
+        v = np.column_stack([columns[i] for i in order])
+        # Grow from a 1-column set, by one or two columns at a time.
+        widths = [1]
+        while widths[-1] < v.shape[1]:
+            widths.append(min(v.shape[1], widths[-1] + int(rng.integers(1, 3))))
+        known = np.empty((5, 0))
+        for m in widths:
+            state, known = describe_state(v[:, :m], known)
+            cold_state, cold_known = _cold(v[:, :m])
+            assert known.shape == (5, m) and not known.flags.writeable
+            assert np.array_equal(known, cold_known)
+            assert np.array_equal(state, cold_state)
+            assert np.array_equal(state, _describe_state_loop(v[:, :m]))
+
+    @pytest.mark.parametrize("episodes", [1, 3])
+    def test_every_state_is_a_cold_state(self, small_table, monkeypatch, episodes):
+        describe, known_widths = collector.describe_state, []
+
+        def checked(v, known):
+            state, summaries = describe(v, known)
+            cold_state, cold_summaries = _cold(v)
+            assert np.array_equal(state, cold_state)
+            assert np.array_equal(summaries, cold_summaries)
+            known_widths.append((known.shape[1], v.shape[1]))
+            return state, summaries
+
+        monkeypatch.setattr(collector, "describe_state", checked)
+        collect(small_table, episodes=episodes, steps=5, cfg=SMALL,
+                rng=np.random.default_rng(11))
+        # The table's columns are summarized once; every later call summarizes
+        # only the column its step appended.
+        assert known_widths[0] == (0, small_table.n_features)
+        assert len(known_widths) > 1
+        assert all(j == m - 1 for j, m in known_widths[1:])
 
 
 class TestReplayBuffer:

@@ -30,10 +30,14 @@ class TestLoadCsv:
         assert table.dataset_id == "data"
 
     def test_drops_and_counts_bad_rows(self, tmp_path):
-        path = write(tmp_path, "a,b,y\n1,2,0\n3,nan,1\n5,6,0\n7,8,1\nx,9,0\n")
+        # NaN, a word, an infinite target and a short row
+        path = write(tmp_path, "a,b,y\n1,2,0\n3,nan,1\n5,6,0\n7,8,1\nx,9,0\n2,3,-inf\n4,5\n")
         table = load_csv(path, "y", "classification")
         assert table.n_rows == 3
-        assert table.dropped_rows == 2
+        assert table.dropped_rows == 4
+        assert table.values[:, 0].tolist() == load_csv(
+            write(tmp_path, "a,b,y\n1,2,0\n5,6,0\n7,8,1\n", "clean.csv"), "y",
+            "classification").values[:, 0].tolist()
 
     def test_missing_target(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n3,4\n")
@@ -67,7 +71,6 @@ class TestLoadCsv:
         assert abs(col.std() - 1.0) < 1e-12      # ddof=0
         # zero-variance column is centered only, never divided
         assert np.all(table.values[:, 1] == 0.0)
-        assert table.raw_std[1] == 0.0
 
     def test_target_kept_raw(self, tmp_path):
         path = write(tmp_path, "a,y\n1,10\n2,20\n3,40\n")
