@@ -293,8 +293,8 @@ def collect(X: DataTable, episodes: int, steps: int,
     for episode in range(episodes):
         epsilon = _epsilon(episode, episodes)
         features = base.copy()
-        # The last episode takes the base cache, so a one-episode call holds
-        # no second distance matrix.
+        # The last episode takes the base cache, so a one-episode call copies
+        # no candidate lists.
         distances = base_distances if episode == episodes - 1 else base_distances.copy()
         utility, state, summaries = base_utility, base_state, base_summaries
         for step in range(steps):

@@ -108,7 +108,10 @@ def load_csv(path: str | Path, target_column: str, task: TaskKind,
             if len(raw) != len(header):
                 dropped += 1
                 continue
-            rows.append([_parse_cell(c) for c in raw])
+            try:
+                rows.append(list(map(float, raw)))
+            except ValueError:          # some cell is no number: NaN for it
+                rows.append([_parse_cell(c) for c in raw])
 
     data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
     finite = np.isfinite(data).all(axis=1)

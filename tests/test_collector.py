@@ -70,23 +70,24 @@ class TestCollect:
     @pytest.mark.parametrize("episodes", [1, 3])
     def test_table_columns_are_scored_once_per_call(self, small_table, monkeypatch, episodes):
         builds, copies = [], []
-        build, copy = utility._pairwise_sq_dists, DistanceCache.copy
+        refresh, copy = DistanceCache._refresh, DistanceCache.copy
 
-        def counted_build(v):
-            builds.append(v.shape)
-            return build(v)
+        def counted_refresh(cache, rows):
+            if len(rows) == len(cache.columns):         # every row: a cold build
+                builds.append(cache.columns.shape)
+            return refresh(cache, rows)
 
         def counted_copy(cache):
             copies.append(cache)
             return copy(cache)
 
-        monkeypatch.setattr(utility, "_pairwise_sq_dists", counted_build)
+        monkeypatch.setattr(DistanceCache, "_refresh", counted_refresh)
         monkeypatch.setattr(DistanceCache, "copy", counted_copy)
         collect(small_table, episodes=episodes, steps=5, cfg=SMALL,
                 rng=np.random.default_rng(11))
         assert builds == [(40, 5)]             # one build, over the table's own columns
         # The last episode takes the base cache, so a one-episode call copies
-        # no distance matrix.
+        # no candidate lists.
         assert len(copies) == episodes - 1
 
     def test_record_file_round_trip(self, small_table, tmp_path):

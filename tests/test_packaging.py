@@ -80,11 +80,23 @@ def _fields(tree: ast.Module):
                     yield item.target.id
 
 
+def _constants(tree: ast.Module):
+    """Top-level assignments to a bare name, other than ``__all__``."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [
+            node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id != "__all__":
+                yield target.id
+
+
 def test_every_definition_has_a_caller():
     """A name in src/neat that neither the package nor the benchmark refers
     to is dead code, unless a planned stage will call it. A dataclass field
     counts as read only through an attribute: a keyword at construction
-    writes it, and a bare name is some local variable."""
+    writes it, and a bare name is some local variable. A module constant
+    counts as read through a bare name that is loaded, not assigned, or
+    through an attribute."""
     sources = [p for p in sorted((ROOT / "src" / "neat").glob("*.py"))
                if p.name != "__init__.py"]
     bench = [p for p in sorted((ROOT / "bench").glob("*.py")) if p.name != "test_bench.py"]
@@ -92,10 +104,14 @@ def test_every_definition_has_a_caller():
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
     attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     referenced = attributes | {node.id for node in nodes if isinstance(node, ast.Name)}
+    loaded = attributes | {node.id for node in nodes
+                           if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     defined = {name for p in sources for name in _definitions(trees[p])}
     fields = {name for p in sources for name in _fields(trees[p])}
-    assert defined and fields
-    uncalled = sorted(((defined - referenced) | (fields - attributes)) - AWAITING_CALLER.keys())
+    constants = {name for p in sources for name in _constants(trees[p])}
+    assert defined and fields and constants
+    uncalled = sorted(((defined - referenced) | (fields - attributes) | (constants - loaded))
+                      - AWAITING_CALLER.keys())
     assert uncalled == [], f"no caller: {uncalled}"
     called = sorted(name for name in AWAITING_CALLER
                     if name in (attributes if name in fields else referenced))

@@ -7,7 +7,7 @@ from neat.errors import (
     MissingTarget,
     TooFewRows,
 )
-from neat.tabular import load_csv, sample_indices, train_test_folds
+from neat.tabular import _parse_cell, load_csv, sample_indices, train_test_folds
 
 from conftest import make_table
 
@@ -38,6 +38,26 @@ class TestLoadCsv:
         assert table.values[:, 0].tolist() == load_csv(
             write(tmp_path, "a,b,y\n1,2,0\n5,6,0\n7,8,1\n", "clean.csv"), "y",
             "classification").values[:, 0].tolist()
+
+    def test_whole_row_parse_matches_the_per_cell_parse(self, tmp_path):
+        # A row parses with one float() per cell, and a row that raises
+        # falls back to _parse_cell per cell: both keep the rows and values
+        # that _parse_cell alone would, each odd cell tried in every column.
+        cells = [" 1.5", "1_000", "nan", "inf", "", "1e999", "abc", "-2", "3e-3 "]
+        rows = []
+        for i, cell in enumerate(cells):
+            for col in range(3):
+                row = [str(i + 1), str(-0.5 * i), str(2.0 * i)]
+                row[col] = cell
+                rows.append(row)
+        path = write(tmp_path, "\n".join(["a,b,y"] + [",".join(r) for r in rows]) + "\n")
+        table = load_csv(path, "y", "regression")
+        parsed = np.array([[_parse_cell(c) for c in row] for row in rows])
+        keep = np.isfinite(parsed).all(axis=1)
+        assert table.dropped_rows == int((~keep).sum()) == 15
+        assert np.array_equal(table.target, parsed[keep, 2])
+        features = parsed[keep, :2]
+        assert np.array_equal(table.values, (features - features.mean(axis=0)) / features.std(axis=0))
 
     def test_missing_target(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n3,4\n")

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +10,12 @@ from hypothesis import strategies as st
 from neat import utility
 from neat.errors import DegenerateK
 from neat.expr import VALUE_CAP
+from neat.tabular import sample_indices
 from neat.utility import (
     LIST_LEN,
     LIST_MIN_ROWS,
     DistanceCache,
     UtilityConfig,
-    _knn_membership,
-    _pair_codes,
-    _pairwise_sq_dists,
     feature_importance,
     mdcg,
     redundancy_utility,
@@ -25,14 +24,24 @@ from neat.utility import (
 
 # -- independent reference implementations, deliberately written as plain loops --
 
+def oracle_sq_dists(F):
+    # squared distances as the metric defines them: per-column squares summed
+    # in column order
+    n, m = F.shape
+    d2 = np.zeros((n, n))
+    with np.errstate(over="ignore"):      # overflow columns square to inf
+        for q in range(m):
+            d2 += (F[:, q, None] - F[None, :, q]) ** 2
+    return d2
+
+
 def oracle_knn_sets(F, k):
-    n = F.shape[0]
-    out = []
-    for j in range(n):
-        dists = sorted(
-            (float(((F[i] - F[j]) ** 2).sum()), i) for i in range(n) if i != j)
-        out.append({i for _, i in dists[:k]})
-    return out
+    # each row's k nearest other rows, ties toward the lower row index: a
+    # stable sort of each whole distance row, self placed last
+    d2 = oracle_sq_dists(F)
+    np.fill_diagonal(d2, np.nan)
+    order = np.argsort(d2, axis=1, kind="stable")
+    return [set(row[:k].tolist()) for row in order]
 
 
 def oracle_indicator(F, k):
@@ -49,8 +58,10 @@ def oracle_indicator(F, k):
 def knn_indicator(F, k):
     """The metric's own symmetric kNN pairs, as an (n, n) 0/1 matrix."""
     n = F.shape[0]
+    cache = DistanceCache()
+    cache.update(F, BIG)
     S = np.zeros(n * n, dtype=np.int8)
-    S[_pair_codes(_knn_membership(_pairwise_sq_dists(F), k), n)] = 1
+    S[cache.pairs(k)[0]] = 1
     return S.reshape(n, n)
 
 
@@ -139,11 +150,20 @@ class TestKnnIndicator:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pairwise_sq_dists_exactly_symmetric(self, seed):
-        # the row-wise k-th-distance partition relies on d2 == d2.T bit for bit
+        # pair weights read whichever direction a pair was found in, so a
+        # pair's d2 must equal its mirror's bit for bit, and the oracle's
         F = np.random.default_rng(seed).normal(size=(60, 7)) * 10.0 ** np.arange(-3, 4)
-        d2 = _pairwise_sq_dists(F)
-        assert np.array_equal(d2, d2.T)
-        assert np.all(np.diag(d2) == np.inf)
+        n = len(F)
+        cache = DistanceCache()
+        cache.update(F, BIG)
+        codes, d2 = cache.neighbours(n - 1)            # every pair
+        D = np.full(n * n, np.nan)
+        D[codes] = d2
+        D = D.reshape(n, n)
+        assert np.array_equal(D, D.T, equal_nan=True)
+        assert np.isnan(np.diag(D)).all()
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(D[off], oracle_sq_dists(F)[off])
 
 
 class TestMdcg:
@@ -233,12 +253,13 @@ class TestDistanceCache:
             assert mdcg(rows, cfg, cache) == mdcg(rows, cfg)
 
 
-# Columns that stress the candidate lists: integer lattices tie rows at their
-# k-th distance and at a list's bound; a constant adds nothing; +-VALUE_CAP
-# squares to 4e300; exp(exp(x)) reorders most rows' neighbours, so most lists
-# refresh; and values beyond the cap overflow d2 to inf, so rows in small
-# groups have an infinite k-th distance.
-COLUMN_KINDS = ("normal", "lattice", "constant", "cap", "expexp", "overflow")
+# Columns that stress the candidate lists and the screen: integer lattices tie
+# rows at their k-th distance and at a list's bound; a constant adds nothing;
+# +-VALUE_CAP squares to 4e300; exp(exp(x)) reorders most rows' neighbours, so
+# most lists refresh; values beyond the cap overflow d2 to inf, so rows in
+# small groups have an infinite k-th distance; and near-duplicates at a large
+# common offset cancel in the Gram form, so the screen must pass most rows.
+COLUMN_KINDS = ("normal", "lattice", "constant", "cap", "expexp", "overflow", "offset")
 
 
 def _column(kind, rng, n):
@@ -252,6 +273,8 @@ def _column(kind, rng, n):
         return rng.choice([-VALUE_CAP, 0.0, VALUE_CAP], size=n)
     if kind == "overflow":
         return rng.choice([-1e155, 0.0, 1e155], size=n, p=[0.01, 0.98, 0.01])
+    if kind == "offset":
+        return 1e8 + 1e-7 * rng.normal(size=n)
     return np.exp(np.exp(rng.normal(size=n)))
 
 
@@ -263,13 +286,30 @@ def _neighbour_sets(codes, n):
     return found
 
 
-class TestCandidateLists:
-    """A DistanceCache above LIST_MIN_ROWS re-ranks per-row candidate lists
-    on grown sets; the result must equal a cold call bit for bit."""
+def _check_neighbours(caches, F, cfg, k):
+    # Each cache's neighbours of F's row subsample, and the symmetric pairs
+    # the metric sums, are the oracle's, and so are their d2 bits.
+    sub = F[sample_indices(F.shape[0], cfg.max_rows, cfg.row_seed)]
+    n = len(sub)
+    want, d2_want = oracle_knn_sets(sub, k), oracle_sq_dists(sub)
+    union = sorted({c for j, near in enumerate(want) for i in near for c in (j * n + i, i * n + j)})
+    for cache in caches:
+        with np.errstate(over="ignore"):             # overflow columns
+            codes, d2 = cache.neighbours(k)
+            pairs, pair_d2 = cache.pairs(k)
+        assert _neighbour_sets(codes, n) == want
+        assert np.array_equal(d2, d2_want.take(codes))
+        assert pairs.tolist() == union
+        assert np.array_equal(pair_d2, d2_want.take(pairs))
 
-    # (rows, max_rows): the subsample path, then the full-row path; both
-    # above the row count where the lists are used
-    PATHS = [(400, 300), (LIST_MIN_ROWS + 44, 1000)]
+
+class TestCandidateLists:
+    """A DistanceCache finds neighbours from per-row candidate lists that a
+    Gram screen chooses; cold and grown sets must both find the oracle's."""
+
+    # (rows, max_rows): the subsample path and the full-row path above
+    # LIST_MIN_ROWS, then a set whose lists hold every other row
+    PATHS = [(400, 300), (LIST_MIN_ROWS + 44, 1000), (LIST_MIN_ROWS - 56, 1000)]
 
     @given(seed=st.integers(0, 2**32 - 1),
            shared=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=3),
@@ -282,10 +322,11 @@ class TestCandidateLists:
              k=1, path=PATHS[0])
     @example(seed=2, shared=["normal"], branches=[("cap", "constant")],
              k=LIST_LEN, path=PATHS[1])
+    @example(seed=3, shared=["offset", "normal"], branches=[("offset", "lattice")],
+             k=4, path=PATHS[0])
     @settings(max_examples=40, deadline=None)
     def test_grown_sets_match_cold_calls(self, seed, shared, branches, k, path):
         n, max_rows = path
-        assert min(n, max_rows) > LIST_MIN_ROWS
         rng = np.random.default_rng(seed)
         cfg = UtilityConfig(k_neighbors=k, max_rows=max_rows, row_seed=seed % 7)
 
@@ -293,9 +334,9 @@ class TestCandidateLists:
             with np.errstate(over="ignore", invalid="ignore"):    # overflow columns
                 assert np.array_equal(feature_importance(F, cfg, cache),
                                       feature_importance(F, cfg), equal_nan=True)
-            # the same neighbour sets as the full-row rule, not only the same sums
-            assert np.array_equal(np.sort(cache.neighbours(k)),
-                                  utility._knn_membership(cache.d2, k))
+            cold = DistanceCache()
+            cold.update(F, cfg)
+            _check_neighbours([cache, cold], F, cfg, k)
 
         F = rng.normal(size=(n, 1))
         cache = DistanceCache()
@@ -310,18 +351,18 @@ class TestCandidateLists:
             for b, kind in enumerate(kinds):
                 sets[b] = np.column_stack([sets[b], _column(kind, rng, n)])
                 check(sets[b], caches[b])
-        assert (caches[0].lists is not None) == (k < LIST_LEN)
         # The other branch's set is no prefix of this one's: a rebuild, whose
         # next growth must not re-rank the old set's lists.
         check(sets[1], caches[0])
         check(np.column_stack([sets[1], _column(shared[0], rng, n)]), caches[0])
 
-    def test_tie_at_the_list_bound_falls_back_to_the_full_row(self, monkeypatch):
+    def test_tie_at_the_list_bound_is_rescreened(self, monkeypatch):
         # Row 0 and rows 1..LIST_LEN share column a; row LIST_LEN + 1 sits at
         # exactly the list's bound (d2 = 9) and the other rows beyond it.
         # Column b then moves rows 1..LIST_LEN to d2 = 9 from row 0: its k-th
-        # candidate equals its bound, a refresh meets the same tie, and the
-        # row takes the full-row rule.
+        # candidate equals its bound, and a refresh meets the same tie. The
+        # row is screened again at that distance, so only the LIST_LEN + 1
+        # rows at d2 = 9 get an exact d2, not the whole row.
         n, k = LIST_MIN_ROWS + 44, 3
         a = np.zeros(n)
         a[LIST_LEN + 1] = 3.0
@@ -331,30 +372,30 @@ class TestCandidateLists:
         cfg = UtilityConfig(k_neighbors=k)
         cache = DistanceCache()
         mdcg(a[:, None], cfg, cache)
-        mdcg(np.column_stack([a, np.zeros(n)]), cfg, cache)      # builds the lists
-        assert sorted(cache.lists[0] % n) == list(range(1, LIST_LEN + 1))
+        mdcg(np.column_stack([a, np.zeros(n)]), cfg, cache)
+        assert sorted(cache.lists[0]) == list(range(1, LIST_LEN + 1))
         assert cache.outside[0] == 9.0
-        full_rows = []
-        knn = utility._knn_membership
+        rescreened = {}
+        screen = DistanceCache._screen
 
-        def recorded(d2, k, rows=None):
-            full_rows.append(rows)
-            return knn(d2, k, rows)
+        def recorded(self, rows, limits):
+            for block, index, dist in screen(self, rows, limits):
+                if limits is not None:
+                    counts = np.count_nonzero(~np.isnan(dist), axis=1)
+                    rescreened.update(zip(block.tolist(), zip(limits.tolist(), counts.tolist())))
+                yield block, index, dist
 
-        monkeypatch.setattr(utility, "_knn_membership", recorded)
+        monkeypatch.setattr(DistanceCache, "_screen", recorded)
         F = np.column_stack([a, np.zeros(n), b])
         assert np.array_equal(feature_importance(F, cfg, cache), feature_importance(F, cfg))
-        assert 0 in full_rows[0]
-        codes = cache.neighbours(k)
-        assert 0 in full_rows[-1]
-        found = _neighbour_sets(codes, n)
-        assert found == oracle_knn_sets(F, k)
-        assert found[0] == {1, 2, 3}
+        assert rescreened[0] == (9.0, LIST_LEN + 1)
+        _check_neighbours([cache], F, cfg, k)
+        assert _neighbour_sets(cache.neighbours(k)[0], n)[0] == {1, 2, 3}
 
     def test_ties_beside_fallback_rows_are_repaired(self):
-        # Rows 0..49 are duplicates, more than a list holds, so each takes the
-        # full-row rule and has no list members. Row 200 then has two rows at
-        # its nearest distance (199 and 201, each with a closer partner of
+        # Rows 0..49 are duplicates, more than a list holds, so each is
+        # screened again and has no list members. Row 200 then has two rows
+        # at its nearest distance (199 and 201, each with a closer partner of
         # its own), and the list rule must drop the higher-indexed one although
         # the members over all rows number fewer than k per row.
         n, k = LIST_MIN_ROWS + 44, 1
@@ -366,11 +407,93 @@ class TestCandidateLists:
         mdcg(x[:, None], cfg, cache)
         F = np.column_stack([x, np.zeros(n)])
         assert np.array_equal(feature_importance(F, cfg, cache), feature_importance(F, cfg))
-        assert cache.lists is not None
-        codes = cache.neighbours(k)
-        found = _neighbour_sets(codes, n)
-        assert found == oracle_knn_sets(F, k)
-        assert found[200] == {199}
+        _check_neighbours([cache], F, cfg, k)
+        assert _neighbour_sets(cache.neighbours(k)[0], n)[200] == {199}
+
+    def test_no_array_grows_with_the_square_of_the_rows(self):
+        # The lists hold n x LIST_LEN entries; the screen works in row blocks.
+        n = 1000
+        rng = np.random.default_rng(4)
+        F = np.column_stack([rng.normal(size=(n, 6)), np.exp(np.exp(rng.normal(size=n)))])
+        cfg = UtilityConfig()
+        cache = DistanceCache()
+        mdcg(F[:, :6], cfg, cache)
+        tracemalloc.start()
+        mdcg(F, cfg, cache)                   # grown, and most lists refresh
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        held = [value for c in (cache, cache.copy()) for value in vars(c).values()
+                if isinstance(value, np.ndarray)]
+        assert held and max(value.size for value in held) < n * n
+        assert peak < n * n * 8 // 2
+
+
+def _screen_sets():
+    # Sets for the Gram screen: N(0,1); columns from 1e-3 to 1e3; rows that
+    # differ by 1e-7 at an offset of 1e8; +-VALUE_CAP; a lattice; 64 columns;
+    # and rows from 1e-100 to 1e100.
+    rng = np.random.default_rng(8)
+    yield rng.normal(size=(120, 5))
+    yield rng.normal(size=(120, 7)) * 10.0 ** np.arange(-3, 4)
+    yield 1e8 + 1e-7 * rng.normal(size=(120, 4))
+    yield rng.choice([-VALUE_CAP, 0.0, VALUE_CAP], size=(120, 6))
+    yield rng.integers(0, 3, size=(120, 8)).astype(float)
+    yield rng.normal(size=(120, 64))
+    yield rng.normal(size=(120, 3)) * 10.0 ** rng.integers(-100, 101, size=(120, 1))
+
+
+class TestGramScreen:
+    @pytest.mark.parametrize("F", list(_screen_sets()))
+    def test_gram_form_is_within_its_bound(self, F):
+        # |approx - d2| <= delta = 4 (m + 2) eps (r_x + r_y), with d2 the
+        # exact column-order sum (utility's module docstring)
+        m = F.shape[1]
+        norms = np.einsum("ij,ij->i", F, F)
+        approx = norms[:, None] + norms[None, :] - 2.0 * (F @ F.T)
+        delta = 4 * (m + 2) * np.finfo(float).eps * (norms[:, None] + norms[None, :])
+        off = ~np.eye(len(F), dtype=bool)
+        assert np.all(np.abs(approx - oracle_sq_dists(F))[off] <= delta[off])
+
+    @pytest.mark.parametrize("rank", [7, 100])
+    @pytest.mark.parametrize("F", list(_screen_sets()) + [
+        # norms overflow, distances do not
+        1e154 * (1.0 + 1e-12 * np.random.default_rng(9).normal(size=(120, 3))),
+        # rows t (1, 1) 1e154: the norm overflows above t = 0.95, yet x.y
+        # stays finite against rows below t = 0.45, and every d2 is finite
+        1e154 * np.linspace(0.3, 1.0, 120)[:, None] * np.ones(2)])
+    def test_screen_passes_every_row_within_the_limit(self, F, rank):
+        # The re-screen must give an exact d2 to every row at or below the
+        # row's limit, and raise no warning (pytest makes one an error).
+        n = len(F)
+        exact = oracle_sq_dists(F)
+        np.fill_diagonal(exact, np.inf)
+        limits = np.sort(exact, axis=1)[:, rank]
+        cache = DistanceCache()
+        cache.update(F, BIG)
+        cache.neighbours(1)
+        screened = [None] * n
+        for block, index, dist in cache._screen(np.arange(n), limits):
+            for r, idx, d in zip(block, index, dist):
+                keep = ~np.isnan(d)
+                screened[r] = dict(zip(idx[keep].tolist(), d[keep].tolist()))
+        for r in range(n):
+            within = np.flatnonzero(exact[r] <= limits[r])
+            assert set(within.tolist()) <= screened[r].keys()
+            assert all(screened[r][j] == exact[r, j] for j in screened[r])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lists_beside_overflowing_gram_values(self, seed):
+        # Half the rows near +-1.35e154: their norms stay finite, but 2 x.y
+        # overflows to -inf for pairs whose d2 is large. Such a value bounds
+        # nothing and must not pass for a small one when the lists are built.
+        rng = np.random.default_rng(seed)
+        n = LIST_MIN_ROWS + 44
+        F = np.where(rng.random((n, 1)) < 0.5,
+                     1e154 * rng.uniform(-1.35, 1.35, size=(n, 1)), rng.normal(size=(n, 1)))
+        cfg = UtilityConfig(k_neighbors=LIST_LEN)
+        cache = DistanceCache()
+        cache.update(F, cfg)
+        _check_neighbours([cache], F, cfg, LIST_LEN)
 
 
 class TestFeatureImportance:
