@@ -15,9 +15,11 @@ i != j, and ties at the k-th distance go to the lower row index.
 
 No (n, n) array is built. Each row keeps a list of candidate rows with their
 exact d^2 and a lower bound on the d^2 of every other row (``DistanceCache``).
-A Gram screen picks the candidates. For rows x and y of m columns with
-r_x = |x|^2 and r_y = |y|^2, one matrix product gives
-``approx = r_x + r_y - 2 x.y``, and
+A Gram screen picks the candidates. Small and large sets share this one path
+and differ only in list width: a set of at most ``LIST_MIN_ROWS`` rows lists
+every other row, so every row passes its screen and the bound is +inf.
+For rows x and y of m columns with r_x = |x|^2 and r_y = |y|^2, one matrix
+product gives ``approx = r_x + r_y - 2 x.y``, and
 
     |approx - d^2| <= delta = 4 (m + 2) eps (r_x + r_y),
 
@@ -73,7 +75,8 @@ class UtilityConfig:
     constants. Squared distances are exact column-order sums; the candidate
     lists and the Gram screen only choose which pairs to sum, never change a
     sum, so the neighbour sets (ties at the k-th distance to the lower row
-    index) are the same however the set was reached. Neighbour pairs are
+    index) are the same however the set was reached, and small and large
+    sets share one path that differs only in list width. Neighbour pairs are
     summed in row-major order. So results with and without a
     ``DistanceCache``, cold or grown, are bit-identical.
     """
@@ -98,12 +101,6 @@ LIST_MIN_ROWS = 256
 # Rows screened per pass, so the (block, n) temporaries stay small; it does
 # not change the result.
 _ROW_BLOCK = 64
-
-
-def _width(n: int, k: int) -> int:
-    # Entries per candidate list of an n-row set: every other row up to
-    # LIST_MIN_ROWS rows, else LIST_LEN or k.
-    return n - 1 if n <= LIST_MIN_ROWS else min(n - 1, max(LIST_LEN, k))
 
 
 def _add_pair_sq_dists(d2: np.ndarray, columns: np.ndarray,
@@ -132,22 +129,6 @@ def _nearest(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return near, kth
 
 
-def _pair_codes(codes: np.ndarray, d2: np.ndarray, n: int
-                ) -> tuple[np.ndarray, np.ndarray]:
-    # The union of the pairs j * n + i in ``codes`` and their mirrors
-    # i * n + j, sorted and deduplicated, with each pair's d2: the row-major
-    # order in which the symmetric kNN indicator lists them. A pair and its
-    # mirror have the same d2, so either copy may stay.
-    j, i = np.divmod(codes, n)
-    both = np.concatenate([codes, i * n + j])
-    order = np.argsort(both)
-    both = both[order]
-    keep = np.empty(len(both), dtype=bool)
-    keep[:1] = True
-    np.not_equal(both[1:], both[:-1], out=keep[1:])
-    return both[keep], np.concatenate([d2, d2])[order[keep]]
-
-
 class DistanceCache:
     """Row subsample of the last set scored, and each subsampled row's
     candidate list: rows with their exact d^2, and ``outside``, a lower bound
@@ -155,9 +136,10 @@ class DistanceCache:
 
     A list holds its row's ``LIST_LEN`` nearest rows (``k`` if larger) when
     it is built, and ``outside`` is the next smallest d^2. Sets of at most
-    ``LIST_MIN_ROWS`` rows list every other row, with ``outside`` = +inf.
-    ``pairs`` gives the symmetric kNN pairs that the metric sums, and
-    ``neighbours`` each row's own k nearest rows.
+    ``LIST_MIN_ROWS`` rows take the same path with lists of every other row:
+    every row passes their screen, and ``outside`` is +inf.
+    ``neighbours`` gives each row's own k nearest rows, and ``pairs`` their
+    symmetric merge, the pairs that the metric sums.
     A row's k nearest rows, ties included, all lie in its list while the
     list's k-th d^2 is below ``outside``. A row whose k-th d^2 reaches it
     rebuilds its list by the Gram screen (see the module docstring). If the
@@ -205,18 +187,18 @@ class DistanceCache:
     def pairs(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Codes j * n + i, increasing, of the pairs with i among the k
         nearest rows to j or j among those to i, for the set last passed to
-        ``update``, and their d^2: the symmetric kNN indicator's pairs."""
+        ``update``, and their d^2: the symmetric kNN indicator's pairs.
+        A pair and its mirror have the same d^2, so either copy may stay."""
         n = len(self.columns)
-        if _width(n, k) < n - 1:
-            return _pair_codes(*self.neighbours(k), n)
-        # Every pair is in the lists, in row order: mark each member's mirror.
-        self._build(k)
-        near = _nearest(self.values, k)[0]
-        flat = np.flatnonzero(near)
-        rows, mirrors = flat // (n - 1), self.lists.take(flat)
-        near[mirrors, rows - (rows > mirrors)] = True
-        flat = np.flatnonzero(near)
-        return flat // (n - 1) * n + self.lists.take(flat), self.values.take(flat)
+        codes, d2 = self.neighbours(k)
+        j, i = np.divmod(codes, n)
+        both = np.concatenate([codes, i * n + j])
+        order = np.argsort(both)
+        both = both[order]
+        keep = np.empty(len(both), dtype=bool)
+        keep[:1] = True
+        np.not_equal(both[1:], both[:-1], out=keep[1:])
+        return both[keep], np.concatenate([d2, d2])[order[keep]]
 
     def neighbours(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Codes j * n + i of the pairs with i among the k nearest rows to
@@ -244,7 +226,7 @@ class DistanceCache:
     def _build(self, k: int) -> bool:
         # Build every list, when there are none or they are too short for k.
         n = len(self.columns)
-        width = _width(n, k)
+        width = n - 1 if n <= LIST_MIN_ROWS else min(n - 1, max(LIST_LEN, k))
         if self.lists is not None and self.lists.shape[1] >= width:
             return False
         self.lists = np.empty((n, width), dtype=np.int32)
@@ -256,19 +238,13 @@ class DistanceCache:
     def _refresh(self, rows: np.ndarray) -> None:
         # Rebuild the lists of ``rows``: each row's nearest rows in
         # increasing row order with their d2, and the next smallest d2 as the
-        # row's bound; or every other row and a bound of +inf.
+        # row's bound.
         n, width = self.lists.shape
-        if width == n - 1:
-            slots = np.arange(width)
-            for start in range(0, len(rows), _ROW_BLOCK):
-                block = rows[start:start + _ROW_BLOCK]
-                self.lists[block] = others = slots + (slots >= block[:, None])
-                d2 = np.zeros(others.shape)
-                _add_pair_sq_dists(d2, self.columns.T, block[:, None], others)
-                self.values[block] = d2
-            self.outside[rows] = np.inf
-            return
         for block, index, dist in self._screen(rows, None):
+            if width == n - 1:             # every other row passes the screen
+                self.lists[block], self.values[block] = index, dist
+                self.outside[block] = np.inf
+                continue
             part = np.argpartition(dist, width, axis=1)   # NaN padding sorts last
             slots = np.sort(part[:, :width], axis=1)     # slots run in row order
             self.lists[block] = np.take_along_axis(index, slots, axis=1)
@@ -356,8 +332,10 @@ def feature_importance(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
     codes, d2 = cache.pairs(cfg.k_neighbors)
     pair_i, pair_j = np.divmod(codes, n)
     weights = np.exp(-d2 / DISCOUNT_SCALE)
-    diffs = v[pair_i, :] - v[pair_j, :]
-    cumulative = np.einsum("pq,p->q", diffs * diffs, weights)
+    diffs = v[pair_i]
+    diffs -= v[pair_j]
+    np.square(diffs, out=diffs)
+    cumulative = np.einsum("pq,p->q", diffs, weights)
     variance = v.var(axis=0)
     guarded = variance >= VAR_EPSILON
     terms = np.ones(v.shape[1])

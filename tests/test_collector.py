@@ -11,6 +11,7 @@ from neat.collector import (
     CollectorConfig,
     QAgent,
     ReplayBuffer,
+    _advance,
     bellman_update,
     collect,
     describe_state,
@@ -18,7 +19,15 @@ from neat.collector import (
     write_records,
 )
 from neat.errors import ConfigHashMismatch, MalformedRecord
-from neat.expr import VALUE_CAP, FeatureCross, apply_sequence, eval_cross, random_cross
+from neat.expr import (
+    SEGMENT_CAP,
+    VALUE_CAP,
+    FeatureCross,
+    FeatureSet,
+    apply_sequence,
+    eval_cross,
+    random_cross,
+)
 from neat.utility import DistanceCache, UtilityConfig, mdcg
 
 # Small enough that the replay buffers fill within the run, so the agents
@@ -308,3 +317,59 @@ class TestBellmanUpdate:
         step = agent.d2.b.value - np.array([0.5, -1.0, 2.0])
         assert step == pytest.approx(-LEARNING_RATE * np.sign(diffs), rel=1e-6)
         assert agent.updates == 1
+
+
+def _cross(text):
+    return FeatureCross(tuple(text.split()))
+
+
+class TestActions:
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    def test_select_stays_below_valid(self, epsilon):
+        agent = QAgent("q", 6, SMALL, np.random.default_rng(0))
+        # Q-values rise with the action index, so an unmasked greedy pick
+        # would always be the last action.
+        agent.d2.b.value[...] = 100.0 * np.arange(agent.n_actions)
+        rng = np.random.default_rng(1)
+        states = rng.normal(size=(20, STATE_WIDTH))
+        for valid in range(1, agent.n_actions + 1):
+            picked = [agent.select(state, valid, epsilon, rng) for state in states]
+            assert all(0 <= action < valid for action in picked)
+            if epsilon == 0.0:
+                assert set(picked) == {valid - 1}
+
+    def _features(self, table, crosses):
+        features = FeatureSet()
+        for text in crosses:
+            assert features.add(_cross(text), eval_cross(_cross(text), table))
+        return features
+
+    @pytest.mark.parametrize("case", ["cap", "budget", "duplicate"])
+    def test_advance_refusals_leave_the_set(self, small_table, monkeypatch, case):
+        features = self._features(small_table, ["f0", "f1", "f0 f1 +"])
+        max_features, cross = 10, _cross("f2 f3 *")
+        if case == "cap":
+            max_features = features.n_features
+        elif case == "budget":
+            cross = _cross("f2" + " sin" * SEGMENT_CAP)      # one token too many
+            assert not features.fits(cross)
+
+            def refused(*args):
+                raise AssertionError("an over-budget cross was evaluated")
+
+            monkeypatch.setattr(collector, "eval_cross", refused)
+        else:
+            cross = _cross("f1 f0 +")                       # bitwise equal to f0 f1 +
+        provenance, matrix = list(features.provenance), features.matrix()
+        assert _advance(features, cross, small_table, max_features) is False
+        assert features.provenance == provenance
+        assert np.array_equal(features.matrix(), matrix)
+
+    def test_advance_adds_one_column(self, small_table):
+        features = self._features(small_table, ["f0", "f1"])
+        matrix = features.matrix()
+        cross = _cross("f2 f3 *")
+        assert _advance(features, cross, small_table, 3) is True
+        assert features.provenance == [_cross("f0"), _cross("f1"), cross]
+        assert np.array_equal(features.matrix(),
+                              np.column_stack([matrix, eval_cross(cross, small_table)]))

@@ -324,6 +324,11 @@ class TestCandidateLists:
              k=LIST_LEN, path=PATHS[1])
     @example(seed=3, shared=["offset", "normal"], branches=[("offset", "lattice")],
              k=4, path=PATHS[0])
+    # Lists of every other row, grown by a column that overflows: rows at
+    # +-1e155 have a k-th d2 of +inf, equal to their bound, so they refresh
+    # and are screened again.
+    @example(seed=4, shared=["normal"], branches=[("overflow", "lattice")],
+             k=5, path=PATHS[2])
     @settings(max_examples=40, deadline=None)
     def test_grown_sets_match_cold_calls(self, seed, shared, branches, k, path):
         n, max_rows = path
@@ -485,15 +490,16 @@ class TestGramScreen:
     def test_lists_beside_overflowing_gram_values(self, seed):
         # Half the rows near +-1.35e154: their norms stay finite, but 2 x.y
         # overflows to -inf for pairs whose d2 is large. Such a value bounds
-        # nothing and must not pass for a small one when the lists are built.
+        # nothing and must not pass for a small one when the lists are built,
+        # whether they hold LIST_LEN rows or every other row.
         rng = np.random.default_rng(seed)
-        n = LIST_MIN_ROWS + 44
-        F = np.where(rng.random((n, 1)) < 0.5,
-                     1e154 * rng.uniform(-1.35, 1.35, size=(n, 1)), rng.normal(size=(n, 1)))
         cfg = UtilityConfig(k_neighbors=LIST_LEN)
-        cache = DistanceCache()
-        cache.update(F, cfg)
-        _check_neighbours([cache], F, cfg, LIST_LEN)
+        for n in (LIST_MIN_ROWS + 44, LIST_MIN_ROWS - 56):
+            F = np.where(rng.random((n, 1)) < 0.5,
+                         1e154 * rng.uniform(-1.35, 1.35, size=(n, 1)), rng.normal(size=(n, 1)))
+            cache = DistanceCache()
+            cache.update(F, cfg)
+            _check_neighbours([cache], F, cfg, LIST_LEN)
 
 
 class TestFeatureImportance:
