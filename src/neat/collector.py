@@ -9,6 +9,7 @@ materializes, forming the training corpus for the encoder/decoder stages.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -207,36 +208,6 @@ def bellman_update(agent: QAgent, batch) -> float:
     return loss
 
 
-@dataclass
-class AgentTriplet:
-    head: QAgent
-    op: QAgent
-    tail: QAgent
-
-    @classmethod
-    def build(cls, max_features: int, cfg: CollectorConfig,
-              rng: np.random.Generator) -> "AgentTriplet":
-        seeds = rng.integers(np.iinfo(np.int64).max, size=3)
-        return cls(
-            head=QAgent("head", max_features, cfg, np.random.default_rng(int(seeds[0]))),
-            op=QAgent("op", len(OP_SYMBOLS), cfg, np.random.default_rng(int(seeds[1]))),
-            tail=QAgent("tail", max_features, cfg, np.random.default_rng(int(seeds[2]))),
-        )
-
-
-def select_actions(agents: AgentTriplet, state: np.ndarray, n_features: int,
-                   epsilon: float, rng: np.random.Generator
-                   ) -> tuple[int, OpCode, int | None]:
-    """Pick (head feature, operator, tail feature); tail is None for unary ops."""
-    head = agents.head.select(state, n_features, epsilon, rng)
-    op_idx = agents.op.select(state, len(OP_SYMBOLS), epsilon, rng)
-    opcode = OPCODES[OP_SYMBOLS[op_idx]]
-    tail = None
-    if opcode.arity == 2:
-        tail = agents.tail.select(state, n_features, epsilon, rng)
-    return head, opcode, tail
-
-
 def _compose_cross(features: FeatureSet, head: int, opcode: OpCode,
                    tail: int | None) -> FeatureCross:
     tokens = list(features.provenance[head].tokens)
@@ -274,13 +245,21 @@ def _epsilon(episode: int, episodes: int) -> float:
 def collect(X: DataTable, episodes: int, steps: int,
             cfg: CollectorConfig | None = None, *,
             rng: np.random.Generator) -> list[ExplorationRecord]:
-    """Q-learning exploration: one record per step, agents shared across
-    episodes. Epsilon decays linearly from ``EPSILON_START`` to
-    ``EPSILON_END`` over the first ``EPSILON_FRACTION`` of the episodes. A
-    set holds at most twice the table's feature count."""
+    """Q-learning exploration, one record per step. Three agents, shared
+    across episodes, pick a cross: the head agent a feature, the op agent an
+    operator and, for a binary operator, the tail agent a second feature.
+    After the set has grown, one loop runs over the three: an agent that
+    acted pushes its transition, and each agent whose buffer holds
+    ``batch_size`` rows takes one TD update. Epsilon decays linearly from
+    ``EPSILON_START`` to ``EPSILON_END`` over the first ``EPSILON_FRACTION``
+    of the episodes. A set holds at most twice the table's feature count."""
     cfg = cfg or CollectorConfig()
     max_features = 2 * X.n_features
-    agents = AgentTriplet.build(max_features, cfg, rng)
+    seeds = rng.integers(np.iinfo(np.int64).max, size=3)
+    head_agent, op_agent, tail_agent = agents = [
+        QAgent(name, n_actions, cfg, np.random.default_rng(int(seed)))
+        for name, n_actions, seed in zip(("head", "op", "tail"),
+                                         (max_features, len(OP_SYMBOLS), max_features), seeds)]
     records: list[ExplorationRecord] = []
     base = FeatureSet()                     # every episode starts from the table's columns
     for i in range(X.n_features):
@@ -292,28 +271,26 @@ def collect(X: DataTable, episodes: int, steps: int,
 
     for episode in range(episodes):
         epsilon = _epsilon(episode, episodes)
-        features = base.copy()
-        # The last episode takes the base cache, so a one-episode call copies
-        # no candidate lists.
-        distances = base_distances if episode == episodes - 1 else base_distances.copy()
+        features, distances = base.copy(), base_distances.copy()
         utility, state, summaries = base_utility, base_state, base_summaries
         for step in range(steps):
             m_before = features.n_features
-            head, opcode, tail = select_actions(agents, state, m_before, epsilon, rng)
+            head = head_agent.select(state, m_before, epsilon, rng)
+            op = op_agent.select(state, len(OP_SYMBOLS), epsilon, rng)
+            opcode = OPCODES[OP_SYMBOLS[op]]
+            tail = tail_agent.select(state, m_before, epsilon, rng) if opcode.arity == 2 else None
             cross = _compose_cross(features, head, opcode, tail)
             next_state = state                  # a no-op step leaves the set as it was
             if _advance(features, cross, X, max_features):
                 utility, next_state, summaries = _score(
                     features, distances, summaries, cfg.utility)
             records.append(ExplorationRecord(features.sequence(), utility, episode, step))
-            terminal = step == steps - 1
             m_after = features.n_features
-            agents.head.buffer.push(state, head, utility, next_state, m_after, terminal)
-            agents.op.buffer.push(state, OP_SYMBOLS.index(opcode.symbol), utility,
-                                  next_state, len(OP_SYMBOLS), terminal)
-            if tail is not None:
-                agents.tail.buffer.push(state, tail, utility, next_state, m_after, terminal)
-            for agent in (agents.head, agents.op, agents.tail):
+            for agent, action, valid in zip(agents, (head, op, tail),
+                                            (m_after, len(OP_SYMBOLS), m_after)):
+                if action is not None:
+                    agent.buffer.push(state, action, utility, next_state, valid,
+                                      step == steps - 1)
                 if agent.buffer.size >= agent.batch_size:
                     bellman_update(agent, agent.buffer.sample(agent.batch_size, rng))
             state = next_state
@@ -344,8 +321,8 @@ def read_records(path: str | Path) -> tuple[list[ExplorationRecord], dict[str, s
     Raises:
         ConfigHashMismatch: the header is missing or names another op set.
         MalformedRecord: the header's ``steps`` is not a positive integer, or
-            a record line has no tab or a utility that is not a float; the
-            message names the line.
+            a record line has no tab or a utility that is not a finite float;
+            the message names the line.
     """
     lines = Path(path).read_text().splitlines()
     header = dict(kv.split("=", 1) for kv in lines[0].split("\t") if "=" in kv) if lines else {}
@@ -363,9 +340,12 @@ def read_records(path: str | Path) -> tuple[list[ExplorationRecord], dict[str, s
     try:
         for i, line in enumerate(lines[1:]):
             utility, text = line.split("\t", 1)
+            value = float(utility)
+            if not math.isfinite(value):
+                raise ValueError(f"utility {utility!r} is not finite")
             episode, step = divmod(i, steps)
             records.append(ExplorationRecord(
-                CrossSequence.from_text(text), float(utility), episode, step))
+                CrossSequence.from_text(text), value, episode, step))
     except ValueError as exc:
         raise MalformedRecord(f"{path}: line {i + 2}: {exc}") from None
     return records, header

@@ -95,4 +95,5 @@ class ConfigHashMismatch(NeatError):
 
 
 class MalformedRecord(NeatError):
-    """A record line of a record file is not ``<utility>\\t<sequence>``."""
+    """A record line of a record file is not ``<utility>\\t<sequence>`` with a
+    finite utility, or its header's ``steps`` is not a positive integer."""

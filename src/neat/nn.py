@@ -38,10 +38,6 @@ class Param:
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
 
 def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Uniform(-bound, bound) with bound = sqrt(6 / (fan_in + fan_out))."""

@@ -20,6 +20,8 @@ from neat.collector import (
 )
 from neat.errors import ConfigHashMismatch, MalformedRecord
 from neat.expr import (
+    OP_SYMBOLS,
+    OPCODES,
     SEGMENT_CAP,
     VALUE_CAP,
     FeatureCross,
@@ -95,9 +97,8 @@ class TestCollect:
         collect(small_table, episodes=episodes, steps=5, cfg=SMALL,
                 rng=np.random.default_rng(11))
         assert builds == [(40, 5)]             # one build, over the table's own columns
-        # The last episode takes the base cache, so a one-episode call copies
-        # no candidate lists.
-        assert len(copies) == episodes - 1
+        # Every episode grows its own copy of the base cache's candidate lists.
+        assert len(copies) == episodes
 
     def test_record_file_round_trip(self, small_table, tmp_path):
         records = _collect(small_table)
@@ -110,6 +111,101 @@ class TestCollect:
             assert b.sequence == a.sequence
             assert repr(b.utility) == repr(a.utility)
             assert (b.episode, b.step) == (a.episode, a.step)
+
+
+class TestAgentProtocol:
+    """What each step hands the three agents, recorded from one ``SMALL`` run."""
+
+    @pytest.fixture
+    def steps(self, small_table, monkeypatch):
+        agents, events = {}, []
+        init, select, push = QAgent.__init__, QAgent.select, ReplayBuffer.push
+        advance, update = collector._advance, collector.bellman_update
+
+        def named_init(agent, name, *args):
+            init(agent, name, *args)
+            agents[id(agent)], agents[id(agent.buffer)] = name, name
+
+        def recorded_select(agent, state, valid, epsilon, rng):
+            action = select(agent, state, valid, epsilon, rng)
+            events.append(("select", agents[id(agent)], state, action))
+            return action
+
+        def recorded_advance(features, cross, table, max_features):
+            added = advance(features, cross, table, max_features)
+            events.append(("advance", added, features.n_features, cross))
+            return added
+
+        def recorded_push(buffer, *transition):
+            push(buffer, *transition)
+            events.append(("push", agents[id(buffer)], transition))
+
+        def recorded_update(agent, batch):
+            events.append(("update", agents[id(agent)], agent.buffer.size, len(batch[0])))
+            return update(agent, batch)
+
+        monkeypatch.setattr(QAgent, "__init__", named_init)
+        monkeypatch.setattr(QAgent, "select", recorded_select)
+        monkeypatch.setattr(ReplayBuffer, "push", recorded_push)
+        monkeypatch.setattr(collector, "_advance", recorded_advance)
+        monkeypatch.setattr(collector, "bellman_update", recorded_update)
+        # Seed 28: the run has unary, binary and no-op steps, and the tail
+        # agent's buffer fills in time to update on some unary steps.
+        collect(small_table, episodes=3, steps=5, cfg=SMALL, rng=np.random.default_rng(28))
+        # A step's events start at its head agent's select.
+        starts = [i for i, e in enumerate(events) if e[:2] == ("select", "head")]
+        return [events[a:b] for a, b in zip(starts, starts[1:] + [len(events)])]
+
+    def test_each_agent_pushes_what_it_chose(self, steps):
+        assert len(steps) == 3 * 5
+        saw_unary = saw_binary = saw_noop = False
+        for k, events in enumerate(steps):
+            selects = {e[1]: e for e in events if e[0] == "select"}
+            [(_, added, n_after, cross)] = [e for e in events if e[0] == "advance"]
+            pushes = {}
+            for e in events:
+                if e[0] == "push":
+                    assert e[1] not in pushes          # at most one push per agent
+                    pushes[e[1]] = e[2]
+            op = OP_SYMBOLS[selects["op"][3]]
+            assert cross.tokens[-1] == op
+            binary = OPCODES[op].arity == 2
+            saw_binary |= binary
+            saw_unary |= not binary
+            acted = ["head", "op", "tail"] if binary else ["head", "op"]
+            assert list(selects) == acted
+            assert sorted(pushes) == sorted(acted)
+            for name in acted:
+                state, action, _, next_state, valid, terminal = pushes[name]
+                assert state is selects[name][2]
+                assert action == selects[name][3]
+                assert valid == (len(OP_SYMBOLS) if name == "op" else n_after)
+                assert terminal == (k % 5 == 4)
+                if not added:
+                    saw_noop = True
+                    assert np.array_equal(next_state, state)
+        assert saw_unary and saw_binary and saw_noop
+
+    def test_updates_follow_pushes_in_agent_order(self, steps):
+        rows = {"head": 0, "op": 0, "tail": 0}
+        tail_updates_unpushed = 0
+        for events in steps:
+            updated = []
+            for e in events:
+                if e[0] == "push":
+                    assert e[1] not in updated          # no update before its own push
+                    rows[e[1]] = min(rows[e[1]] + 1, SMALL.replay_capacity)
+                elif e[0] == "update":
+                    _, name, size, batch = e
+                    assert size == rows[name] >= SMALL.batch_size == batch
+                    updated.append(name)
+            # Every agent whose buffer holds a batch updates once a step, in the
+            # order head, op, tail: the tail too on a unary step, with no push.
+            assert updated == [name for name in ("head", "op", "tail")
+                               if rows[name] >= SMALL.batch_size]
+            tail_updates_unpushed += "tail" in updated and ("push", "tail") not in {
+                e[:2] for e in events}
+        assert tail_updates_unpushed > 0
 
 
 class TestRecordHeader:
@@ -133,8 +229,10 @@ class TestRecordHeader:
         with pytest.raises(ConfigHashMismatch):
             read_records(path)
 
-    # a line with no tab, a blank line, a utility that is not a float
-    @pytest.mark.parametrize("bad", ["<SOS> f0 <EOS>", "", "high\t<SOS> f0 <EOS>"])
+    # a line with no tab, a blank line, a utility that is not a float or not finite
+    @pytest.mark.parametrize("bad", ["<SOS> f0 <EOS>", "", "high\t<SOS> f0 <EOS>",
+                                     "nan\t<SOS> f0 <EOS>", "inf\t<SOS> f0 <EOS>",
+                                     "-inf\t<SOS> f0 <EOS>"])
     def test_malformed_record_names_its_line(self, small_table, tmp_path, bad):
         path = self._write(small_table, tmp_path)
         lines = path.read_text().splitlines()
