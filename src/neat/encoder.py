@@ -3,16 +3,20 @@ a two-layer mean-aggregation GNN with a projection head, and contrastive
 pretraining over exploration records.
 
 Graphs within one run share a fixed row subsample so every graph has the same
-attribute width and one encoder serves them all.
+attribute width and one encoder serves them all. A record's crosses are
+evaluated on those sampled rows only (``materialize_graphs``), and its
+bitwise-duplicate columns are found there too: columns that agree on every
+sampled row give the encoder the same node, whatever they do elsewhere.
 
 A batch of graphs stays in node-count stacks from materialization to the
 loss. A ``GraphStack`` holds the graphs of one node count ``m``: ``attrs``
 (B, m, r) float64 and ``adjacency`` (B, m, m) float64 0/1 (symmetric, zero
-diagonal). A batch is its stacks in increasing node count, and its layout
-is those stacks laid end to end: graph ``i`` of the layout is row ``i`` of
-``encode_many``'s H and Z and of the gradients ``backward_many`` takes, and
-``augment`` draws its views in layout order. The contrastive loss does not
-depend on the order of its pairs.
+diagonal); ``build_graph`` makes both read-only, so a stack can be shared
+between epochs and batches. A batch is its stacks in increasing node count,
+and its layout is those stacks laid end to end: graph ``i`` of the layout is
+row ``i`` of ``encode_many``'s H and Z and of the gradients ``backward_many``
+takes, and ``augment`` draws its views in layout order. The contrastive loss
+does not depend on the order of its pairs.
 """
 
 from __future__ import annotations
@@ -70,7 +74,8 @@ def build_graph(attrs: np.ndarray) -> GraphStack:
     similarities come from its own 2-D ``nn.cosine_matrix`` over a C-ordered
     ``(m, r)`` array: a batched matmul, or another memory layout, can round
     differently and move a tied pair across the threshold. The returned
-    ``attrs`` is C-ordered.
+    ``attrs`` is C-ordered, and both returned arrays are read-only; ``attrs``
+    is a view of the input when that is C-ordered already.
 
     Raises:
         SingleFeature: fewer than two features.
@@ -78,7 +83,7 @@ def build_graph(attrs: np.ndarray) -> GraphStack:
     B, m, _ = attrs.shape
     if m < 2:
         raise SingleFeature("a similarity graph needs at least 2 features")
-    attrs = np.ascontiguousarray(attrs)
+    attrs = np.ascontiguousarray(attrs).view()
     i, j = _triu(m)
     pair_sims = np.empty((B, i.size))
     for b in range(B):
@@ -86,7 +91,10 @@ def build_graph(attrs: np.ndarray) -> GraphStack:
     threshold = np.percentile(pair_sims, 95.0, axis=1, keepdims=True)
     upper = np.zeros((B, m, m))
     upper[:, i, j] = pair_sims >= threshold
-    return GraphStack(attrs, upper + upper.transpose(0, 2, 1))
+    adjacency = upper + upper.transpose(0, 2, 1)
+    attrs.flags.writeable = False
+    adjacency.flags.writeable = False
+    return GraphStack(attrs, adjacency)
 
 
 def _perturb_edges(state: np.ndarray, flips: int, rng: np.random.Generator) -> None:
@@ -171,7 +179,8 @@ class EncoderModel:
 def forward_stack(model: EncoderModel, attrs: np.ndarray, adj: np.ndarray):
     """Encode a stack of same-size graphs: attrs (B,m,r), adj (B,m,m) floats.
 
-    Returns (h, z, cache) with h/z of shape (B, hidden).
+    Returns (h, z, cache) with h/z of shape (B, hidden). The cache keeps each
+    ReLU's bool gate, not its float pre-activation.
     """
     m = attrs.shape[1]
     denom = np.maximum(adj.sum(axis=2, keepdims=True), 1.0)
@@ -219,6 +228,10 @@ def encode_many(stacks: Sequence[GraphStack], model: EncoderModel):
 
     Returns (H, Z, caches): H and Z rows in layout order, and the per-stack
     caches that ``backward_many`` takes.
+
+    A graph's rows depend on the stack it is in only up to rounding: BLAS may
+    take another path for a stack of another size, so a graph encoded alone
+    and in a mixed batch agree to rtol 1e-12 in H and Z, not bit for bit.
     """
     hs, zs, caches = zip(*(forward_stack(model, s.attrs, s.adjacency) for s in stacks))
     return np.concatenate(hs), np.concatenate(zs), caches
@@ -278,16 +291,23 @@ class PretrainResult:
 def materialize_graphs(records, table, rows: RowSample):
     """Build every record's graph, in node-count stacks of increasing node
     count, each in record order. Returns the stacks and the number of
-    records skipped because they fail to materialize."""
+    records skipped because they fail to materialize.
+
+    Each record's sequence is applied to ``table.take(rows.indices)``, not to
+    the whole table. Every operator is elementwise, so a column holds the
+    same bits as the full-table column at those rows. Duplicates are dropped
+    on the sampled rows: a record whose columns agree there has fewer nodes,
+    and is skipped when it has one left."""
+    sampled = table.take(rows.indices)
     groups: dict[int, list[np.ndarray]] = {}
     skipped = 0
     for rec in records:
         try:
-            v = apply_sequence(rec.sequence, table)
+            v = apply_sequence(rec.sequence, sampled)
         except NeatError:
             skipped += 1
             continue
-        groups.setdefault(v.shape[1], []).append(v[rows.indices, :].T)
+        groups.setdefault(v.shape[1], []).append(v.T)
     stacks = []
     for m in sorted(groups):
         attrs = groups.pop(m)
@@ -300,14 +320,17 @@ def materialize_graphs(records, table, rows: RowSample):
 
 def _gather(stacks: Sequence[GraphStack], chunk: np.ndarray) -> list[GraphStack]:
     """The graphs at layout indices ``chunk``: each stack's rows that are in
-    it, in layout order."""
+    it, in layout order. A stack whose every row is in the chunk is passed
+    through, not copied."""
     member = np.zeros(sum(len(s.attrs) for s in stacks), dtype=bool)
     member[chunk] = True
     out, stop = [], 0
     for s in stacks:
         start, stop = stop, stop + len(s.attrs)
         rows = np.flatnonzero(member[start:stop])
-        if rows.size:
+        if rows.size == len(s.attrs):
+            out.append(s)
+        elif rows.size:
             out.append(GraphStack(s.attrs[rows], s.adjacency[rows]))
     return out
 

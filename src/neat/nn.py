@@ -81,11 +81,13 @@ class Dense:
 
 
 def relu(x: np.ndarray):
-    return np.maximum(x, 0.0), x
+    """Returns (max(x, 0), gate): the bool ``x > 0``, all that
+    ``relu_backward`` needs, in an eighth of the bytes of float64 ``x``."""
+    return np.maximum(x, 0.0), x > 0.0
 
 
-def relu_backward(dout: np.ndarray, cache) -> np.ndarray:
-    return dout * (cache > 0.0)
+def relu_backward(dout: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    return dout * gate
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -1,14 +1,14 @@
 """CSV ingestion into a normalized numeric matrix, plus seeded sampling and splits.
 
 The target column is held out at load time and never touches feature-side
-computation. Nothing reads it yet: the downstream evaluation that will is
-ROADMAP item 1.
+computation. Only ``DataTable.take`` reads it, to copy it with its rows; the
+downstream evaluation that will use it is ROADMAP item 1.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,17 @@ class DataTable:
     @property
     def n_features(self) -> int:
         return self.values.shape[1]
+
+    def take(self, indices: np.ndarray) -> "DataTable":
+        """The table's rows at ``indices``, with their targets. Its values are
+        Fortran-ordered and read-only, as ``load_csv`` makes them: a column
+        is then contiguous, so an elementwise op runs the same loop on it as
+        on the full table's column and gives the same bits row by row."""
+        values = np.asfortranarray(self.values[indices])
+        target = self.target[indices]
+        values.setflags(write=False)
+        target.setflags(write=False)
+        return replace(self, values=values, target=target)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,14 @@ from neat.encoder import (
     pretrain,
 )
 from neat.errors import BatchTooSmall, CheckpointMismatch, NeatError, SingleFeature
-from neat.expr import CrossSequence, FeatureCross, apply_sequence, feature_token, random_cross
+from neat.expr import (
+    CrossSequence,
+    FeatureCross,
+    apply_sequence,
+    eval_cross,
+    feature_token,
+    random_cross,
+)
 from neat.nn import Adam, Param, cosine_matrix, grad_check
 from neat.tabular import RowSample
 
@@ -179,6 +186,26 @@ class TestEncodeMany:
             np.testing.assert_allclose(H[i], h[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(Z[i], z[0], rtol=0, atol=1e-12)
 
+    def test_alone_and_in_a_mixed_batch_agree_to_rtol(self, mixed_corpus):
+        # The tolerance encode_many states: stacks of 1 to 3 graphs of 6-14
+        # nodes, at the bench's hidden width.
+        table, records = mixed_corpus
+        stacks, _ = materialize_graphs(records, table, ROWS)
+        model = EncoderModel(len(ROWS.indices), np.random.default_rng(5), hidden=64)
+        H, Z, _ = encode_many(stacks, model)
+        for i, (attrs, adj) in enumerate(_unstack(stacks)):
+            h, z, _ = encode_many([GraphStack(attrs[None], adj[None])], model)
+            np.testing.assert_allclose(H[i], h[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(Z[i], z[0], rtol=1e-12, atol=0)
+
+    def test_cache_holds_bool_gates_not_pre_activations(self, model, rng):
+        B, m, h = 3, 4, model.hidden        # m is neither h nor the attribute width
+        (stack,) = _stacks([_graph(m, rng) for _ in range(B)])
+        _, _, cache = forward_stack(model, stack.attrs, stack.adjacency)
+        arrays = [a for a in cache if isinstance(a, np.ndarray)]
+        assert [a.shape for a in arrays if a.dtype == np.bool_] == [(B, m, h), (B, m, h), (B, h)]
+        assert not [a for a in arrays if a.shape == (B, m, h) and a.dtype != np.bool_]
+
     @pytest.mark.parametrize("with_dh", [False, True])
     def test_grad_check(self, graphs, model, rng, with_dh):
         stacks = _stacks(graphs)
@@ -249,7 +276,9 @@ class TestBuildGraph:
     def test_threshold_on_hand_worked_cases(self, columns, edges):
         attrs = np.array(columns, dtype=np.float64)[None]          # 1 graph, 4 features
         stack = build_graph(attrs)
-        assert stack.attrs is attrs
+        # A read-only view of the input, which stays writable.
+        assert np.shares_memory(stack.attrs, attrs) and attrs.flags.writeable
+        assert not stack.attrs.flags.writeable and not stack.adjacency.flags.writeable
         expected = np.zeros((1, 4, 4))
         for i, j in edges:
             expected[0, i, j] = expected[0, j, i] = 1
@@ -349,6 +378,20 @@ class TestAugment:
             assert (zeroed.sum(axis=1) == round(0.2 * s.n_nodes)).all()
             assert np.array_equal(view.attrs[~zeroed], s.attrs[~zeroed])
             assert view.adjacency is s.adjacency
+
+    def test_input_stacks_stay_bit_identical(self, mixed_corpus):
+        # pretrain passes the same read-only stacks to every epoch's augment.
+        table, records = mixed_corpus
+        stacks, _ = materialize_graphs(records, table, ROWS)
+        before = [(s.attrs.tobytes(), s.adjacency.tobytes()) for s in stacks]
+        draws = np.random.default_rng(4)
+        for _ in range(3):
+            augment(_gather(stacks, draws.permutation(sum(len(s.attrs) for s in stacks))), draws)
+        for s, (attrs, adj) in zip(stacks, before, strict=True):
+            assert (s.attrs.tobytes(), s.adjacency.tobytes()) == (attrs, adj)
+            for a in (s.attrs, s.adjacency):
+                with pytest.raises(ValueError):
+                    a[0, 0, 0] = 1.0
 
     def test_two_node_mask_view_is_the_input(self, rng):
         stacks = _stacks([_graph(2, rng), _graph(2, rng)])
@@ -485,6 +528,14 @@ class TestMatchesPerGraphPipeline:
             assert np.array_equal(adj, graphs[i].adjacency)
         assert [s.n_nodes for s in stacks] == sorted({graphs[i].n_nodes for i in chunk})
 
+    def test_gather_passes_whole_stacks_through(self, rng):
+        # Layout: node counts 2, 3, 5, 8, 13, 13, 20, 20.
+        stacks = _stacks(_random_batch(rng))
+        got = _gather(stacks, np.array([5, 1, 7, 4]))
+        assert got[0] is stacks[1] and got[1] is stacks[4]
+        assert got[2] is not stacks[5] and len(got[2].attrs) == 1
+        assert np.array_equal(got[2].attrs[0], stacks[5].attrs[1])
+
     @pytest.mark.parametrize("batch", [2, 3, 7, "N-1", "N", "N+5"])
     def test_pretrain_equals_the_per_graph_pipeline(self, mixed_corpus, batch):
         table, records = mixed_corpus
@@ -500,3 +551,32 @@ class TestMatchesPerGraphPipeline:
         assert result.losses == losses
         for name, value in model.param_dict().items():
             assert np.array_equal(value, oracle.param_dict()[name]), name
+
+
+class TestSampledRowNodes:
+    """A record's duplicate columns are found on the sampled rows ``ROWS``."""
+
+    @pytest.fixture
+    def table(self, rng):
+        values = rng.normal(size=(40, 5))
+        values[ROWS.indices, 1] = values[ROWS.indices, 0]   # f1 is f0 on the sampled rows only
+        return make_table(values)
+
+    def test_crosses_equal_on_the_sampled_rows_are_one_node(self, table):
+        crosses = [FeatureCross(t) for t in
+                   (("f0", "sin"), ("f1", "sin"), ("f2",), ("f3", "f4", "*"))]
+        record = _record(crosses)
+        assert apply_sequence(record.sequence, table).shape[1] == 4
+        (stack,), skipped = materialize_graphs([record], table, ROWS)
+        assert skipped == 0 and stack.n_nodes == 3
+        kept = np.column_stack([eval_cross(c, table) for c in crosses[:1] + crosses[2:]])
+        expected = graph_of(np.ascontiguousarray(kept[ROWS.indices].T))
+        assert np.array_equal(stack.attrs[0], expected.attrs)
+        assert np.array_equal(stack.adjacency[0], expected.adjacency)
+
+    def test_a_record_left_with_one_sampled_column_is_skipped(self, table, corpus):
+        lone = _record([FeatureCross(("f0",)), FeatureCross(("f1",))])
+        assert apply_sequence(lone.sequence, table).shape[1] == 2
+        assert materialize_graphs([lone], table, ROWS) == ([], 1)
+        _, result = _pretrain(table, corpus[:3] + [lone] + corpus[3:], epochs=1)
+        assert result.skipped_records == 1

@@ -258,6 +258,34 @@ class TestApplySequence:
             apply_sequence(CrossSequence.from_text("<SOS> f1 f2 <EOS>"), small_table)
 
 
+# Leaf columns at the evaluator's limits: VALUE_CAP, the exp clamp, the
+# divisor floor and signed zeros, beside ordinary values.
+def _clamp_range_table(seed, n):
+    rng = np.random.default_rng(seed)
+    return make_table(np.column_stack([
+        rng.normal(size=n),
+        rng.choice([-expr.VALUE_CAP, 0.0, expr.VALUE_CAP], size=n),
+        rng.uniform(-1.2 * expr.EXP_MAX, 1.2 * expr.EXP_MAX, size=n),
+        rng.choice([-expr.DIV_EPSILON, -1e-9, -0.0, 0.0, 1e-9, expr.DIV_EPSILON], size=n),
+        1e3 * rng.normal(size=n),
+    ]), target=rng.normal(size=n))
+
+
+class TestSampledRows:
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 5),
+           idx=st.lists(st.integers(0, 49), min_size=1, max_size=50))
+    @settings(max_examples=60, deadline=None)
+    def test_a_cross_on_taken_rows_is_the_full_column_at_them(self, seed, depth, idx):
+        table = _clamp_range_table(seed, 50)
+        sub = table.take(np.array(idx))
+        assert sub.values.flags.f_contiguous and not sub.values.flags.writeable
+        assert not sub.target.flags.writeable and len(sub.target) == len(idx)
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            c = random_cross(table.n_features, depth, rng)
+            assert eval_cross(c, sub).tobytes() == eval_cross(c, table)[idx].tobytes(), c
+
+
 # One move grows every live set: a random cross, a chain of unary ops of a
 # given length (around SEGMENT_CAP), a forced bitwise duplicate, or a branch
 # that starts a copy of the newest set.

@@ -112,6 +112,17 @@ class TestActivationsAndLosses:
         dx = relu_backward(np.ones(3), cache)
         assert dx.tolist() == [0.0, 1.0, 0.0]
 
+    def test_relu_caches_a_bool_gate_equal_to_the_float_comparison(self, rng):
+        # Signed zeros, infinities and NaN in x; signed zeros in dout, whose
+        # gated-off entries keep their sign as +-0.0.
+        x = np.concatenate([[-0.0, 0.0, -np.inf, np.inf, np.nan, 5e-324, -5e-324],
+                            rng.normal(size=57)]).reshape(4, 16)
+        dout = np.concatenate([[-0.0, 0.0], rng.normal(size=62)]).reshape(4, 16)
+        dout[:, 3] = -0.0
+        _, gate = relu(x)
+        assert gate.dtype == np.bool_
+        assert relu_backward(dout, gate).tobytes() == (dout * (x > 0.0)).tobytes()
+
     def test_uniform_logits_give_uniform_probs(self):
         probs = softmax(np.zeros((2, 7)))
         assert np.allclose(probs, 1.0 / 7.0)

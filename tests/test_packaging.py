@@ -49,7 +49,6 @@ AWAITING_CALLER = {
     "redundancy_utility": "item 2: the redundancy term",
     "grad_check": "the gradient-check oracle of the tests",
     # dataclass fields that nothing reads yet
-    "target": "item 1: the downstream yardstick",
     "task": "item 1: the downstream yardstick",
     "column_names": "item 7: the CLI names the table's columns",
     "target_name": "item 7: the CLI names the target",

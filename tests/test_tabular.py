@@ -110,6 +110,20 @@ class TestLoadCsv:
         assert table.column_names == ["a,plus", "b"]
 
 
+class TestTake:
+    def test_rows_with_their_targets_in_the_load_layout(self, tmp_path):
+        path = write(tmp_path, "a,b,y\n1,2,10\n3,5,20\n4,4,30\n8,1,40\n")
+        table = load_csv(path, "y", "regression")
+        idx = np.array([3, 0, 3])
+        sub = table.take(idx)
+        assert np.array_equal(sub.values, table.values[idx])
+        assert sub.target.tolist() == [40.0, 10.0, 40.0]
+        assert sub.values.flags.f_contiguous
+        assert not sub.values.flags.writeable and not sub.target.flags.writeable
+        assert (sub.column_names, sub.task, sub.target_name, sub.dataset_id) == (
+            table.column_names, table.task, table.target_name, table.dataset_id)
+
+
 class TestSampling:
     def test_small_n_keeps_everything(self, small_table):
         idx = sample_indices(small_table.n_rows, max_rows=100, seed=3)
