@@ -6,13 +6,17 @@ Graphs within one run share a fixed row subsample so every graph has the same
 attribute width and one encoder serves them all. A record's crosses are
 evaluated on those sampled rows only (``materialize_graphs``), and its
 bitwise-duplicate columns are found there too: columns that agree on every
-sampled row give the encoder the same node, whatever they do elsewhere.
+sampled row give the encoder the same node, whatever they do elsewhere. The
+encoder reads those columns through ``nn.scale_input`` (``arcsinh``), so a
+clamp-range cross of 1e150 is an attribute of about 346.
 
 A batch of graphs stays in node-count stacks from materialization to the
 loss. A ``GraphStack`` holds the graphs of one node count ``m``: ``attrs``
-(B, m, r) float64 and ``adjacency`` (B, m, m) float64 0/1 (symmetric, zero
+(B, m, r) float32 and ``adjacency`` (B, m, m) float32 0/1 (symmetric, zero
 diagonal); ``build_graph`` makes both read-only, so a stack can be shared
-between epochs and batches. A batch is its stacks in increasing node count,
+between epochs and batches. The encoder computes in float32 on them, since
+``nn.Dense`` computes in its input's dtype; its parameters and their
+gradients stay float64. A batch is its stacks in increasing node count,
 and its layout is those stacks laid end to end: graph ``i`` of the layout is
 row ``i`` of ``encode_many``'s H and Z and of the gradients ``backward_many``
 takes, and ``augment`` draws its views in layout order. The contrastive loss
@@ -46,8 +50,8 @@ class GraphStack:
     """Same-size feature graphs: nodes are features, attributes are the
     subsampled column values."""
 
-    attrs: np.ndarray        # (B, m, r) float64
-    adjacency: np.ndarray    # (B, m, m) float64 0/1, symmetric, zero diagonal
+    attrs: np.ndarray        # (B, m, r) float32
+    adjacency: np.ndarray    # (B, m, m) float32 0/1, symmetric, zero diagonal
 
     @property
     def n_nodes(self) -> int:
@@ -66,16 +70,18 @@ def _triu(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def build_graph(attrs: np.ndarray) -> GraphStack:
     """Similarity graphs over a stack of same-size feature sets, ``attrs``
-    (B, m, r) holding each set's columns over the sampled rows: edge iff the
-    pair's cosine >= the 95th percentile (linear interpolation) of that
-    graph's unordered pair similarities, so every graph has an edge.
+    (B, m, r) holding each set's scaled columns over the sampled rows: edge
+    iff the pair's cosine >= the 95th percentile (linear interpolation) of
+    that graph's unordered pair similarities, so every graph has an edge.
 
     Zero-vector columns have similarity 0 with everything. Each graph's
     similarities come from its own 2-D ``nn.cosine_matrix`` over a C-ordered
-    ``(m, r)`` array: a batched matmul, or another memory layout, can round
-    differently and move a tied pair across the threshold. The returned
-    ``attrs`` is C-ordered, and both returned arrays are read-only; ``attrs``
-    is a view of the input when that is C-ordered already.
+    float64 ``(m, r)`` array: a batched matmul, another memory layout or
+    float32 can round differently and move a tied pair across the threshold.
+    So the graph is decided in float64 on the columns the encoder reads, and
+    only what the encoder reads is stored in float32: a C-ordered float32
+    copy of ``attrs`` (scaled columns stay within ±346) and the 0/1
+    adjacency, exact in float32. Both returned arrays are read-only.
 
     Raises:
         SingleFeature: fewer than two features.
@@ -83,50 +89,64 @@ def build_graph(attrs: np.ndarray) -> GraphStack:
     B, m, _ = attrs.shape
     if m < 2:
         raise SingleFeature("a similarity graph needs at least 2 features")
-    attrs = np.ascontiguousarray(attrs).view()
+    attrs = np.ascontiguousarray(attrs, dtype=np.float64)
     i, j = _triu(m)
     pair_sims = np.empty((B, i.size))
     for b in range(B):
         pair_sims[b] = nn.cosine_matrix(attrs[b], attrs[b])[0][i, j]
     threshold = np.percentile(pair_sims, 95.0, axis=1, keepdims=True)
-    upper = np.zeros((B, m, m))
+    upper = np.zeros((B, m, m), dtype=np.float32)
     upper[:, i, j] = pair_sims >= threshold
     adjacency = upper + upper.transpose(0, 2, 1)
+    attrs = attrs.astype(np.float32)
     attrs.flags.writeable = False
     adjacency.flags.writeable = False
     return GraphStack(attrs, adjacency)
 
 
-def _perturb_edges(state: np.ndarray, flips: int, rng: np.random.Generator) -> None:
-    """Flip ``flips`` node pairs of one graph's upper-triangle edge ``state``
-    in place. Each flip drops an edge or adds a non-edge with equal odds, and
-    flips the other kind when there is none of the drawn kind."""
-    for _ in range(flips):
-        drop = rng.random() < 0.5
-        pool = np.flatnonzero(state == drop)
-        if pool.size == 0:
-            pool = np.flatnonzero(state != drop)
-        pick = pool[rng.integers(pool.size)]
-        state[pick] = not state[pick]
+def _edge_flips(state: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Flipped copies of the upper-triangle edge states ``state`` (B, E) of
+    one stack, from one draw of (B, 2E) uniforms.
+
+    A graph with ``e`` edges flips ``max(1, round(EDGE_RATIO * e))`` distinct
+    pairs. Each flip drops an edge or adds a non-edge with equal odds (the
+    first E uniforms of its row, one per flip), and flips the other kind when
+    none of the drawn kind is left. Within each kind the pairs with the
+    smallest of the last E uniforms go first, so the flipped pairs are a
+    uniform sample of their kind. The flips never outnumber the pairs: a graph
+    with an edge flips at most its edges, and one without flips one pair.
+    """
+    B, E = state.shape
+    edges = state.sum(axis=1)
+    flips = np.maximum(1, np.rint(EDGE_RATIO * edges)).astype(np.intp)
+    u = rng.random((B, 2 * E))
+    drawn = ((u[:, :E] < 0.5) & (np.arange(E) < flips[:, None])).sum(axis=1)
+    drops = np.clip(drawn, flips - (E - edges), edges)
+    # Walk each graph's pairs in key order, counting each kind as it comes.
+    order = np.argsort(u[:, E:], axis=1)
+    is_edge = np.take_along_axis(state, order, axis=1)
+    edges_so_far = np.cumsum(is_edge, axis=1)
+    flip = np.where(is_edge, edges_so_far <= drops[:, None],
+                    np.arange(1, E + 1) - edges_so_far <= (flips - drops)[:, None])
+    out = np.empty_like(state)
+    np.put_along_axis(out, order, is_edge ^ flip, axis=1)
+    return out
 
 
 def augment(stacks: Sequence[GraphStack], rng: np.random.Generator
             ) -> tuple[list[GraphStack], list[GraphStack]]:
     """The two views of one batch: edge perturbation and attribute masking.
 
-    Every graph's edge flips are drawn before any graph's masked rows, each
-    in layout order. A view shares the array it does not change with its
-    input, and a stack too small to mask a row is its own mask view.
+    Every stack's edge flips (``_edge_flips``) are drawn before any stack's
+    masked rows, each in layout order. A view shares the array it does not
+    change with its input, and a stack too small to mask a row is its own
+    mask view.
     """
     edge_views = []
     for s in stacks:
         i, j = _triu(s.n_nodes)
-        state = s.adjacency[:, i, j] > 0
-        flips = np.maximum(1, np.rint(EDGE_RATIO * state.sum(axis=1))).astype(np.intp)
-        for b, f in enumerate(flips.tolist()):
-            _perturb_edges(state[b], f, rng)
         upper = np.zeros_like(s.adjacency)
-        upper[:, i, j] = state
+        upper[:, i, j] = _edge_flips(s.adjacency[:, i, j] > 0, rng)
         edge_views.append(replace(s, adjacency=upper + upper.transpose(0, 2, 1)))
     mask_views = []
     for s in stacks:
@@ -177,7 +197,8 @@ class EncoderModel:
 
 
 def forward_stack(model: EncoderModel, attrs: np.ndarray, adj: np.ndarray):
-    """Encode a stack of same-size graphs: attrs (B,m,r), adj (B,m,m) floats.
+    """Encode a stack of same-size graphs, attrs (B,m,r) and adj (B,m,m), in
+    their dtype: float32 for ``build_graph``'s stacks.
 
     Returns (h, z, cache) with h/z of shape (B, hidden). The cache keeps each
     ReLU's bool gate, not its float pre-activation.
@@ -231,7 +252,11 @@ def encode_many(stacks: Sequence[GraphStack], model: EncoderModel):
 
     A graph's rows depend on the stack it is in only up to rounding: BLAS may
     take another path for a stack of another size, so a graph encoded alone
-    and in a mixed batch agree to rtol 1e-12 in H and Z, not bit for bit.
+    and in a mixed batch agree in H and Z, not bit for bit, but to rtol 1e-12
+    for float64 stacks, and to rtol 1e-5 plus atol 1e-6 for float32 stacks,
+    whose entries are of order 1 (a relative bound alone fails on entries
+    near 0: 5.8e-4 was seen on one of 2e-5). Float32 stacks agree with their
+    float64 copies to the same rtol and atol.
     """
     hs, zs, caches = zip(*(forward_stack(model, s.attrs, s.adjacency) for s in stacks))
     return np.concatenate(hs), np.concatenate(zs), caches
@@ -296,8 +321,9 @@ def materialize_graphs(records, table, rows: RowSample):
     Each record's sequence is applied to ``table.take(rows.indices)``, not to
     the whole table. Every operator is elementwise, so a column holds the
     same bits as the full-table column at those rows. Duplicates are dropped
-    on the sampled rows: a record whose columns agree there has fewer nodes,
-    and is skipped when it has one left."""
+    on the sampled rows, before scaling: a record whose columns agree there
+    has fewer nodes, and is skipped when it has one left. The graphs are
+    built on the columns scaled by ``nn.scale_input``."""
     sampled = table.take(rows.indices)
     groups: dict[int, list[np.ndarray]] = {}
     skipped = 0
@@ -312,7 +338,7 @@ def materialize_graphs(records, table, rows: RowSample):
     for m in sorted(groups):
         attrs = groups.pop(m)
         try:
-            stacks.append(build_graph(np.stack(attrs)))
+            stacks.append(build_graph(nn.scale_input(np.stack(attrs))))
         except SingleFeature:
             skipped += len(attrs)
     return stacks, skipped

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neat import expr
 from neat.tabular import DataTable
 
 
@@ -21,6 +22,19 @@ def make_table(values: np.ndarray, task: str = "regression",
         target_name="y",
         dataset_id=dataset_id,
     )
+
+
+def clamp_range_table(seed: int, n: int) -> DataTable:
+    """Leaf columns at the evaluator's limits: VALUE_CAP, the exp clamp, the
+    divisor floor and signed zeros, beside ordinary values."""
+    rng = np.random.default_rng(seed)
+    return make_table(np.column_stack([
+        rng.normal(size=n),
+        rng.choice([-expr.VALUE_CAP, 0.0, expr.VALUE_CAP], size=n),
+        rng.uniform(-1.2 * expr.EXP_MAX, 1.2 * expr.EXP_MAX, size=n),
+        rng.choice([-expr.DIV_EPSILON, -1e-9, -0.0, 0.0, 1e-9, expr.DIV_EPSILON], size=n),
+        1e3 * rng.normal(size=n),
+    ]), target=rng.normal(size=n))
 
 
 @pytest.fixture

@@ -3,8 +3,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_table
+from conftest import clamp_range_table, make_table
+from neat import nn
 from neat.checkpoint import load_checkpoint, save_checkpoint
 from neat.collector import ExplorationRecord
 from neat.encoder import (
@@ -29,6 +32,7 @@ from neat.encoder import (
 )
 from neat.errors import BatchTooSmall, CheckpointMismatch, NeatError, SingleFeature
 from neat.expr import (
+    VALUE_CAP,
     CrossSequence,
     FeatureCross,
     apply_sequence,
@@ -47,7 +51,7 @@ ATTR_WIDTH = 5
 # batches follow the stacks' layout: graphs sorted stably by node count.
 @dataclass(frozen=True)
 class Graph:
-    attrs: np.ndarray        # (m, r) float64
+    attrs: np.ndarray        # (m, r) float32 from graph_of; float64 in float64-path tests
     adjacency: np.ndarray    # (m, m) int8
 
     @property
@@ -56,6 +60,8 @@ class Graph:
 
 
 def graph_of(attrs: np.ndarray) -> Graph:
+    """The graph of one set's (scaled) float64 columns; its attributes are
+    stored in float32."""
     m = attrs.shape[0]
     if m < 2:
         raise SingleFeature("a similarity graph needs at least 2 features")
@@ -66,18 +72,27 @@ def graph_of(attrs: np.ndarray) -> Graph:
     upper = np.zeros((m, m), dtype=np.int8)
     hit = pair_sims >= threshold
     upper[iu[0][hit], iu[1][hit]] = 1
-    return Graph(attrs, upper | upper.T)
+    return Graph(attrs.astype(np.float32), upper | upper.T)
+
+
+def sampled_graph(sequence, table, rows: RowSample) -> Graph:
+    """The graph of a sequence's arcsinh-scaled columns over the sampled rows."""
+    columns = apply_sequence(sequence, table)[rows.indices].T
+    return graph_of(np.arcsinh(np.ascontiguousarray(columns)))
 
 
 def perturbed(adjacency: np.ndarray, rng) -> np.ndarray:
+    # One flip at a time: its kind from the flip's uniform, falling back to
+    # the other kind when none is left; its pair the unflipped one of that
+    # kind with the smallest key.
     iu = np.triu_indices(adjacency.shape[0], k=1)
     state = adjacency[iu].astype(bool)
-    for _ in range(max(1, int(round(EDGE_RATIO * int(state.sum()))))):
-        drop = rng.random() < 0.5
-        pool = np.nonzero(state if drop else ~state)[0]
-        if pool.size == 0:
-            pool = np.nonzero(~state if drop else state)[0]
-        pick = pool[int(rng.integers(pool.size))]
+    coins, keys = np.split(rng.random(2 * state.size), 2)
+    left = {kind: sorted(np.flatnonzero(state == kind).tolist(), key=lambda p: keys[p])
+            for kind in (True, False)}
+    for t in range(max(1, int(round(EDGE_RATIO * int(state.sum()))))):
+        drop = bool(coins[t] < 0.5)
+        pick = left[drop if left[drop] else not drop].pop(0)
         state[pick] = not state[pick]
     out = np.zeros_like(adjacency)
     out[iu[0][state], iu[1][state]] = 1
@@ -103,7 +118,7 @@ def stacked_groups(graphs):
         by_m.setdefault(g.n_nodes, []).append(i)
     for m, idxs in sorted(by_m.items()):
         attrs = np.stack([graphs[i].attrs for i in idxs])
-        adj = np.stack([graphs[i].adjacency for i in idxs]).astype(np.float64)
+        adj = np.stack([graphs[i].adjacency for i in idxs]).astype(attrs.dtype)
         yield idxs, attrs, adj
 
 
@@ -115,8 +130,7 @@ def per_graph_pretrain(records, table, model, rows, epochs, batch, rng):
     graphs = []
     for rec in records:
         try:
-            graphs.append(graph_of(np.ascontiguousarray(
-                apply_sequence(rec.sequence, table)[rows.indices, :].T)))
+            graphs.append(sampled_graph(rec.sequence, table, rows))
         except NeatError:
             pass
     graphs = layout(graphs)
@@ -131,7 +145,7 @@ def per_graph_pretrain(records, table, model, rows, epochs, batch, rng):
                 continue
             Z, caches = [], []
             for view in views([graphs[i] for i in chunk], rng):
-                z_all = np.zeros((len(view), model.hidden))
+                z_all = np.zeros((len(view), model.hidden), dtype=np.float32)
                 cache_list = []
                 for idxs, attrs, adj in stacked_groups(view):
                     _, z, cache = forward_stack(model, attrs, adj)
@@ -166,6 +180,26 @@ def _unstack(stacks):
     return [(s.attrs[b], s.adjacency[b]) for s in stacks for b in range(len(s.attrs))]
 
 
+def _as_dtype(stacks, dtype) -> list[GraphStack]:
+    return [GraphStack(s.attrs.astype(dtype), s.adjacency.astype(dtype)) for s in stacks]
+
+
+def _arrays(tree):
+    """The arrays in nested tuples, lists and GraphStacks."""
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, GraphStack):
+        yield from (tree.attrs, tree.adjacency)
+    elif isinstance(tree, (tuple, list)):
+        for item in tree:
+            yield from _arrays(item)
+
+
+# encode_many's stated tolerance for float32 stacks, whose embedding entries
+# are of order 1: alone vs in a mixed batch, and against float64 copies.
+F32_TOL = dict(rtol=1e-5, atol=1e-6)
+
+
 @pytest.fixture
 def graphs(rng):
     # Node counts 4, 3, 4: the size groups are encoded out of input order.
@@ -187,16 +221,59 @@ class TestEncodeMany:
             np.testing.assert_allclose(Z[i], z[0], rtol=0, atol=1e-12)
 
     def test_alone_and_in_a_mixed_batch_agree_to_rtol(self, mixed_corpus):
-        # The tolerance encode_many states: stacks of 1 to 3 graphs of 6-14
-        # nodes, at the bench's hidden width.
+        # The tolerances encode_many states: stacks of 1 to 3 graphs of 6-14
+        # nodes, at the bench's hidden width, as materialized (float32) and
+        # as float64 copies.
+        table, records = mixed_corpus
+        stacks, _ = materialize_graphs(records, table, ROWS)
+        model = EncoderModel(len(ROWS.indices), np.random.default_rng(5), hidden=64)
+        for dtype, tol in ((np.float32, F32_TOL), (np.float64, dict(rtol=1e-12, atol=0))):
+            typed = _as_dtype(stacks, dtype)
+            H, Z, _ = encode_many(typed, model)
+            assert H.dtype == Z.dtype == dtype
+            for i, (attrs, adj) in enumerate(_unstack(typed)):
+                h, z, _ = encode_many([GraphStack(attrs[None], adj[None])], model)
+                np.testing.assert_allclose(H[i], h[0], **tol)
+                np.testing.assert_allclose(Z[i], z[0], **tol)
+
+    def test_float32_and_float64_encodings_agree(self, mixed_corpus):
         table, records = mixed_corpus
         stacks, _ = materialize_graphs(records, table, ROWS)
         model = EncoderModel(len(ROWS.indices), np.random.default_rng(5), hidden=64)
         H, Z, _ = encode_many(stacks, model)
-        for i, (attrs, adj) in enumerate(_unstack(stacks)):
-            h, z, _ = encode_many([GraphStack(attrs[None], adj[None])], model)
-            np.testing.assert_allclose(H[i], h[0], rtol=1e-12, atol=0)
-            np.testing.assert_allclose(Z[i], z[0], rtol=1e-12, atol=0)
+        H64, Z64, _ = encode_many(_as_dtype(stacks, np.float64), model)
+        assert H.dtype == np.float32 and H64.dtype == np.float64
+        np.testing.assert_allclose(H, H64, **F32_TOL)
+        np.testing.assert_allclose(Z, Z64, **F32_TOL)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_training_step_keeps_the_stacks_dtype(self, mixed_corpus, monkeypatch, dtype):
+        # One float64 constant or weight in a float32 pass would promote the
+        # rest of it to float64. Params and grads stay float64 either way.
+        table, records = mixed_corpus
+        stacks = _as_dtype(materialize_graphs(records, table, ROWS)[0], dtype)
+        model = EncoderModel(len(ROWS.indices), np.random.default_rng(5), hidden=6)
+        upstream = []      # the dtype of every gradient a Dense layer receives
+        backward_params = nn.Dense.backward_params
+
+        def spy(layer, dout, cache):
+            upstream.append(dout.dtype)
+            backward_params(layer, dout, cache)
+
+        monkeypatch.setattr(nn.Dense, "backward_params", spy)
+        view1, view2 = augment(stacks, np.random.default_rng(4))
+        H1, Z1, c1 = encode_many(view1, model)
+        H2, Z2, c2 = encode_many(view2, model)
+        _, cache = ntxent_loss(Z1, Z2)
+        dZ1, dZ2 = ntxent_backward(cache)
+        backward_many(model, dZ1, c1)
+        backward_many(model, dZ2, c2)
+        arrays = list(_arrays((view1, view2, H1, H2, Z1, Z2, c1, c2, cache, dZ1, dZ2)))
+        assert {a.dtype for a in arrays} == {np.dtype(dtype), np.dtype(np.bool_)}
+        assert sum(a.dtype == np.bool_ for a in arrays) == 3 * 2 * len(stacks)  # ReLU gates
+        assert upstream == [dtype] * (5 * 2 * len(stacks))
+        for p in model.params():
+            assert p.value.dtype == p.grad.dtype == np.float64 and p.grad.any(), p.name
 
     def test_cache_holds_bool_gates_not_pre_activations(self, model, rng):
         B, m, h = 3, 4, model.hidden        # m is neither h nor the attribute width
@@ -276,13 +353,14 @@ class TestBuildGraph:
     def test_threshold_on_hand_worked_cases(self, columns, edges):
         attrs = np.array(columns, dtype=np.float64)[None]          # 1 graph, 4 features
         stack = build_graph(attrs)
-        # A read-only view of the input, which stays writable.
-        assert np.shares_memory(stack.attrs, attrs) and attrs.flags.writeable
+        # A read-only float32 copy of the input, which stays writable.
+        assert stack.attrs.dtype == stack.adjacency.dtype == np.float32
+        assert np.array_equal(stack.attrs, attrs) and not np.shares_memory(stack.attrs, attrs)
+        assert attrs.flags.writeable
         assert not stack.attrs.flags.writeable and not stack.adjacency.flags.writeable
         expected = np.zeros((1, 4, 4))
         for i, j in edges:
             expected[0, i, j] = expected[0, j, i] = 1
-        assert stack.adjacency.dtype == np.float64
         assert np.array_equal(stack.adjacency, expected)
 
     @pytest.mark.parametrize("m", [2, 3, 7, 13])
@@ -312,7 +390,8 @@ class TestBuildGraph:
         attrs[:, 1:m // 3] = attrs[:, :1] * rng.uniform(0.1, 10, size=(60, m // 3 - 1, 1))
         given = attrs.transpose(0, 2, 1).copy().transpose(0, 2, 1) if column_major else attrs
         stack = build_graph(given)
-        assert np.array_equal(stack.attrs, attrs) and stack.attrs.flags.c_contiguous
+        assert np.array_equal(stack.attrs, attrs.astype(np.float32))
+        assert stack.attrs.flags.c_contiguous
         for b in range(60):
             assert np.array_equal(stack.adjacency[b], graph_of(attrs[b]).adjacency), b
 
@@ -333,17 +412,14 @@ class TestAugment:
         assert len(edge_views) == len(stacks)
         for s, view in zip(stacks, edge_views):
             adj = view.adjacency
-            assert adj.dtype == np.float64 and set(np.unique(adj)) <= {0.0, 1.0}
+            assert adj.dtype == s.adjacency.dtype and set(np.unique(adj)) <= {0.0, 1.0}
             assert np.array_equal(adj, adj.transpose(0, 2, 1))
             assert not adj.diagonal(axis1=1, axis2=2).any()
             i, j = _triu(s.n_nodes)
             changed = (adj[:, i, j] != s.adjacency[:, i, j]).sum(axis=1)
             flips = np.maximum(1, np.rint(EDGE_RATIO * s.adjacency[:, i, j].sum(axis=1)))
-            assert (changed <= flips).all()
+            assert np.array_equal(changed, flips)        # distinct pairs, none flipped back
             assert view.attrs is s.attrs
-        # Every graph flips a pair; only a re-flip of the same pair undoes it.
-        assert any(not np.array_equal(s.adjacency, v.adjacency)
-                   for s, v in zip(stacks, edge_views))
 
     def test_every_edge_view_is_drawn_first(self, rng):
         # One generator, in layout order: every graph's flips, then every
@@ -360,6 +436,54 @@ class TestAugment:
         for (attrs, _), g in zip(_unstack(mask_views), expected_masks, strict=True):
             assert np.array_equal(attrs, g.attrs)
         assert draws.random() == oracle.random()
+
+    @staticmethod
+    def _dropped_and_added(m, edges, copies, seed):
+        """Augment ``copies`` graphs of ``m`` nodes and the given upper-triangle
+        edges; the counts of pairs each graph dropped and added, and how
+        often each pair was dropped or added."""
+        upper = np.zeros((m, m), dtype=np.float32)
+        for i, j in edges:
+            upper[i, j] = 1
+        adjacency = np.broadcast_to(upper + upper.T, (copies, m, m))
+        stack = GraphStack(np.ones((copies, m, 3), dtype=np.float32), adjacency)
+        (edge_view,), (mask_view,) = augment([stack], np.random.default_rng(seed))
+        assert mask_view.adjacency is stack.adjacency and edge_view.attrs is stack.attrs
+        i, j = _triu(m)
+        before, after = stack.adjacency[:, i, j] > 0, edge_view.adjacency[:, i, j] > 0
+        dropped, added = before & ~after, ~before & after
+        return dropped.sum(axis=1), added.sum(axis=1), dropped.sum(axis=0), added.sum(axis=0)
+
+    def test_flip_kinds_and_pairs_follow_the_documented_odds(self):
+        # 12 nodes, 10 edges: 2 flips per graph, each a drop or an add with
+        # equal odds, so 0/1/2 drops in 1/4, 1/2, 1/4 of the graphs; within a
+        # kind every pair is equally likely. Bounds are about 5 standard
+        # errors over 4000 graphs.
+        edges = [(k, k + 1) for k in range(10)]
+        drops, adds, per_edge, per_pair = self._dropped_and_added(12, edges, 4000, seed=8)
+        assert ((drops + adds) == 2).all()
+        share = np.bincount(drops, minlength=3) / 4000
+        np.testing.assert_allclose(share, [0.25, 0.5, 0.25], atol=0.035)
+        is_edge = np.isin(np.arange(66), [k * 12 - k * (k + 1) // 2 for k in range(10)])
+        for counts, size in ((per_edge[is_edge], 10), (per_pair[~is_edge], 56)):
+            expected = counts.sum() / size
+            assert np.abs(counts - expected).max() < 5 * np.sqrt(expected), counts
+
+    @pytest.mark.parametrize("edges, drops, adds", [
+        ([(i, j) for i in range(5) for j in range(i + 1, 5)], 2, 0),   # complete: drops only
+        ([], 0, 1),                                                    # empty: adds only
+    ])
+    def test_a_kind_with_no_pairs_left_falls_back(self, edges, drops, adds):
+        got_drops, got_adds, _, _ = self._dropped_and_added(5, edges, 200, seed=9)
+        assert (got_drops == drops).all() and (got_adds == adds).all()
+
+    def test_the_last_non_edge_is_added_once(self):
+        # 5 nodes, 9 edges: 2 flips, but one non-edge. Two drawn adds become
+        # an add and a drop, so a graph adds a pair with odds 3/4.
+        edges = [(i, j) for i in range(5) for j in range(i + 1, 5)][1:]
+        drops, adds, _, _ = self._dropped_and_added(5, edges, 4000, seed=10)
+        assert ((drops + adds) == 2).all() and (adds <= 1).all()
+        assert abs(adds.mean() - 0.75) < 0.035
 
     def test_sparse_graph_flips_one_pair(self, rng):
         # Two edges would round to zero flips; every edge view flips one.
@@ -506,7 +630,7 @@ class TestMatchesPerGraphPipeline:
         assert skipped == 2
         assert [s.n_nodes for s in stacks] == sorted({s.n_nodes for s in stacks})
         assert 1 in [len(s.attrs) for s in stacks]         # a node count held by one graph
-        kept = [graph_of(np.ascontiguousarray(apply_sequence(r.sequence, table)[ROWS.indices].T))
+        kept = [sampled_graph(r.sequence, table, ROWS)
                 for i, r in enumerate(records) if i not in (3, 7)]
         for s in stacks:
             group = [g for g in kept if g.n_nodes == s.n_nodes]     # in record order
@@ -570,7 +694,7 @@ class TestSampledRowNodes:
         (stack,), skipped = materialize_graphs([record], table, ROWS)
         assert skipped == 0 and stack.n_nodes == 3
         kept = np.column_stack([eval_cross(c, table) for c in crosses[:1] + crosses[2:]])
-        expected = graph_of(np.ascontiguousarray(kept[ROWS.indices].T))
+        expected = graph_of(np.arcsinh(np.ascontiguousarray(kept[ROWS.indices].T)))
         assert np.array_equal(stack.attrs[0], expected.attrs)
         assert np.array_equal(stack.adjacency[0], expected.adjacency)
 
@@ -580,3 +704,21 @@ class TestSampledRowNodes:
         assert materialize_graphs([lone], table, ROWS) == ([], 1)
         _, result = _pretrain(table, corpus[:3] + [lone] + corpus[3:], epochs=1)
         assert result.skipped_records == 1
+
+
+class TestScaledAttributes:
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_finite_and_within_the_scale_of_the_value_cap(self, seed, depth):
+        table = clamp_range_table(seed, 50)
+        rng = np.random.default_rng(seed)
+        originals = [FeatureCross((feature_token(i),)) for i in range(table.n_features)]
+        records = [_record(originals + [random_cross(table.n_features, depth, rng)
+                                        for _ in range(1 + k % 4)]) for k in range(8)]
+        stacks, _ = materialize_graphs(records, table, RowSample(np.arange(50), 0))
+        bound = np.float32(np.arcsinh(VALUE_CAP))
+        assert stacks and all(s.attrs.dtype == np.float32 for s in stacks)
+        assert all(np.isfinite(s.attrs).all() and (np.abs(s.attrs) <= bound).all()
+                   for s in stacks)
+        # The ±VALUE_CAP leaf column, in every record, reaches the bound.
+        assert max(np.abs(s.attrs).max() for s in stacks) == bound

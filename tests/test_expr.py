@@ -31,7 +31,7 @@ from neat.expr import (
     render_infix,
 )
 
-from conftest import make_table
+from conftest import clamp_range_table, make_table
 
 
 def cross(*tokens):
@@ -258,25 +258,12 @@ class TestApplySequence:
             apply_sequence(CrossSequence.from_text("<SOS> f1 f2 <EOS>"), small_table)
 
 
-# Leaf columns at the evaluator's limits: VALUE_CAP, the exp clamp, the
-# divisor floor and signed zeros, beside ordinary values.
-def _clamp_range_table(seed, n):
-    rng = np.random.default_rng(seed)
-    return make_table(np.column_stack([
-        rng.normal(size=n),
-        rng.choice([-expr.VALUE_CAP, 0.0, expr.VALUE_CAP], size=n),
-        rng.uniform(-1.2 * expr.EXP_MAX, 1.2 * expr.EXP_MAX, size=n),
-        rng.choice([-expr.DIV_EPSILON, -1e-9, -0.0, 0.0, 1e-9, expr.DIV_EPSILON], size=n),
-        1e3 * rng.normal(size=n),
-    ]), target=rng.normal(size=n))
-
-
 class TestSampledRows:
     @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 5),
            idx=st.lists(st.integers(0, 49), min_size=1, max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_a_cross_on_taken_rows_is_the_full_column_at_them(self, seed, depth, idx):
-        table = _clamp_range_table(seed, 50)
+        table = clamp_range_table(seed, 50)
         sub = table.take(np.array(idx))
         assert sub.values.flags.f_contiguous and not sub.values.flags.writeable
         assert not sub.target.flags.writeable and len(sub.target) == len(idx)

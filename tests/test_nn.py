@@ -100,6 +100,26 @@ class TestDense:
         flat, _ = layer.forward(x.reshape(10, 4))
         assert np.allclose(y.reshape(10, 3), flat)
 
+    def test_computes_in_the_inputs_dtype(self, rng):
+        layer = Dense("d", 4, 3, rng)
+        layer.b.value[...] = rng.normal(size=3)
+        x, dout = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+        y, cache = layer.forward(x)
+        # float64 runs on the weights themselves: the product as written.
+        assert np.array_equal(y, x @ layer.W.value + layer.b.value)
+        dx = layer.backward(dout, cache)
+        assert np.array_equal(dx, dout @ layer.W.value.T)
+        grads = [p.grad.copy() for p in layer.params()]
+        y32, cache32 = layer.forward(x.astype(np.float32))
+        dx32 = layer.backward(dout.astype(np.float32), cache32)
+        assert y32.dtype == cache32.dtype == dx32.dtype == np.float32
+        np.testing.assert_allclose(y32, y, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(dx32, dx, rtol=1e-5, atol=1e-6)
+        # float32 products accumulate into the float64 grads.
+        for p, before in zip(layer.params(), grads):
+            assert p.value.dtype == p.grad.dtype == np.float64
+            np.testing.assert_allclose(p.grad, 2 * before, rtol=1e-5, atol=1e-6)
+
 
 class TestActivationsAndLosses:
     def test_relu_values(self):
