@@ -1,6 +1,6 @@
 """Exploration-record collection: three cooperating Q-agents (head feature,
-operator, tail feature) grow a feature set step by step, rewarded by the
-label-free utility of each resulting set.
+operator, tail feature) grow a feature set step by step, rewarded by each
+step's gain in the label-free utility of the set.
 
 Each record pairs a full token sequence with the utility of the set it
 materializes, forming the training corpus for the encoder/decoder stages.
@@ -62,7 +62,7 @@ class CollectorConfig:
 def describe_state(v: np.ndarray, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-width description of a feature set's ``(n, m)`` values: 7
     per-column statistics, each summarized across columns by the same 7
-    statistics. Returns ``(state, summaries)``.
+    statistics, through ``nn.scale_input``. Returns ``(state, summaries)``.
 
     ``known`` is the ``(5, j)`` five-number summary (min, 25th percentile,
     median, 75th percentile, max) of ``v``'s first ``j`` columns, as returned
@@ -83,7 +83,7 @@ def describe_state(v: np.ndarray, known: np.ndarray) -> tuple[np.ndarray, np.nda
     rq = np.percentile(col_stats, [25.0, 50.0, 75.0], axis=1)
     summary = np.stack([col_stats.mean(axis=1), col_stats.std(axis=1), col_stats.min(axis=1),
                         rq[0], rq[1], rq[2], col_stats.max(axis=1)], axis=1)
-    return summary.reshape(STATE_WIDTH), summaries
+    return nn.scale_input(summary.reshape(STATE_WIDTH)), summaries
 
 
 class ReplayBuffer:
@@ -249,7 +249,8 @@ def collect(X: DataTable, episodes: int, steps: int,
     across episodes, pick a cross: the head agent a feature, the op agent an
     operator and, for a binary operator, the tail agent a second feature.
     After the set has grown, one loop runs over the three: an agent that
-    acted pushes its transition, and each agent whose buffer holds
+    acted pushes its transition, rewarded by the step's utility gain (0.0
+    on a no-op step), and each agent whose buffer holds
     ``batch_size`` rows takes one TD update. Epsilon decays linearly from
     ``EPSILON_START`` to ``EPSILON_END`` over the first ``EPSILON_FRACTION``
     of the episodes. A set holds at most twice the table's feature count."""
@@ -280,16 +281,17 @@ def collect(X: DataTable, episodes: int, steps: int,
             opcode = OPCODES[OP_SYMBOLS[op]]
             tail = tail_agent.select(state, m_before, epsilon, rng) if opcode.arity == 2 else None
             cross = _compose_cross(features, head, opcode, tail)
-            next_state = state                  # a no-op step leaves the set as it was
+            next_state, gain = state, 0.0       # a no-op step leaves the set as it was
             if _advance(features, cross, X, max_features):
-                utility, next_state, summaries = _score(
+                score, next_state, summaries = _score(
                     features, distances, summaries, cfg.utility)
+                gain, utility = score - utility, score
             records.append(ExplorationRecord(features.sequence(), utility, episode, step))
             m_after = features.n_features
             for agent, action, valid in zip(agents, (head, op, tail),
                                             (m_after, len(OP_SYMBOLS), m_after)):
                 if action is not None:
-                    agent.buffer.push(state, action, utility, next_state, valid,
+                    agent.buffer.push(state, action, gain, next_state, valid,
                                       step == steps - 1)
                 if agent.buffer.size >= agent.batch_size:
                     bellman_update(agent, agent.buffer.sample(agent.batch_size, rng))

@@ -100,6 +100,31 @@ class TestCollect:
         # Every episode grows its own copy of the base cache's candidate lists.
         assert len(copies) == episodes
 
+    def test_reward_is_the_step_gain(self, small_table, monkeypatch):
+        # Every push of a step carries its record's utility minus the one
+        # before it in the episode; before step 0, the table's own columns.
+        rewards, advance, push = [], collector._advance, ReplayBuffer.push
+
+        def marked_advance(*args):
+            rewards.append([])
+            return advance(*args)
+
+        def recorded_push(buffer, state, action, reward, *rest):
+            rewards[-1].append(reward)
+            push(buffer, state, action, reward, *rest)
+
+        monkeypatch.setattr(collector, "_advance", marked_advance)
+        monkeypatch.setattr(ReplayBuffer, "push", recorded_push)
+        # Seed 28: the run has no-op steps (see TestAgentProtocol).
+        records = collect(small_table, episodes=3, steps=5, cfg=SMALL,
+                          rng=np.random.default_rng(28))
+        base = mdcg(small_table.values, SMALL.utility)
+        assert len(rewards) == len(records)
+        for i, (rec, pushed) in enumerate(zip(records, rewards)):
+            previous = base if rec.step == 0 else records[i - 1].utility
+            assert len(pushed) in (2, 3) and set(pushed) == {rec.utility - previous}
+        assert {0.0} < {r for pushed in rewards for r in pushed}
+
     def test_record_file_round_trip(self, small_table, tmp_path):
         records = _collect(small_table)
         path = tmp_path / "records.tsv"
@@ -270,7 +295,8 @@ EXTREME = ("f0 exp exp", "f1 exp exp exp", "f0 exp exp f1 exp exp -",
 
 
 def _describe_state_loop(v):
-    # Reference: each row of per-column statistics summarized on its own.
+    # Reference: each row of per-column statistics summarized on its own,
+    # then arcsinh-scaled.
     q = np.percentile(v, [25.0, 50.0, 75.0], axis=0)
     col_stats = np.vstack([
         v.mean(axis=0), v.std(axis=0), v.min(axis=0), q[0], q[1], q[2], v.max(axis=0)])
@@ -280,7 +306,7 @@ def _describe_state_loop(v):
         rq = np.percentile(row, [25.0, 50.0, 75.0])
         out[s * 7:(s + 1) * 7] = (
             row.mean(), row.std(), row.min(), rq[0], rq[1], rq[2], row.max())
-    return out
+    return np.arcsinh(out)
 
 
 def _cold(v):
@@ -415,6 +441,21 @@ class TestBellmanUpdate:
         step = agent.d2.b.value - np.array([0.5, -1.0, 2.0])
         assert step == pytest.approx(-LEARNING_RATE * np.sign(diffs), rel=1e-6)
         assert agent.updates == 1
+
+    def test_loss_stays_small_on_a_wide_table(self, monkeypatch):
+        # Scaled states and bounded rewards: on raw column statistics the
+        # median TD loss of this run's shape reached 1e8 to 1e39.
+        losses, update = [], collector.bellman_update
+
+        def recorded(agent, batch):
+            losses.append(update(agent, batch))
+            return losses[-1]
+
+        monkeypatch.setattr(collector, "bellman_update", recorded)
+        table = make_table(np.random.default_rng(1).normal(size=(100, 32)))
+        collect(table, episodes=16, steps=32, rng=np.random.default_rng(1))
+        assert len(losses) > 1000
+        assert np.median(losses) < 1e3
 
 
 def _cross(text):

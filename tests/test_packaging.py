@@ -46,7 +46,6 @@ AWAITING_CALLER = {
     "render_infix": "item 7: the CLI prints the kept crosses",
     "load_param_dict": "item 7: the CLI loads a checkpoint",
     "train_test_folds": "item 1: the downstream yardstick",
-    "redundancy_utility": "item 2: the redundancy term",
     "grad_check": "the gradient-check oracle of the tests",
     # dataclass fields that nothing reads yet
     "task": "item 1: the downstream yardstick",
@@ -54,6 +53,7 @@ AWAITING_CALLER = {
     "target_name": "item 7: the CLI names the target",
     "dropped_rows": "item 7: the CLI reports the rows it dropped",
     "episode": "the benchmark builds ExplorationRecord positionally",
+    "step": "the benchmark builds ExplorationRecord positionally",
 }
 
 
@@ -92,8 +92,9 @@ def _constants(tree: ast.Module):
 def test_every_definition_has_a_caller():
     """A name in src/neat that neither the package nor the benchmark refers
     to is dead code, unless a planned stage will call it. A dataclass field
-    counts as read only through an attribute: a keyword at construction
-    writes it, and a bare name is some local variable. A module constant
+    counts as read only through an attribute that is not a call's function:
+    a keyword at construction writes it, a bare name is some local variable,
+    and ``opt.step()`` calls a method of the same name. A module constant
     counts as read through a bare name that is loaded, not assigned, or
     through an attribute."""
     sources = [p for p in sorted((ROOT / "src" / "neat").glob("*.py"))
@@ -102,6 +103,9 @@ def test_every_definition_has_a_caller():
     trees = {p: ast.parse(p.read_text()) for p in sources + bench}
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
     attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+    reads = {node.attr for node in nodes
+             if isinstance(node, ast.Attribute) and id(node) not in called}
     referenced = attributes | {node.id for node in nodes if isinstance(node, ast.Name)}
     loaded = attributes | {node.id for node in nodes
                            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -109,9 +113,9 @@ def test_every_definition_has_a_caller():
     fields = {name for p in sources for name in _fields(trees[p])}
     constants = {name for p in sources for name in _constants(trees[p])}
     assert defined and fields and constants
-    uncalled = sorted(((defined - referenced) | (fields - attributes) | (constants - loaded))
+    uncalled = sorted(((defined - referenced) | (fields - reads) | (constants - loaded))
                       - AWAITING_CALLER.keys())
     assert uncalled == [], f"no caller: {uncalled}"
-    called = sorted(name for name in AWAITING_CALLER
-                    if name in (attributes if name in fields else referenced))
-    assert called == [], f"has a caller now, so leave AWAITING_CALLER: {called}"
+    waiting = sorted(name for name in AWAITING_CALLER
+                     if name in (reads if name in fields else referenced))
+    assert waiting == [], f"has a caller now, so leave AWAITING_CALLER: {waiting}"
