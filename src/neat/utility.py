@@ -38,40 +38,21 @@ apart from n - 1 tied ones, so every term, and the mean, is at least
 columns score about 0.96 (1000 x 4), 0.85 (1000 x 8) and 0.39 (100 x 32), and
 200 rows about 0.1 less than 1000, since their neighbours lie farther apart.
 
-Neighbours are exact. A pair's d^2 is the sum of its per-column squares
-``(x_q - y_q)^2`` in column order, so a pair and its mirror get the same bits,
-and so do a set grown column by column and the same set scored at once. Ties
-at the k-th distance go to the lower row index.
-
-No (n, n) array is built. Each row keeps a list of candidate rows with their
-exact d^2 and a lower bound on the d^2 of every other row (``DistanceCache``).
-A Gram screen picks the candidates. Small and large sets share this one path
-and differ only in list width: a set of at most ``LIST_MIN_ROWS`` rows lists
-every other row, so every row passes its screen and the bound is +inf.
-For rows x and y of m columns with r_x = |x|^2 and r_y = |y|^2, one matrix
-product gives ``approx = r_x + r_y - 2 x.y``, and
-
-    |approx - d^2| <= delta = 4 (m + 2) eps (r_x + r_y),
-
-with eps the float64 machine epsilon and d^2 the exact, column-order sum.
-Derivation, with unit roundoff u = eps / 2: the norms, summed in any order,
-are within m u r of r each; a dot product, in any order and with or without
-fused multiply-adds, is within m u sum|x_q y_q| <= m u (r_x + r_y) / 2 of x.y;
-the last add and subtract round twice on values below 2 (r_x + r_y). So
-approx is within (2m + 3) u (r_x + r_y) of the true distance. The exact sum
-adds m non-negative terms that each round twice (subtract, square) and m - 1
-times more as they add up, so it is within (m + 2) u d^2, and
-d^2 <= 2 (r_x + r_y). The two together are below (4m + 7) u (r_x + r_y) up to
-O(u^2) terms, and delta = 8 (m + 2) u (r_x + r_y) leaves room for those and for
-the few roundings of the comparison itself, which moves each row's own terms
-to the side of its limit. The screen decides only which pairs get an exact
-d^2, never a value that is used, so results do not depend on the BLAS or its
-thread count.
+Neighbours are exact. The code works on integer rank codes, 2 r - (n - 1)
+for a value of mean rank r: the scaled columns times 2 (n - 1), a common
+factor that moves no neighbour and no term. Codes lie in [-(n - 1), n - 1],
+so a pair's d^2 over m kept columns is an integer of at most 4 m (n - 1)^2,
+and its key n d^2 + j, for row j, is an integer below 4 m n^3. While that is
+below 2^53 (``feature_importance`` refuses larger sets), every norm, dot
+product, sum and key is a float64 integer, exact in any order of summation,
+so results do not depend on the BLAS or its thread count, and a set grown
+column by column gets the bits of the same set scored at once. Keys are
+distinct, and sorting them orders rows by (d^2, row index), so ties at the
+k-th distance go to the lower row index.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,18 +84,17 @@ class UtilityConfig:
     row_seed: int = 0
 
 
-def _rank_scale(columns: np.ndarray) -> np.ndarray:
-    # Each column's ranks r / (n - 1) - 0.5, ties sharing their mean rank.
+def _rank_codes(columns: np.ndarray) -> np.ndarray:
+    # Each value's code 2 r - (n - 1), with r its mean rank among its
+    # column's values (ties share it): integers in [-(n - 1), n - 1].
     n = len(columns)
-    scaled = np.empty(columns.shape)
-    for out, column in zip(scaled.T, columns.T):
+    codes = np.empty(columns.shape)
+    for out, column in zip(codes.T, columns.T):
         order = np.argsort(column, kind="stable")
         ordered = column[order]
         edges = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1], [True]]))
-        out[order] = np.repeat((edges[:-1] + edges[1:] - 1) / 2.0, np.diff(edges))
-    scaled /= n - 1
-    scaled -= 0.5
-    return scaled
+        out[order] = np.repeat(edges[:-1] + edges[1:] - n, np.diff(edges))
+    return codes
 
 
 def _append_distinct(kept: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -131,80 +111,42 @@ def _append_distinct(kept: np.ndarray, new: np.ndarray) -> np.ndarray:
 LIST_LEN = 32
 LIST_MIN_ROWS = 256
 
-# Rows screened per pass, so the (block, n) temporaries stay small; it does
+# Rows ranked per pass, so the (block, n) temporaries stay small; it does
 # not change the result.
 _ROW_BLOCK = 64
 
 
-def _add_pair_sq_dists(d2: np.ndarray, columns: np.ndarray,
-                       i: np.ndarray, j: np.ndarray) -> None:
-    # d2 += (c[j] - c[i])^2 for each column c of ``columns`` (one per array
-    # row), in column order: the sum that defines every distance here. ``j``
-    # has the shape of d2, and ``i`` broadcasts to it.
-    for c in columns:
-        diff = c.take(j)
-        diff -= c.take(i)
-        diff *= diff
-        d2 += diff
-
-
-def _nearest(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # Mask of each row's k smallest entries, ties at the k-th value going to
-    # the lowest slots, and that k-th value. NaN entries are never picked.
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
-    near = dist <= kth[:, None]
-    if np.count_nonzero(near) > k * len(near):   # some row has a tie at its k-th
-        over = np.flatnonzero(np.count_nonzero(near, axis=1) > k)
-        d, bound = dist[over], kth[over, None]
-        tied = d == bound
-        room = k - np.count_nonzero(d < bound, axis=1)
-        near[over] = (d < bound) | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-    return near, kth
-
-
 class DistanceCache:
-    """Row subsample of the last set scored, its kept rank-scaled columns,
-    and each subsampled row's candidate list: rows with their exact d^2, and
-    ``outside``, a lower bound on the d^2 of every row not in the list.
+    """Row subsample of the last set scored, its kept rank codes, and each
+    subsampled row's candidate list: ``keys``, n d^2 + j of each listed row
+    j, and ``outside``, the smallest key of any row not listed.
 
     A list holds its row's ``LIST_LEN`` nearest rows (``k`` if larger) when
-    it is built, and ``outside`` is the next smallest d^2. Sets of at most
-    ``LIST_MIN_ROWS`` rows take the same path with lists of every other row:
-    every row passes their screen, and ``outside`` is +inf.
-    ``neighbours`` gives each row's k nearest rows in rank order.
-    A row's k nearest rows, ties included, all lie in its list while the
-    list's k-th d^2 is below ``outside``. A row whose k-th d^2 reaches it
-    rebuilds its list by the Gram screen (see the module docstring). If the
-    k-th d^2 still equals the bound, a tie runs past the list, and the row
-    takes the exact d^2 of every row the screen cannot place beyond it.
+    it is ranked; sets of at most ``LIST_MIN_ROWS`` rows list every other
+    row, with ``outside`` +inf. Keys are distinct, so a row's k smallest
+    listed keys are its k nearest rows while the k-th is below ``outside``;
+    a row whose k-th key exceeds it is ranked again from all its keys.
 
-    The bound relies on an append-only contract: when the cached raw
-    columns are a prefix of the next set's, only the new columns are scaled,
-    and the squares of those kept are added to the list values (n x list
-    length work). Each column is scaled on its own, so the kept columns only
-    grow, and adding non-negative squares never lowers a d^2, in floats too,
-    so ``outside`` stays a lower bound. Any other set, or another row count
-    or subsample, drops the lists.
-
-    Holds the subsampled raw and scaled columns and two (n, ``LIST_LEN``)
-    arrays of lists and values, about 0.4 MB at 1000 rows; (n, n - 1) ones
-    for the small sets. The screen works ``_ROW_BLOCK`` rows at a time, so no (n, n)
-    temporary exists either.
+    Append-only contract: when the cached raw columns are a prefix of the
+    next set's, only the new columns are coded, and n (c_j - c_i)^2 of each
+    one kept is added to the keys (n x list length work). Keys only grow, so
+    ``outside`` stays a lower bound. Any other set, or another row count or
+    subsample, drops the lists. The keys take about 0.3 MB at 1000 rows, and
+    rows are ranked ``_ROW_BLOCK`` at a time, so no (n, n) array exists.
     """
 
     def __init__(self):
         self.key: tuple[int, int, int] | None = None   # (n, max_rows, row_seed)
         self.rows: np.ndarray | None = None
         self.raw: np.ndarray | None = None       # (n, m): the subsampled set
-        self.columns: np.ndarray | None = None   # (n, kept): its distinct scaled columns
-        self.lists: np.ndarray | None = None     # (n, width) candidate rows, increasing
-        self.values: np.ndarray | None = None    # (n, width) their d2
-        self.outside: np.ndarray | None = None   # (n,) d2 lower bound beyond each list
+        self.columns: np.ndarray | None = None   # (n, kept): its distinct codes
+        self.keys: np.ndarray | None = None      # (n, width) n d2 + j of listed rows j
+        self.outside: np.ndarray | None = None   # (n,) smallest key of the rest
 
     def update(self, F: np.ndarray, cfg: UtilityConfig) -> np.ndarray:
         """Make the row subsample of ``F`` the cache's set and return its
-        kept scaled columns. When the cached set is a prefix of it, scale
-        only the appended columns and extend the lists by those kept."""
+        kept codes. When the cached set is a prefix of it, code only the
+        appended columns and add those kept to the keys."""
         key = (F.shape[0], cfg.max_rows, cfg.row_seed)
         if key != self.key:
             self.key, self.rows, self.raw = key, sample_indices(*key), None
@@ -213,120 +155,65 @@ class DistanceCache:
         if not (cached and cached <= sub.shape[1]
                 and np.array_equal(self.raw, sub[:, :cached])):
             cached, self.columns = 0, np.empty((len(sub), 0))
-            self.lists = self.values = self.outside = None
+            self.keys = self.outside = None
         kept = self.columns.shape[1]
         self.raw = sub
-        self.columns = _append_distinct(self.columns, _rank_scale(sub[:, cached:]))
-        if self.lists is not None:
-            _add_pair_sq_dists(self.values, self.columns[:, kept:].T,
-                               np.arange(len(self.lists))[:, None], self.lists)
+        self.columns = _append_distinct(self.columns, _rank_codes(sub[:, cached:]))
+        if self.keys is not None:
+            n = len(sub)
+            listed = self.keys.astype(np.intp) % n
+            for c in self.columns[:, kept:].T:
+                diff = c.take(listed)
+                diff -= c[:, None]
+                diff *= diff
+                diff *= n
+                self.keys += diff
         return self.columns
 
     def neighbours(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Each row's k nearest rows, ordered by (d^2, row index), for the
-        set last passed to ``update``: (n, k) arrays of rows and their d^2.
-        Ties at the k-th distance go to the lower row index."""
-        n = len(self.columns)
-        fresh = self._build(k)
-        near, kth = _nearest(self.values, k)
-        ties = np.flatnonzero(kth >= self.outside)
-        if len(ties) and not fresh:        # stale lists: rebuild them first
-            self._refresh(ties)
-            near[ties], kth[ties] = _nearest(self.values[ties], k)
-            ties = ties[kth[ties] >= self.outside[ties]]
-        near[ties] = False                 # a tie at the list's bound
-        listed = np.ones(n, dtype=bool)
-        listed[ties] = False
-        index, d2 = np.empty((n, k), dtype=np.intp), np.empty((n, k))
-        index[listed] = self.lists[near].reshape(-1, k)
-        d2[listed] = self.values[near].reshape(-1, k)
-        for block, rows, dist in self._screen(ties, kth[ties]):
-            mask = _nearest(dist, k)[0]
-            index[block], d2[block] = rows[mask].reshape(-1, k), dist[mask].reshape(-1, k)
-        # Each row's k arrive in increasing row order, so a stable sort on
-        # d^2 ranks them by (d^2, row index).
-        order = np.argsort(d2, axis=1, kind="stable")
-        return np.take_along_axis(index, order, axis=1), np.take_along_axis(d2, order, axis=1)
-
-    def _build(self, k: int) -> bool:
-        # Build every list, when there are none or they are too short for k.
+        set last passed to ``update``: (n, k) arrays of rows and their d^2
+        over the codes. Ties at the k-th distance go to the lower row index."""
         n = len(self.columns)
         width = n - 1 if n <= LIST_MIN_ROWS else min(n - 1, max(LIST_LEN, k))
-        if self.lists is not None and self.lists.shape[1] >= width:
-            return False
-        self.lists = np.empty((n, width), dtype=np.int32)
-        self.values = np.empty((n, width))
-        self.outside = np.empty(n)
-        self._refresh(np.arange(n))
-        return True
+        if self.keys is None or self.keys.shape[1] < width:
+            self.keys, self.outside = np.empty((n, width)), np.empty(n)
+            self._rank(np.arange(n))
+        near = np.partition(self.keys, k - 1, axis=1)[:, :k]
+        stale = np.flatnonzero(near[:, k - 1] > self.outside)
+        if len(stale):
+            self._rank(stale)
+            near[stale] = np.partition(self.keys[stale], k - 1, axis=1)[:, :k]
+        near.sort(axis=1)
+        d2, index = np.divmod(near, n)
+        return index.astype(np.intp), d2
 
-    def _refresh(self, rows: np.ndarray) -> None:
-        # Rebuild the lists of ``rows``: each row's nearest rows in
-        # increasing row order with their d2, and the next smallest d2 as the
-        # row's bound.
-        n, width = self.lists.shape
-        for block, index, dist in self._screen(rows, None):
-            if width == n - 1:             # every other row passes the screen
-                self.lists[block], self.values[block] = index, dist
-                self.outside[block] = np.inf
-                continue
-            part = np.argpartition(dist, width, axis=1)   # NaN padding sorts last
-            slots = np.sort(part[:, :width], axis=1)     # slots run in row order
-            self.lists[block] = np.take_along_axis(index, slots, axis=1)
-            self.values[block] = np.take_along_axis(dist, slots, axis=1)
-            self.outside[block] = np.take_along_axis(dist, part[:, width:width + 1], axis=1)[:, 0]
-
-    def _screen(self, rows: np.ndarray, limits: np.ndarray | None
-                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        # For each block of ``rows``: every row that the Gram screen cannot
-        # place beyond the row's limit, or with ``limits`` None beyond its
-        # (width + 1)-th nearest, as (block, index, d2). ``index`` and ``d2``
-        # hold one row of the block each, in increasing row order, padded
-        # with NaN d2.
-        if not len(rows):
-            return
-        columns = self.columns.T
-        m, n = columns.shape
-        width = self.lists.shape[1]
-        c = 4 * (m + 2) * np.finfo(float).eps        # delta = c (r_x + r_y)
-        norms = np.einsum("qi,qi->i", columns, columns)
-        up, down = (1.0 + c) * norms, 2.0 * c * norms
+    def _rank(self, rows: np.ndarray) -> None:
+        # Relist ``rows``: the keys of each row's nearest rows, from one Gram
+        # block of exact keys, and the next smallest key as ``outside``. A
+        # row's own key is +inf, so a list of every other row gets +inf.
+        n, width = self.keys.shape
+        c = self.columns
+        norms = np.einsum("ij,ij->i", c, c)
         for start in range(0, len(rows), _ROW_BLOCK):
             block = rows[start:start + _ROW_BLOCK]
-            here = np.arange(len(block))
-            own = norms[block]
-            # s + (1 + c) r_x = approx + delta; s - down + (1 - c) r_x =
-            # approx - delta. The row's own terms join its limit instead.
-            s = (-2.0 * columns[:, block]).T @ columns
-            s += up
-            if limits is None:
-                s[here, block] = np.inf
-                limit = np.partition(s, width, axis=1)[:, width] + 2.0 * c * own
-            else:
-                limit = limits[start:start + _ROW_BLOCK] - (1.0 - c) * own
-            s -= down
-            candidate = s <= limit[:, None]
-            candidate[here, block] = False
-            cand_rows, cand_cols = np.divmod(np.flatnonzero(candidate), n)
-            counts = np.bincount(cand_rows, minlength=len(block))
-            slots = np.arange(len(cand_rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-            index = np.zeros((len(block), counts.max()), dtype=np.intp)
-            dist = np.full(index.shape, np.nan)
-            index[cand_rows, slots] = cand_cols
-            exact = np.zeros(len(cand_rows))
-            _add_pair_sq_dists(exact, columns, block[cand_rows], cand_cols)
-            dist[cand_rows, slots] = exact
-            yield block, index, dist
+            keys = (-2.0 * c[block]) @ c.T
+            keys += norms
+            keys += norms[block, None]
+            keys *= n
+            keys += np.arange(n)
+            keys[np.arange(len(block)), block] = np.inf
+            keys.partition(width, axis=1)
+            self.keys[block], self.outside[block] = keys[:, :width], keys[:, width]
 
     def copy(self) -> "DistanceCache":
-        """An independent cache that starts from this one's set: the lists
+        """An independent cache that starts from this one's set: the keys
         are copied, since appending columns updates them in place."""
         other = DistanceCache()
         other.key, other.rows, other.raw, other.columns = (
             self.key, self.rows, self.raw, self.columns)
-        for name in ("lists", "values", "outside"):
-            value = getattr(self, name)
-            setattr(other, name, None if value is None else value.copy())
+        if self.keys is not None:
+            other.keys, other.outside = self.keys.copy(), self.outside.copy()
         return other
 
 
@@ -339,6 +226,8 @@ def feature_importance(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
     Raises:
         DegenerateK: ``cfg.k_neighbors`` is below 1, or not below the
             number of subsampled rows.
+        ValueError: 4 m n^3 reaches 2^53 for m columns and n subsampled
+            rows, so keys would no longer be exact.
     """
     if F.ndim != 2:
         raise ValueError(f"expected a 2-D feature matrix, got shape {F.shape}")
@@ -346,6 +235,8 @@ def feature_importance(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
     k = cfg.k_neighbors
     if not 1 <= k < n:
         raise DegenerateK(f"k={k}: need 1 <= k < {n}, the subsampled row count")
+    if 4 * F.shape[1] * n ** 3 >= 2 ** 53:
+        raise ValueError(f"{F.shape[1]} columns of {n} rows: need 4 m n^3 < 2^53")
     if cache is None:
         cache = DistanceCache()
     v = cache.update(F, cfg)

@@ -64,35 +64,35 @@ class TestCollect:
         table = make_table(np.random.default_rng(5).normal(size=(400, 5)))
         cfg = dataclasses.replace(SMALL, utility=UtilityConfig(max_rows=300))
         assert cfg.utility.max_rows > utility.LIST_MIN_ROWS
-        refreshed = []
-        refresh = DistanceCache._refresh
+        ranked = []
+        rank = DistanceCache._rank
 
-        def counted_refresh(cache, rows):
-            refreshed.append(len(rows))
-            return refresh(cache, rows)
+        def counted_rank(cache, rows):
+            ranked.append(len(rows))
+            return rank(cache, rows)
 
-        monkeypatch.setattr(DistanceCache, "_refresh", counted_refresh)
+        monkeypatch.setattr(DistanceCache, "_rank", counted_rank)
         records = collect(table, episodes=3, steps=5, cfg=cfg, rng=np.random.default_rng(11))
-        assert refreshed.count(300) >= 1        # the lists were built ...
-        assert len(refreshed) > refreshed.count(300)    # ... and some rows refreshed
+        assert ranked.count(300) >= 1           # the lists were built ...
+        assert len(ranked) > ranked.count(300)  # ... and some rows ranked again
         for rec in records:
             assert rec.utility == mdcg(apply_sequence(rec.sequence, table), cfg.utility)
 
     @pytest.mark.parametrize("episodes", [1, 3])
     def test_table_columns_are_scored_once_per_call(self, small_table, monkeypatch, episodes):
         builds, copies = [], []
-        refresh, copy = DistanceCache._refresh, DistanceCache.copy
+        rank, copy = DistanceCache._rank, DistanceCache.copy
 
-        def counted_refresh(cache, rows):
+        def counted_rank(cache, rows):
             if len(rows) == len(cache.columns):         # every row: a cold build
                 builds.append(cache.columns.shape)
-            return refresh(cache, rows)
+            return rank(cache, rows)
 
         def counted_copy(cache):
             copies.append(cache)
             return copy(cache)
 
-        monkeypatch.setattr(DistanceCache, "_refresh", counted_refresh)
+        monkeypatch.setattr(DistanceCache, "_rank", counted_rank)
         monkeypatch.setattr(DistanceCache, "copy", counted_copy)
         collect(small_table, episodes=episodes, steps=5, cfg=SMALL,
                 rng=np.random.default_rng(11))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -8,6 +11,7 @@ from conftest import clamp_range_table, make_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import neat
 from neat.errors import DegenerateK
 from neat.expr import VALUE_CAP, eval_cross, random_cross
 from neat.tabular import sample_indices
@@ -24,8 +28,9 @@ from neat.utility import (
 # -- independent reference implementations, deliberately written as plain loops --
 
 def oracle_scaled(F):
-    # Each column's ranks r / (n - 1) - 0.5, tied values sharing their mean
-    # rank; a column equal to an earlier scaled column is left out.
+    # Each column's rank codes 2 r - (n - 1), r the value's mean rank among
+    # its column's values; a column equal to an earlier coded column is left
+    # out.
     n, m = F.shape
     kept = []
     for q in range(m):
@@ -33,7 +38,7 @@ def oracle_scaled(F):
         scaled = np.empty(n)
         for i in range(n):
             below, tied = int((col < col[i]).sum()), int((col == col[i]).sum())
-            scaled[i] = (below + (tied - 1) / 2.0) / (n - 1) - 0.5
+            scaled[i] = 2 * below + tied - n
         if not any(np.array_equal(scaled, other) for other in kept):
             kept.append(scaled)
     return np.column_stack(kept)
@@ -50,7 +55,7 @@ def oracle_sq_dists(F):
 
 
 def oracle_ranked(S, k):
-    # each row's k nearest other rows of the scaled set S, ordered by (d2,
+    # each row's k nearest other rows of the coded set S, ordered by (d2,
     # row index): a stable sort of each whole distance row, self placed last
     d2 = oracle_sq_dists(S)
     np.fill_diagonal(d2, np.nan)
@@ -167,7 +172,7 @@ class TestKnnIndicator:
     @pytest.mark.parametrize("seed", range(3))
     def test_pairwise_sq_dists_exactly_symmetric(self, seed):
         # a pair's d2 must equal its mirror's bit for bit, and the oracle's on
-        # the scaled columns, and each row must come ranked by (d2, row index)
+        # the coded columns, and each row must come ranked by (d2, row index)
         F = np.random.default_rng(seed).normal(size=(60, 7)) * 10.0 ** np.arange(-3, 4)
         n = len(F)
         cache = DistanceCache()
@@ -197,10 +202,10 @@ class TestMdcg:
         assert feature_importance(F, UtilityConfig(k_neighbors=1)).tolist() == [0.0]
 
     def test_hand_case_three_rows(self):
-        # Scaled: a = (-0.5, 0, 0.5), b = (-0.5, 0.5, 0). d2 is 1.25 from row
-        # 0 to rows 1 and 2, a tie that goes to row 1, and 0.5 between rows 1
-        # and 2. Squared differences along the pairs 0-1, 1-2, 2-1 average to
-        # 0.25 in a and 0.5 in b; each column's variance is 0.25.
+        # Coded: a = (-2, 0, 2), b = (-2, 2, 0). d2 is 20 from row 0 to rows
+        # 1 and 2, a tie that goes to row 1, and 8 between rows 1 and 2.
+        # Squared differences along the pairs 0-1, 1-2, 2-1 average to 4 in a
+        # and 8 in b; each column's variance is 4.
         F = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
         assert feature_importance(F, UtilityConfig(k_neighbors=1)).tolist() == [0.5, 0.0]
         assert mdcg(F, UtilityConfig(k_neighbors=1)) == 0.25
@@ -239,7 +244,7 @@ class TestMdcg:
         assert mdcg(F, cfg) != mdcg(F, BIG)
 
     def test_negative_values_allowed(self):
-        # Every pair lies at d2 = 1.5, so each row takes its lowest other row;
+        # Every pair lies at d2 = 24, so each row takes its lowest other row;
         # those pairs differ in the first column more than random pairs do.
         F = np.array([[0.0, 1.0, 0.0], [2.0, 2.0, 1.0], [1.0, 0.0, 2.0]])
         assert feature_importance(F, UtilityConfig(k_neighbors=1)).tolist() == [-0.5, 0.5, 0.0]
@@ -284,12 +289,12 @@ class TestDistanceCache:
             assert mdcg(rows, cfg, cache) == mdcg(rows, cfg)
 
 
-# Columns that stress the scaling, the candidate lists and the screen: integer
-# lattices tie rows at their k-th distance and at a list's bound; a constant
-# adds nothing; +-VALUE_CAP and values beyond it would overflow d2 unscaled,
-# and rank as three tied groups; exp(exp(x)) reorders most rows' neighbours,
-# so most lists refresh; and near-duplicates at a large common offset would
-# cancel in the Gram form unscaled.
+# Columns that stress the coding and the candidate lists: integer lattices
+# tie rows at their k-th distance and at a list's bound; a constant adds
+# nothing; +-VALUE_CAP and values beyond it would overflow d2 uncoded, and
+# rank as three tied groups; exp(exp(x)) reorders most rows' neighbours, so
+# most lists are ranked again; and near-duplicates at a large common offset
+# would cancel in the Gram form uncoded.
 COLUMN_KINDS = ("normal", "lattice", "constant", "cap", "expexp", "overflow", "offset")
 
 
@@ -323,8 +328,8 @@ def _check_neighbours(caches, F, cfg, k):
 
 
 class TestCandidateLists:
-    """A DistanceCache finds neighbours from per-row candidate lists that a
-    Gram screen chooses; cold and grown sets must both find the oracle's."""
+    """A DistanceCache finds neighbours from per-row candidate lists of
+    exact keys; cold and grown sets must both find the oracle's."""
 
     # (rows, max_rows): the subsample path and the full-row path above
     # LIST_MIN_ROWS, then a set whose lists hold every other row
@@ -376,16 +381,15 @@ class TestCandidateLists:
         check(sets[1], caches[0])
         check(np.column_stack([sets[1], _column(shared[0], rng, n)]), caches[0])
 
-    def test_tie_at_the_list_bound_is_rescreened(self, monkeypatch):
-        # In rank units, column a holds row 0 and rows 1..LIST_LEN in a group
-        # of mean rank 16, and row LIST_LEN + 1 with the last two rows in a
-        # group of mean rank 34: those sit at exactly the list's bound, the
-        # other rows beyond it. Column b puts row 0 and row LIST_LEN + 1 in a
-        # group of mean rank 16 and rows 1..LIST_LEN in one of mean rank 34,
-        # so it moves rows 1..LIST_LEN to the bound from row 0: its k-th
-        # candidate equals its bound, and a refresh meets the same tie. The
-        # row is screened again at that distance, so only the LIST_LEN + 1
-        # rows at the bound get an exact d2, not the whole row.
+    def test_tie_at_the_list_bound_is_rescreened(self):
+        # In codes, column a holds row 0 and rows 1..LIST_LEN in a group of
+        # mean rank 16, and row LIST_LEN + 1 with the last two rows in a group
+        # of mean rank 34: those sit at exactly the list's bound, the other
+        # rows beyond it. Column b puts row 0 and row LIST_LEN + 1 in a group
+        # of mean rank 16 and rows 1..LIST_LEN in one of mean rank 34, so it
+        # moves rows 1..LIST_LEN to the bound's d2 from row 0: row 0's k
+        # nearest tie with unlisted rows. Their keys still order them by row
+        # index, so the list answers: rows 1, 2, 3.
         n, k = LIST_MIN_ROWS + 44, 3
         a = 2.0 + np.arange(n)
         a[:LIST_LEN + 1] = 0.0
@@ -394,33 +398,21 @@ class TestCandidateLists:
         b[100:115] = -np.arange(1.0, 16.0)                # 15 rows below row 0
         b[[0, LIST_LEN + 1, 200]] = 0.0
         b[1:LIST_LEN + 1] = b[201] = 1.0
-        bound = ((34.0 / (n - 1) - 0.5) - (16.0 / (n - 1) - 0.5)) ** 2
+        bound = n * (2 * 34 - 2 * 16) ** 2 + LIST_LEN + 1   # row LIST_LEN + 1's key
         cfg = UtilityConfig(k_neighbors=k)
         cache = DistanceCache()
         mdcg(a[:, None], cfg, cache)
         mdcg(np.column_stack([a, np.zeros(n)]), cfg, cache)
-        assert sorted(cache.lists[0]) == list(range(1, LIST_LEN + 1))
+        assert sorted(cache.keys[0] % n) == list(range(1, LIST_LEN + 1))
         assert cache.outside[0] == bound
-        rescreened = {}
-        screen = DistanceCache._screen
-
-        def recorded(self, rows, limits):
-            for block, index, dist in screen(self, rows, limits):
-                if limits is not None:
-                    counts = np.count_nonzero(~np.isnan(dist), axis=1)
-                    rescreened.update(zip(block.tolist(), zip(limits.tolist(), counts.tolist())))
-                yield block, index, dist
-
-        monkeypatch.setattr(DistanceCache, "_screen", recorded)
         F = np.column_stack([a, np.zeros(n), b])
         assert np.array_equal(feature_importance(F, cfg, cache), feature_importance(F, cfg))
-        assert rescreened[0] == (bound, LIST_LEN + 1)
         _check_neighbours([cache], F, cfg, k)
         assert cache.neighbours(k)[0][0].tolist() == [1, 2, 3]
 
     def test_ties_beside_fallback_rows_are_repaired(self):
-        # Rows 0..49 are duplicates, more than a list holds, so each is
-        # screened again and has no list members. Row 200 then has two rows
+        # Rows 0..49 are duplicates, more than a list holds, so each lists
+        # only its tied rows. Row 200 then has two rows
         # at its nearest distance (199 and 201, each the other's duplicate),
         # and the list rule must drop the higher-indexed one although the
         # members over all rows number fewer than k per row.
@@ -437,7 +429,7 @@ class TestCandidateLists:
         assert cache.neighbours(k)[0][200].tolist() == [199]
 
     def test_no_array_grows_with_the_square_of_the_rows(self):
-        # The lists hold n x LIST_LEN entries; the screen works in row blocks.
+        # The lists hold n x LIST_LEN keys; rows are ranked in row blocks.
         n = 1000
         rng = np.random.default_rng(4)
         F = np.column_stack([rng.normal(size=(n, 6)), np.exp(np.exp(rng.normal(size=n)))])
@@ -445,7 +437,7 @@ class TestCandidateLists:
         cache = DistanceCache()
         mdcg(F[:, :6], cfg, cache)
         tracemalloc.start()
-        mdcg(F, cfg, cache)                   # grown, and most lists refresh
+        mdcg(F, cfg, cache)                   # grown, and most rows are ranked again
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         held = [value for c in (cache, cache.copy()) for value in vars(c).values()
@@ -454,10 +446,22 @@ class TestCandidateLists:
         assert peak < n * n * 8 // 2
 
 
-def _screen_sets():
-    # Sets for the Gram screen: N(0,1); columns from 1e-3 to 1e3; rows that
-    # differ by 1e-7 at an offset of 1e8; +-VALUE_CAP; a lattice; 64 columns;
-    # and rows from 1e-100 to 1e100.
+def _cross_set(seed, n, crosses, clamp):
+    # A table's columns and random crosses of them; with ``clamp`` the table
+    # holds columns at the evaluator's limits (VALUE_CAP, the exp clamp, the
+    # divisor floor, signed zeros).
+    rng = np.random.default_rng(seed)
+    table = clamp_range_table(seed, n) if clamp else make_table(rng.normal(size=(n, 4)))
+    d = table.n_features
+    columns = [table.values[:, j] for j in range(d)]
+    columns += [eval_cross(random_cross(d, 3, rng), table) for _ in range(crosses)]
+    return np.column_stack(columns), rng
+
+
+def _rounding_sets():
+    # Sets whose Gram form loses digits on raw floats: N(0,1); columns from
+    # 1e-3 to 1e3; rows that differ by 1e-7 at an offset of 1e8; +-VALUE_CAP;
+    # a lattice; 64 columns; and rows from 1e-100 to 1e100.
     rng = np.random.default_rng(8)
     yield rng.normal(size=(120, 5))
     yield rng.normal(size=(120, 7)) * 10.0 ** np.arange(-3, 4)
@@ -468,43 +472,64 @@ def _screen_sets():
     yield rng.normal(size=(120, 3)) * 10.0 ** rng.integers(-100, 101, size=(120, 1))
 
 
-class TestGramScreen:
-    @pytest.mark.parametrize("F", list(_screen_sets()))
-    def test_gram_form_is_within_its_bound(self, F):
-        # |approx - d2| <= delta = 4 (m + 2) eps (r_x + r_y), with d2 the
-        # exact column-order sum (utility's module docstring)
-        m = F.shape[1]
-        norms = np.einsum("ij,ij->i", F, F)
-        approx = norms[:, None] + norms[None, :] - 2.0 * (F @ F.T)
-        delta = 4 * (m + 2) * np.finfo(float).eps * (norms[:, None] + norms[None, :])
-        off = ~np.eye(len(F), dtype=bool)
-        assert np.all(np.abs(approx - oracle_sq_dists(F))[off] <= delta[off])
+class TestExactKeys:
+    """Keys are exact: n d2 + j on the codes, whatever the raw columns."""
 
-    @pytest.mark.parametrize("rank", [7, 100])
-    @pytest.mark.parametrize("F", list(_screen_sets()) + [
-        # raw norms that would overflow; the screen sees them rank-scaled
+    @pytest.mark.parametrize("k", [7, 100])
+    @pytest.mark.parametrize("F", list(_rounding_sets()) + [
+        # raw norms that would overflow; the keys see them coded
         1e154 * (1.0 + 1e-12 * np.random.default_rng(9).normal(size=(120, 3))),
-        1e154 * np.linspace(0.3, 1.0, 120)[:, None] * np.ones(2)])
-    def test_screen_passes_every_row_within_the_limit(self, F, rank):
-        # The re-screen must give an exact d2 to every row of the scaled set
-        # at or below the row's limit, and raise no warning (pytest makes one
-        # an error).
+        1e154 * np.linspace(0.3, 1.0, 120)[:, None] * np.ones(2),
+        # 1000 rows, so lists narrower than the set, of 64 columns
+        _cross_set(10, 1000, 59, clamp=True)[0]])
+    def test_keys_equal_the_oracle(self, F, k):
+        # Cold and grown by the last column, every stored key is the oracle's
+        # bit for bit. Cold, ``outside`` is the next smallest key; grown, it
+        # is at most the key of any row not listed.
         n = len(F)
-        cache = DistanceCache()
-        cache.update(F, BIG)
-        cache.neighbours(1)
-        exact = oracle_sq_dists(cache.columns)
-        np.fill_diagonal(exact, np.inf)
-        limits = np.sort(exact, axis=1)[:, rank]
-        screened = [None] * n
-        for block, index, dist in cache._screen(np.arange(n), limits):
-            for r, idx, d in zip(block, index, dist):
-                keep = ~np.isnan(d)
-                screened[r] = dict(zip(idx[keep].tolist(), d[keep].tolist()))
-        for r in range(n):
-            within = np.flatnonzero(exact[r] <= limits[r])
-            assert set(within.tolist()) <= screened[r].keys()
-            assert all(screened[r][j] == exact[r, j] for j in screened[r])
+        want = oracle_sq_dists(oracle_scaled(F)) * n + np.arange(n)
+        np.fill_diagonal(want, np.inf)
+        ordered = np.sort(want, axis=1)
+        cold, grown = DistanceCache(), DistanceCache()
+        grown.update(F[:, :-1], BIG)
+        grown.neighbours(k)
+        for cache in (cold, grown):
+            cache.update(F, BIG)
+            index, d2 = cache.neighbours(k)
+            assert np.array_equal(d2 * n + index, ordered[:, :k])
+            listed = cache.keys.astype(np.intp) % n
+            assert np.array_equal(cache.keys, np.take_along_axis(want, listed, axis=1))
+        width = cold.keys.shape[1]
+        assert np.array_equal(np.sort(cold.keys, axis=1), ordered[:, :width])
+        assert np.array_equal(cold.outside, ordered[:, width])
+        rest = want.copy()
+        np.put_along_axis(rest, grown.keys.astype(np.intp) % n, np.inf, axis=1)
+        assert np.all(grown.outside <= rest.min(axis=1))
+
+    def test_results_do_not_depend_on_the_blas_threads(self):
+        # The same bits from one BLAS thread and from two.
+        script = ("import sys; import numpy as np; from neat.utility import *\n"
+                  "F = np.random.default_rng(5).normal(size=(1000, 64))\n"
+                  "cache = DistanceCache()\n"
+                  "score = mdcg(F, UtilityConfig(), cache)\n"
+                  "index, d2 = cache.neighbours(5)\n"
+                  "sys.stdout.buffer.write(np.float64(score).tobytes()"
+                  " + index.tobytes() + d2.tobytes())\n")
+        src = os.path.dirname(os.path.dirname(neat.__file__))
+        outputs = [subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                                  env={**os.environ, "PYTHONPATH": src,
+                                       "OPENBLAS_NUM_THREADS": threads}).stdout
+                   for threads in ("1", "2")]
+        assert len(outputs[0]) == 8 + 2 * 8 * 1000 * 5
+        assert outputs[0] == outputs[1]
+
+    def test_a_set_too_large_for_exact_keys_is_refused(self):
+        # 4 m n^3 = 2^54 here; refused before any row is touched.
+        F = np.broadcast_to(0.0, (2 ** 17, 2))
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="2\\^53"):
+            feature_importance(F, UtilityConfig(max_rows=2 ** 17))
+        assert time.monotonic() - start < 5.0
 
 
 class TestFeatureImportance:
@@ -526,18 +551,6 @@ class TestFeatureImportance:
         got = feature_importance(F, UtilityConfig(k_neighbors=3, max_rows=10_000))
         want = oracle_terms(F, k=3)
         assert np.allclose(got, want, atol=1e-9)
-
-
-def _cross_set(seed, n, crosses, clamp):
-    # A table's columns and random crosses of them; with ``clamp`` the table
-    # holds columns at the evaluator's limits (VALUE_CAP, the exp clamp, the
-    # divisor floor, signed zeros).
-    rng = np.random.default_rng(seed)
-    table = clamp_range_table(seed, n) if clamp else make_table(rng.normal(size=(n, 4)))
-    d = table.n_features
-    columns = [table.values[:, j] for j in range(d)]
-    columns += [eval_cross(random_cross(d, 3, rng), table) for _ in range(crosses)]
-    return np.column_stack(columns), rng
 
 
 def _keeps_order(x, y):
@@ -595,11 +608,10 @@ class TestScale:
 
     def test_large_offset_column_scores_as_its_unshifted_copy(self):
         # z has 3 decimals, so 1e8 + 1e-3 z keeps z's order and ties in
-        # float64, and ranks the same. Raw, the offset made the Gram screen
-        # pass every row.
+        # float64, and ranks the same, so its lists hold the same keys.
         rng = np.random.default_rng(31)
         X, z = rng.normal(size=(1000, 12)), rng.normal(size=1000).round(3)
         plain, shifted = DistanceCache(), DistanceCache()
         assert (mdcg(np.column_stack([X, 1e8 + 1e-3 * z]), UtilityConfig(), shifted)
                 == mdcg(np.column_stack([X, z]), UtilityConfig(), plain))
-        assert np.array_equal(shifted.lists, plain.lists)
+        assert np.array_equal(shifted.keys, plain.keys)
