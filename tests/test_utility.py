@@ -472,14 +472,61 @@ def _rounding_sets():
     yield rng.normal(size=(120, 3)) * 10.0 ** rng.integers(-100, 101, size=(120, 1))
 
 
+# the rounding sets, then two whose raw norms would overflow; the keys see
+# them coded
+_EXTREME_SETS = list(_rounding_sets()) + [
+    1e154 * (1.0 + 1e-12 * np.random.default_rng(9).normal(size=(120, 3))),
+    1e154 * np.linspace(0.3, 1.0, 120)[:, None] * np.ones(2)]
+
+
+class TestGramScreen:
+    """The Gram form that ranks rows, on the codes, needs no screen: its
+    rounding bound is 0, and every row within a rank's distance is found."""
+
+    @pytest.mark.parametrize("F", list(_rounding_sets()))
+    def test_gram_form_is_within_its_bound(self, F):
+        # On raw floats the Gram form n_x + n_y - 2 x.y is off from the exact
+        # column-order d2 by up to 4 (m + 2) eps (n_x + n_y). On the codes
+        # every norm, product and sum is an integer below 2^53, so the bound
+        # is 0: the form equals the exact d2 bit for bit, and so does every
+        # d2 a cold cache decodes from its keys (every other row, at 120 rows).
+        n, m = F.shape
+        assert 4 * m * n ** 3 < 2 ** 53
+        cache = DistanceCache()
+        c = cache.update(F, BIG)
+        exact = oracle_sq_dists(oracle_scaled(F))
+        norms = np.einsum("ij,ij->i", c, c)
+        assert np.array_equal(norms[:, None] + norms[None, :] - 2.0 * (c @ c.T), exact)
+        cache.neighbours(1)
+        d2, listed = np.divmod(cache.keys, n)
+        assert np.array_equal(d2, np.take_along_axis(exact, listed.astype(np.intp), axis=1))
+
+    @pytest.mark.parametrize("rank", [7, 100])
+    @pytest.mark.parametrize("F", _EXTREME_SETS)
+    def test_screen_passes_every_row_within_the_limit(self, F, rank):
+        # Every row of the coded set nearer than the row's rank-th distance
+        # must come back from neighbours(rank), each with its exact d2, and
+        # no warning be raised (pytest makes one an error).
+        n = len(F)
+        cache = DistanceCache()
+        cache.update(F, BIG)
+        index, d2 = cache.neighbours(rank)
+        assert np.array_equal(cache.columns, oracle_scaled(F))
+        exact = oracle_sq_dists(cache.columns)
+        np.fill_diagonal(exact, np.inf)
+        limits = np.sort(exact, axis=1)[:, rank - 1]
+        for r in range(n):
+            within = np.flatnonzero(exact[r] < limits[r])
+            assert set(within.tolist()) <= set(index[r].tolist())
+            assert np.array_equal(d2[r], exact[r, index[r]])
+            assert d2[r, -1] == limits[r]
+
+
 class TestExactKeys:
     """Keys are exact: n d2 + j on the codes, whatever the raw columns."""
 
     @pytest.mark.parametrize("k", [7, 100])
-    @pytest.mark.parametrize("F", list(_rounding_sets()) + [
-        # raw norms that would overflow; the keys see them coded
-        1e154 * (1.0 + 1e-12 * np.random.default_rng(9).normal(size=(120, 3))),
-        1e154 * np.linspace(0.3, 1.0, 120)[:, None] * np.ones(2),
+    @pytest.mark.parametrize("F", _EXTREME_SETS + [
         # 1000 rows, so lists narrower than the set, of 64 columns
         _cross_set(10, 1000, 59, clamp=True)[0]])
     def test_keys_equal_the_oracle(self, F, k):
