@@ -1,6 +1,8 @@
 """Feature-set embeddings: similarity graph construction, graph augmentation,
 a two-layer mean-aggregation GNN with a projection head, and contrastive
-pretraining over exploration records.
+pretraining over exploration records. A GNN layer is ``relu([H, P @ H] @ W + b)``
+with ``P = adj / max(deg, 1)``, run as ``H @ W[:h] + (P @ H) @ W[h:]`` with no
+concatenation; its backward cache holds ``P``, ``H`` and the bool ReLU gate.
 
 Graphs within one run share a fixed row subsample so every graph has the same
 attribute width and one encoder serves them all. A record's crosses are
@@ -196,51 +198,64 @@ class EncoderModel:
             p.value[...] = values[p.name]
 
 
+def _gnn_forward(layer: nn.Dense, H: np.ndarray, P: np.ndarray):
+    """``relu([H, P @ H] @ W + b)`` on ``layer``'s (2h, h) ``W``, unconcatenated.
+    Its cache holds ``H`` and the bool gate."""
+    h = H.shape[-1]
+    W = layer.W.value.astype(H.dtype, copy=False)
+    A = H.reshape(-1, h) @ W[:h] + np.matmul(P, H).reshape(-1, h) @ W[h:]
+    A += layer.b.value.astype(H.dtype, copy=False)
+    gate = (A > 0.0).reshape(H.shape)
+    return np.maximum(A, 0.0, out=A).reshape(H.shape), (H, gate)
+
+
+def _gnn_backward(layer: nn.Dense, dout: np.ndarray, cache, P: np.ndarray) -> np.ndarray:
+    """Accumulate ``layer``'s grads for a ``_gnn_forward`` call and return
+    ``dH``. With ``Q = Pᵀ dA`` once, ``(P H)ᵀ dA = Hᵀ Q``."""
+    H, gate = cache
+    h = H.shape[-1]
+    dA = nn.relu_backward(dout, gate)
+    Q = np.matmul(P.transpose(0, 2, 1), dA).reshape(-1, h)
+    flat, dA = H.reshape(-1, h), dA.reshape(-1, h)
+    layer.W.grad[:h] += flat.T @ dA
+    layer.W.grad[h:] += flat.T @ Q
+    layer.b.grad += dA.sum(axis=0)
+    W = layer.W.value.astype(dA.dtype, copy=False)
+    return (dA @ W[:h].T + Q @ W[h:].T).reshape(H.shape)
+
+
 def forward_stack(model: EncoderModel, attrs: np.ndarray, adj: np.ndarray):
     """Encode a stack of same-size graphs, attrs (B,m,r) and adj (B,m,m), in
-    their dtype: float32 for ``build_graph``'s stacks.
+    their dtype: float32 for ``build_graph``'s stacks. ``P = adj / max(deg, 1)``
+    is formed once, and a GNN layer is ``relu(H @ W[:h] + (P @ H) @ W[h:] + b)``.
 
-    Returns (h, z, cache) with h/z of shape (B, hidden). The cache keeps each
-    ReLU's bool gate, not its float pre-activation.
+    Returns (h, z, cache) with h/z of shape (B, hidden). The cache holds
+    ``P``, each GNN layer's (B, m, hidden) input and each ReLU's bool gate: no
+    pre-activation, no ``P @ H`` and no (·, 2·hidden) array.
     """
-    m = attrs.shape[1]
-    denom = np.maximum(adj.sum(axis=2, keepdims=True), 1.0)
+    P = adj / np.maximum(adj.sum(axis=2, keepdims=True), 1.0)
     X0, c_in = model.input_proj.forward(attrs)
-    N1 = np.matmul(adj, X0) / denom
-    C1 = np.concatenate([X0, N1], axis=2)
-    A1, c_g1 = model.gnn1.forward(C1)
-    H1, r1 = nn.relu(A1)
-    N2 = np.matmul(adj, H1) / denom
-    C2 = np.concatenate([H1, N2], axis=2)
-    A2, c_g2 = model.gnn2.forward(C2)
-    H2, r2 = nn.relu(A2)
+    H1, c_g1 = _gnn_forward(model.gnn1, X0, P)
+    H2, c_g2 = _gnn_forward(model.gnn2, H1, P)
     h = H2.mean(axis=1)
     P1, c_h1 = model.head1.forward(h)
     R1, rh = nn.relu(P1)
     z, c_h2 = model.head2.forward(R1)
-    cache = (adj, denom, m, c_in, c_g1, r1, c_g2, r2, c_h1, rh, c_h2)
-    return h, z, cache
+    return h, z, (P, c_in, c_g1, c_g2, c_h1, rh, c_h2)
 
 
 def backward_stack(model: EncoderModel, dz: np.ndarray, cache,
                    dh: np.ndarray | None = None) -> None:
-    """Accumulate parameter grads for a forward_stack call."""
-    adj, denom, m, c_in, c_g1, r1, c_g2, r2, c_h1, rh, c_h2 = cache
-    adj_t = adj.transpose(0, 2, 1)
-    dR1 = model.head2.backward(dz, c_h2)
-    dP1 = nn.relu_backward(dR1, rh)
+    """Accumulate parameter grads for a forward_stack call. A GNN layer forms
+    ``Q = Pᵀ dA`` once and reads only ``P``, its input ``H`` and its gate."""
+    P, c_in, c_g1, c_g2, c_h1, rh, c_h2 = cache
+    dP1 = nn.relu_backward(model.head2.backward(dz, c_h2), rh)
     dh_total = model.head1.backward(dP1, c_h1)
     if dh is not None:
         dh_total = dh_total + dh
-    dH2 = np.broadcast_to(dh_total[:, None, :] / m,
-                          (dh_total.shape[0], m, dh_total.shape[1]))
-    dA2 = nn.relu_backward(dH2, r2)
-    dC2 = model.gnn2.backward(dA2, c_g2)
-    hidden = model.hidden
-    dH1 = dC2[..., :hidden] + np.matmul(adj_t, dC2[..., hidden:] / denom)
-    dA1 = nn.relu_backward(dH1, r1)
-    dC1 = model.gnn1.backward(dA1, c_g1)
-    dX0 = dC1[..., :hidden] + np.matmul(adj_t, dC1[..., hidden:] / denom)
+    dH2 = dh_total[:, None, :] / P.shape[1]     # the node mean's grad, broadcast by the gate
+    dH1 = _gnn_backward(model.gnn2, dH2, c_g2, P)
+    dX0 = _gnn_backward(model.gnn1, dH1, c_g1, P)
     model.input_proj.backward_params(dX0, c_in)
 
 
@@ -268,7 +283,7 @@ def backward_many(model: EncoderModel, dZ: np.ndarray, caches,
     ``dH`` rows are in its layout order."""
     stop = 0
     for cache in caches:
-        start, stop = stop, stop + len(cache[0])    # the stack's adjacency
+        start, stop = stop, stop + len(cache[0])    # the stack's P
         backward_stack(model, dZ[start:stop], cache,
                        dh=None if dH is None else dH[start:stop])
 
@@ -318,18 +333,19 @@ def materialize_graphs(records, table, rows: RowSample):
     count, each in record order. Returns the stacks and the number of
     records skipped because they fail to materialize.
 
-    Each record's sequence is applied to ``table.take(rows.indices)``, not to
-    the whole table. Every operator is elementwise, so a column holds the
-    same bits as the full-table column at those rows. Duplicates are dropped
-    on the sampled rows, before scaling: a record whose columns agree there
-    has fewer nodes, and is skipped when it has one left. The graphs are
-    built on the columns scaled by ``nn.scale_input``."""
+    Each record's sequence is applied to ``table.take(rows.indices)``, with one
+    ``apply_sequence`` memo for all records. Every operator is elementwise, so
+    a column holds the same bits as the full-table column at those rows.
+    Duplicates are dropped on the sampled rows, before scaling: a record whose
+    columns agree there has fewer nodes, and is skipped when it has one left.
+    The graphs are built on the columns scaled by ``nn.scale_input``."""
     sampled = table.take(rows.indices)
+    columns: dict = {}      # cross -> its column on ``sampled``
     groups: dict[int, list[np.ndarray]] = {}
     skipped = 0
     for rec in records:
         try:
-            v = apply_sequence(rec.sequence, sampled)
+            v = apply_sequence(rec.sequence, sampled, columns)
         except NeatError:
             skipped += 1
             continue

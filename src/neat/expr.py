@@ -349,10 +349,14 @@ class FeatureSet:
         return CrossSequence.from_crosses(self.provenance)
 
 
-def apply_sequence(seq: CrossSequence, table: DataTable) -> np.ndarray:
+def apply_sequence(seq: CrossSequence, table: DataTable,
+                   columns: dict[FeatureCross, np.ndarray] | None = None) -> np.ndarray:
     """Materialize a sequence into an ``(n, m)`` array, one column per cross.
 
-    Each cross is walked once, by ``eval_cross``. Bitwise-identical duplicate
+    ``columns`` memoizes ``eval_cross`` by cross (a local memo if None). The
+    caller owns it, and it is valid for this ``table`` only. Each column it
+    gains is read-only and stays there if a later cross raises, so a cross is
+    walked once by all calls sharing the memo. Bitwise-identical duplicate
     columns are dropped (first occurrence wins); the drop count is logged.
     Constant columns are kept.
 
@@ -360,9 +364,14 @@ def apply_sequence(seq: CrossSequence, table: DataTable) -> np.ndarray:
         the errors of ``parse_sequence`` and of ``eval_cross``.
     """
     crosses = parse_sequence(seq)
+    columns = {} if columns is None else columns
     features = FeatureSet()
     for cross in crosses:
-        features.add(cross, eval_cross(cross, table))
+        column = columns.get(cross)
+        if column is None:
+            column = columns[cross] = eval_cross(cross, table)
+            column.flags.writeable = False
+        features.add(cross, column)
     if features.n_features < len(crosses):
         log.info("apply_sequence dropped %d duplicate column(s)",
                  len(crosses) - features.n_features)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clamp_range_table, make_table
-from neat import nn
+from neat import encoder, expr, nn
 from neat.checkpoint import load_checkpoint, save_checkpoint
 from neat.collector import ExplorationRecord
 from neat.encoder import (
@@ -38,6 +38,7 @@ from neat.expr import (
     apply_sequence,
     eval_cross,
     feature_token,
+    parse_sequence,
     random_cross,
 )
 from neat.nn import Adam, Param, cosine_matrix, grad_check
@@ -165,6 +166,28 @@ def per_graph_pretrain(records, table, model, rows, epochs, batch, rng):
     return losses
 
 
+def concat_layers(model, attrs, adj) -> dict[str, np.ndarray]:
+    """The encoder in its first form, kept as a float64 oracle: each GNN layer
+    is relu([H, (adj @ H) / denom] @ W + b) on a concatenated (·, 2·hidden)
+    input. Returns every step by name, ``h`` and ``z`` among them."""
+    attrs, adj = attrs.astype(np.float64), adj.astype(np.float64)
+    denom = np.maximum(adj.sum(axis=2, keepdims=True), 1.0)
+
+    def dense(layer, x):
+        return x @ layer.W.value + layer.b.value
+
+    s = {"X0": dense(model.input_proj, attrs)}
+    s["N1"] = adj @ s["X0"] / denom
+    s["A1"] = dense(model.gnn1, np.concatenate([s["X0"], s["N1"]], axis=2))
+    s["H1"] = np.maximum(s["A1"], 0.0)
+    s["N2"] = adj @ s["H1"] / denom
+    s["A2"] = dense(model.gnn2, np.concatenate([s["H1"], s["N2"]], axis=2))
+    s["h"] = np.maximum(s["A2"], 0.0).mean(axis=1)
+    s["P1"] = dense(model.head1, s["h"])
+    s["z"] = dense(model.head2, np.maximum(s["P1"], 0.0))
+    return s
+
+
 def _graph(m: int, rng: np.random.Generator) -> Graph:
     upper = np.triu((rng.random((m, m)) < 0.5).astype(np.int8), k=1)
     return Graph(attrs=rng.normal(size=(m, ATTR_WIDTH)), adjacency=upper | upper.T)
@@ -246,6 +269,20 @@ class TestEncodeMany:
         np.testing.assert_allclose(H, H64, **F32_TOL)
         np.testing.assert_allclose(Z, Z64, **F32_TOL)
 
+    def test_layers_match_the_concatenation_oracle(self, mixed_corpus):
+        # Float64 stacks to rtol 1e-12; the materialized float32 stacks within
+        # encode_many's float32 tolerance.
+        table, records = mixed_corpus
+        stacks, _ = materialize_graphs(records, table, ROWS)
+        model = EncoderModel(len(ROWS.indices), np.random.default_rng(5), hidden=64)
+        for dtype, tol in ((np.float64, dict(rtol=1e-12, atol=0)), (np.float32, F32_TOL)):
+            for s in _as_dtype(stacks, dtype):
+                h, z, _ = forward_stack(model, s.attrs, s.adjacency)
+                steps = concat_layers(model, s.attrs, s.adjacency)
+                assert h.dtype == z.dtype == dtype
+                np.testing.assert_allclose(h, steps["h"], **tol)
+                np.testing.assert_allclose(z, steps["z"], **tol)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_a_training_step_keeps_the_stacks_dtype(self, mixed_corpus, monkeypatch, dtype):
         # One float64 constant or weight in a float32 pass would promote the
@@ -253,14 +290,20 @@ class TestEncodeMany:
         table, records = mixed_corpus
         stacks = _as_dtype(materialize_graphs(records, table, ROWS)[0], dtype)
         model = EncoderModel(len(ROWS.indices), np.random.default_rng(5), hidden=6)
-        upstream = []      # the dtype of every gradient a Dense layer receives
+        upstream = []      # the dtype of every gradient a layer receives
         backward_params = nn.Dense.backward_params
+        gnn_backward = encoder._gnn_backward
 
         def spy(layer, dout, cache):
             upstream.append(dout.dtype)
             backward_params(layer, dout, cache)
 
+        def gnn_spy(layer, dout, cache, P):
+            upstream.append(dout.dtype)
+            return gnn_backward(layer, dout, cache, P)
+
         monkeypatch.setattr(nn.Dense, "backward_params", spy)
+        monkeypatch.setattr(encoder, "_gnn_backward", gnn_spy)
         view1, view2 = augment(stacks, np.random.default_rng(4))
         H1, Z1, c1 = encode_many(view1, model)
         H2, Z2, c2 = encode_many(view2, model)
@@ -279,9 +322,19 @@ class TestEncodeMany:
         B, m, h = 3, 4, model.hidden        # m is neither h nor the attribute width
         (stack,) = _stacks([_graph(m, rng) for _ in range(B)])
         _, _, cache = forward_stack(model, stack.attrs, stack.adjacency)
-        arrays = [a for a in cache if isinstance(a, np.ndarray)]
+        arrays = list(_arrays(cache))
         assert [a.shape for a in arrays if a.dtype == np.bool_] == [(B, m, h), (B, m, h), (B, h)]
-        assert not [a for a in arrays if a.shape == (B, m, h) and a.dtype != np.bool_]
+        # The float arrays are P, the layer inputs X0 and H1 and the heads'
+        # inputs: no pre-activation, no neighbour mean, nothing 2·hidden wide.
+        steps = concat_layers(model, stack.attrs, stack.adjacency)
+
+        def holds(name):    # a cached array is that step, up to rounding
+            return any(a.size == steps[name].size and np.allclose(
+                a.ravel(), steps[name].ravel(), rtol=1e-12, atol=0) for a in arrays)
+
+        assert all(a.shape[-1] != 2 * h for a in arrays)
+        assert holds("X0") and holds("H1")
+        assert not [name for name in ("N1", "A1", "N2", "A2", "P1") if holds(name)]
 
     @pytest.mark.parametrize("with_dh", [False, True])
     def test_grad_check(self, graphs, model, rng, with_dh):
@@ -704,6 +757,67 @@ class TestSampledRowNodes:
         assert materialize_graphs([lone], table, ROWS) == ([], 1)
         _, result = _pretrain(table, corpus[:3] + [lone] + corpus[3:], epochs=1)
         assert result.skipped_records == 1
+
+
+def memoless_stacks(records, table, rows):
+    """``materialize_graphs`` with each record applied on its own, no memo
+    shared between records."""
+    sampled = table.take(rows.indices)
+    groups: dict[int, list[np.ndarray]] = {}
+    for rec in records:
+        try:
+            v = apply_sequence(rec.sequence, sampled)
+        except NeatError:
+            continue
+        groups.setdefault(v.shape[1], []).append(v.T)
+    return [build_graph(nn.scale_input(np.stack(g))) for m, g in sorted(groups.items()) if m > 1]
+
+
+class TestCrossMemo:
+    @pytest.fixture
+    def records(self):
+        # Clamp-range leaves; crosses shared between records and repeated
+        # within one; one record with a bad cross before its valid ones.
+        rng = np.random.default_rng(17)
+        originals = [FeatureCross((feature_token(i),)) for i in range(5)]
+        shared = [random_cross(5, 3, rng) for _ in range(3)]
+        records = [_record(originals + shared[:k % 4] + [random_cross(5, 3, rng)]
+                           + shared[:1], k) for k in range(10)]
+        records.insert(4, _record(originals[:2] + [FeatureCross(("f9",))] + originals[2:]))
+        return records
+
+    def test_each_distinct_valid_cross_is_evaluated_once(self, records, monkeypatch):
+        table = clamp_range_table(5, 50)
+        valid = set()
+        for rec in records:
+            for c in parse_sequence(rec.sequence):
+                try:
+                    eval_cross(c, table)
+                except NeatError:
+                    continue
+                valid.add(c)
+        calls = []
+        evaluate = expr.eval_cross
+
+        def counted(c, t):
+            column = evaluate(c, t)
+            calls.append(c)     # a call that returns a column
+            return column
+
+        monkeypatch.setattr(expr, "eval_cross", counted)
+        _, skipped = materialize_graphs(records, table, ROWS)
+        assert skipped == 1
+        assert sorted(calls, key=repr) == sorted(valid, key=repr)
+
+    def test_stacks_equal_the_memoless_build_bit_for_bit(self, records):
+        table = clamp_range_table(5, 50)
+        stacks, _ = materialize_graphs(records, table, ROWS)
+        expected = memoless_stacks(records, table, ROWS)
+        assert len(stacks) == len(expected)
+        for got, want in zip(stacks, expected):
+            assert got.attrs.tobytes() == want.attrs.tobytes()
+            assert got.adjacency.tobytes() == want.adjacency.tobytes()
+        assert max(np.abs(s.attrs).max() for s in stacks) == np.float32(np.arcsinh(VALUE_CAP))
 
 
 class TestScaledAttributes:

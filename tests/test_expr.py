@@ -249,6 +249,48 @@ class TestApplySequence:
         apply_sequence(CrossSequence.from_crosses(crosses), small_table)
         assert walked == [c.tokens for c in crosses]
 
+    def test_a_shared_memo_walks_each_cross_once(self, monkeypatch):
+        # Crosses shared between sequences, repeated within one, and clamp-range
+        # leaves: every output is bitwise the memo-less one.
+        table = clamp_range_table(3, 50)
+        rng = np.random.default_rng(3)
+        shared = [random_cross(table.n_features, 4, rng) for _ in range(4)]
+        sequences = [CrossSequence.from_crosses(
+            shared[:k] + [random_cross(table.n_features, 3, rng), shared[k - 1]] + shared[k:])
+            for k in range(1, 5)]
+        expected = [apply_sequence(s, table) for s in sequences]
+        calls = []
+        evaluate = expr.eval_cross
+
+        def counted(c, t):
+            calls.append(c)
+            return evaluate(c, t)
+
+        monkeypatch.setattr(expr, "eval_cross", counted)
+        memo = {}
+        for sequence, want in zip(sequences, expected):
+            got = apply_sequence(sequence, table, memo)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert len(calls) == len(set(calls)) and set(calls) == set(memo)
+        for c, column in memo.items():
+            assert column.tobytes() == evaluate(c, table).tobytes()
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    @pytest.mark.parametrize("bad", ["f9", "f0 +"])
+    def test_a_raising_sequence_leaves_correct_memo_entries(self, small_table, bad):
+        memo = {}
+        with pytest.raises((FeatureIndexOutOfRange, InvalidPostfix)):
+            apply_sequence(seq("<SOS>", "f0", "f1", "+", "<SEP>", *bad.split(),
+                               "<SEP>", "f2", "sin", "<EOS>"), small_table, memo)
+        assert list(memo) == [cross("f0", "f1", "+")]
+        assert memo[cross("f0", "f1", "+")].tobytes() == \
+            eval_cross(cross("f0", "f1", "+"), small_table).tobytes()
+        again = seq("<SOS>", "f2", "sin", "<SEP>", "f0", "f1", "+", "<EOS>")
+        assert apply_sequence(again, small_table, memo).tobytes() == \
+            apply_sequence(again, small_table).tobytes()
+
     def test_underflow_invalid(self, small_table):
         with pytest.raises(InvalidPostfix, match=r"^operator '\+' underflows the stack$"):
             apply_sequence(CrossSequence.from_text("<SOS> + <EOS>"), small_table)
