@@ -69,7 +69,11 @@ OPCODES.update({s: OpCode(s, 1) for s in UNARY_OPS})
 
 
 def is_feature(token: str) -> bool:
-    return len(token) > 1 and token[0] == "f" and token[1:].isdigit()
+    """Whether ``token`` is spelled as ``feature_token`` spells an index:
+    ``f``, then ASCII digits without a leading zero."""
+    digits = token[1:]
+    return (token[:1] == "f" and digits.isascii() and digits.isdigit()
+            and (digits == "0" or digits[0] != "0"))
 
 
 def feature_index(token: str) -> int:

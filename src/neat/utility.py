@@ -105,11 +105,11 @@ def _append_distinct(kept: np.ndarray, new: np.ndarray) -> np.ndarray:
     return kept
 
 
-# Candidate rows kept per subsampled row by a DistanceCache (more when k is
-# larger). Sets of at most LIST_MIN_ROWS rows keep every other row instead.
-# Neither changes the result.
+# Candidate rows kept per subsampled row by a DistanceCache: the nearest
+# min(n - 1, max(LIST_LEN, k)) of the n - 1 other rows, for every set. When
+# n - 1 <= LIST_LEN, that is every other row. Keys are exact, so the width
+# changes no result.
 LIST_LEN = 32
-LIST_MIN_ROWS = 256
 
 # Rows ranked per pass, so the (block, n) temporaries stay small; it does
 # not change the result.
@@ -121,11 +121,12 @@ class DistanceCache:
     subsampled row's candidate list: ``keys``, n d^2 + j of each listed row
     j, and ``outside``, the smallest key of any row not listed.
 
-    A list holds its row's ``LIST_LEN`` nearest rows (``k`` if larger) when
-    it is ranked; sets of at most ``LIST_MIN_ROWS`` rows list every other
-    row, with ``outside`` +inf. Keys are distinct, so a row's k smallest
-    listed keys are its k nearest rows while the k-th is below ``outside``;
-    a row whose k-th key exceeds it is ranked again from all its keys.
+    A list holds its row's min(n - 1, max(``LIST_LEN``, k)) nearest rows
+    when it is ranked, for every n; when n - 1 <= ``LIST_LEN`` that is every
+    other row, with ``outside`` +inf. Keys are distinct, so a row's k
+    smallest listed keys are its k nearest rows while the k-th is below
+    ``outside``; a row whose k-th key exceeds it is ranked again from all
+    its keys.
 
     Append-only contract: when the cached raw columns are a prefix of the
     next set's, only the new columns are coded, and n (c_j - c_i)^2 of each
@@ -175,7 +176,7 @@ class DistanceCache:
         set last passed to ``update``: (n, k) arrays of rows and their d^2
         over the codes. Ties at the k-th distance go to the lower row index."""
         n = len(self.columns)
-        width = n - 1 if n <= LIST_MIN_ROWS else min(n - 1, max(LIST_LEN, k))
+        width = min(n - 1, max(LIST_LEN, k))
         if self.keys is None or self.keys.shape[1] < width:
             self.keys, self.outside = np.empty((n, width)), np.empty(n)
             self._rank(np.arange(n))

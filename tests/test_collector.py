@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import make_table
 
-from neat import collector, utility
+from neat import collector
 from neat.collector import (
     LEARNING_RATE,
     STATE_WIDTH,
@@ -59,11 +59,8 @@ class TestCollect:
             assert rec.utility == mdcg(apply_sequence(rec.sequence, small_table), cfg.utility)
 
     def test_utilities_equal_a_cold_recompute_on_candidate_lists(self, monkeypatch):
-        # 300 subsampled rows: above LIST_MIN_ROWS, so grown sets re-rank the
-        # cache's candidate lists instead of whole rows.
         table = make_table(np.random.default_rng(5).normal(size=(400, 5)))
         cfg = dataclasses.replace(SMALL, utility=UtilityConfig(max_rows=300))
-        assert cfg.utility.max_rows > utility.LIST_MIN_ROWS
         ranked = []
         rank = DistanceCache._rank
 
@@ -392,31 +389,45 @@ class TestReplayBuffer:
         buffer.push(np.full(STATE_WIDTH, float(k)), k, -float(k),
                     np.full(STATE_WIDTH, k + 0.5), k % 7, k % 3 == 0)
 
-    def test_storage_follows_pushes_not_capacity(self):
-        buffer = ReplayBuffer(4096)
-        assert len(buffer.states) == 0
-        for k in range(3):
-            self._push(buffer, k)
-        assert len(buffer.states) == ReplayBuffer.MIN_ROWS
-        for k in range(3, ReplayBuffer.MIN_ROWS + 1):
-            self._push(buffer, k)
-        assert len(buffer.states) == 2 * ReplayBuffer.MIN_ROWS
-        assert buffer.size == ReplayBuffer.MIN_ROWS + 1
-
-    def test_growth_keeps_rows_and_wraps_at_capacity(self):
+    def test_wraps_at_capacity(self):
         buffer = ReplayBuffer(100)
         for k in range(150):
             self._push(buffer, k)
         assert (buffer.size, buffer.pos) == (100, 50)
         expected = np.array([k + 100 if k < 50 else k for k in range(100)])
-        for name in ReplayBuffer.FIELDS:
-            assert len(getattr(buffer, name)) == 100
-        assert np.array_equal(buffer.states[:, 0], expected)
+        assert np.array_equal(buffer.states, np.repeat(expected[:, None], STATE_WIDTH, axis=1))
         assert np.array_equal(buffer.actions, expected)
         assert np.array_equal(buffer.rewards, -expected.astype(float))
-        assert np.array_equal(buffer.next_states[:, -1], expected + 0.5)
+        assert np.array_equal(buffer.next_states,
+                              np.repeat(expected[:, None] + 0.5, STATE_WIDTH, axis=1))
         assert np.array_equal(buffer.next_valid, expected % 7)
         assert np.array_equal(buffer.terminal, expected % 3 == 0)
+
+    # 3 x 5 steps: below SMALL.replay_capacity (32); 3 x 15: above it
+    @pytest.mark.parametrize("steps", [5, 15])
+    def test_collect_sizes_each_buffer_once_from_its_step_budget(
+            self, small_table, monkeypatch, steps):
+        fields = ("states", "actions", "rewards", "next_states", "next_valid", "terminal")
+        seen, push = {}, ReplayBuffer.push
+
+        def recorded_push(buffer, *transition):
+            arrays = [getattr(buffer, name) for name in fields]
+            seen.setdefault(id(buffer), arrays)
+            # The same arrays from the first push to the last.
+            assert all(a is b for a, b in zip(seen[id(buffer)], arrays))
+            push(buffer, *transition)
+
+        monkeypatch.setattr(ReplayBuffer, "push", recorded_push)
+        collect(small_table, episodes=3, steps=steps, cfg=SMALL, rng=np.random.default_rng(11))
+        rows = min(SMALL.replay_capacity, 3 * steps)
+        assert len(seen) == 3                   # every agent pushed
+        for arrays in seen.values():
+            assert [len(a) for a in arrays] == [rows] * len(fields)
+        # A budget of no steps: buffers of 0 rows, never pushed to.
+        for episodes, none in ((0, steps), (3, 0)):
+            assert collect(small_table, episodes=episodes, steps=none, cfg=SMALL,
+                           rng=np.random.default_rng(11)) == []
+        assert len(seen) == 3
 
 
 class TestBellmanUpdate:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import clamp_range_table, make_table
 from neat import encoder, expr, nn
 from neat.checkpoint import load_checkpoint, save_checkpoint
-from neat.collector import ExplorationRecord
+from neat.collector import ExplorationRecord, read_records, write_records
 from neat.encoder import (
     EDGE_RATIO,
     LEARNING_RATE,
@@ -656,6 +656,20 @@ class TestPretrain:
     def test_batch_of_one_is_refused(self, small_table, corpus):
         with pytest.raises(BatchTooSmall):
             _pretrain(small_table, corpus, epochs=3, batch=1)
+
+    def test_a_record_of_a_non_canonical_feature_token_is_skipped(
+            self, small_table, corpus, tmp_path):
+        # "f" and a superscript two: int() cannot read it, so without the
+        # walk's refusal a bare ValueError would end the run.
+        path = tmp_path / "records.tsv"
+        write_records(path, corpus, small_table.dataset_id, seed=0, episodes=1,
+                      steps=len(corpus) + 1)
+        with path.open("a", encoding="utf-8") as f:
+            f.write("0.5\t<SOS> f0 <SEP> f\u00b2 <EOS>\n")
+        records, _ = read_records(path)
+        assert len(records) == len(corpus) + 1
+        _, result = _pretrain(small_table, records, epochs=1)
+        assert result.skipped_records == 1
 
 
 @pytest.fixture(scope="module")

@@ -412,6 +412,25 @@ class TestOneWalker:
         with pytest.raises(FeatureIndexOutOfRange):
             render_infix(cross("f0", "f2", "+"), ["a", "b"])
 
+    # Spellings that feature_token never makes: f, superscript two (int()
+    # fails on it); f, Arabic-Indic three and f01 (int() reads columns 3 and
+    # 1); and f-1. The vocabulary refuses them all.
+    @pytest.mark.parametrize("token", ["f\u00b2", "f\u0663", "f01", "f-1"])
+    def test_non_canonical_feature_tokens_are_refused(self, token):
+        table = make_table(np.zeros((2, 4)))
+        with pytest.raises(InvalidPostfix, match=re.escape(f"unexpected token {token!r}")):
+            eval_cross(cross("f0", token, "+"), table)
+        with pytest.raises(InvalidPostfix):
+            render_infix(cross(token), ["a", "b", "c", "d"])
+        with pytest.raises(UnknownToken):
+            Vocabulary(4).id_of(token)
+
+    @given(st.integers(0, 10**6))
+    def test_feature_tokens_round_trip(self, index):
+        token = expr.feature_token(index)
+        assert expr.is_feature(token)
+        assert expr.feature_index(token) == index
+
 
 class TestRenderInfix:
     def test_reciprocal_shape(self):

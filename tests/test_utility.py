@@ -17,7 +17,6 @@ from neat.expr import VALUE_CAP, eval_cross, random_cross
 from neat.tabular import sample_indices
 from neat.utility import (
     LIST_LEN,
-    LIST_MIN_ROWS,
     DistanceCache,
     UtilityConfig,
     feature_importance,
@@ -331,9 +330,10 @@ class TestCandidateLists:
     """A DistanceCache finds neighbours from per-row candidate lists of
     exact keys; cold and grown sets must both find the oracle's."""
 
-    # (rows, max_rows): the subsample path and the full-row path above
-    # LIST_MIN_ROWS, then a set whose lists hold every other row
-    PATHS = [(400, 300), (LIST_MIN_ROWS + 44, 1000), (LIST_MIN_ROWS - 56, 1000)]
+    # (rows, max_rows): the subsample path, the full-row path at 300 and at
+    # 200 rows, all on lists narrower than a row's n - 1 others, then a set
+    # of n - 1 = LIST_LEN other rows, whose lists hold them all
+    PATHS = [(400, 300), (300, 1000), (200, 1000), (LIST_LEN + 1, 1000)]
 
     @given(seed=st.integers(0, 2**32 - 1),
            shared=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=3),
@@ -348,9 +348,12 @@ class TestCandidateLists:
              k=LIST_LEN, path=PATHS[1])
     @example(seed=3, shared=["offset", "normal"], branches=[("offset", "lattice")],
              k=4, path=PATHS[0])
-    # Lists of every other row, grown by a column of three tied groups.
+    # Narrow lists at 200 rows, and lists of every other row, grown by a
+    # column of three tied groups.
     @example(seed=4, shared=["normal"], branches=[("overflow", "lattice")],
              k=5, path=PATHS[2])
+    @example(seed=4, shared=["normal"], branches=[("overflow", "lattice")],
+             k=5, path=PATHS[3])
     @settings(max_examples=40, deadline=None)
     def test_grown_sets_match_cold_calls(self, seed, shared, branches, k, path):
         n, max_rows = path
@@ -362,6 +365,12 @@ class TestCandidateLists:
             cold = DistanceCache()
             cold.update(F, cfg)
             _check_neighbours([cache, cold], F, cfg, k)
+            # One width rule: every other row is listed only when there are
+            # at most LIST_LEN of them, and only then is nothing outside.
+            rows = min(n, max_rows)
+            for c in (cache, cold):
+                assert c.keys.shape == (rows, min(rows - 1, max(LIST_LEN, k)))
+                assert np.isinf(c.outside).all() == (rows - 1 <= LIST_LEN)
 
         F = rng.normal(size=(n, 1))
         cache = DistanceCache()
@@ -390,7 +399,7 @@ class TestCandidateLists:
         # moves rows 1..LIST_LEN to the bound's d2 from row 0: row 0's k
         # nearest tie with unlisted rows. Their keys still order them by row
         # index, so the list answers: rows 1, 2, 3.
-        n, k = LIST_MIN_ROWS + 44, 3
+        n, k = 300, 3
         a = 2.0 + np.arange(n)
         a[:LIST_LEN + 1] = 0.0
         a[[LIST_LEN + 1, n - 2, n - 1]] = 1.0
@@ -416,7 +425,7 @@ class TestCandidateLists:
         # at its nearest distance (199 and 201, each the other's duplicate),
         # and the list rule must drop the higher-indexed one although the
         # members over all rows number fewer than k per row.
-        n, k = LIST_MIN_ROWS + 44, 1
+        n, k = 300, 1
         x = np.zeros(n)
         x[50:] = 1000.0 + np.cumsum(np.random.default_rng(3).uniform(2.0, 3.0, n - 50))
         x[[199, 201]], x[200] = 5000.0, 6000.0
