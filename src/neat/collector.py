@@ -62,28 +62,36 @@ class CollectorConfig:
 def describe_state(v: np.ndarray, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-width description of a feature set's ``(n, m)`` values: 7
     per-column statistics, each summarized across columns by the same 7
-    statistics, through ``nn.scale_input``. Returns ``(state, summaries)``.
+    statistics, through ``nn.scale_input``. Returns ``(state, col_stats)``.
 
-    ``known`` is the ``(5, j)`` five-number summary (min, 25th percentile,
+    ``known`` is the ``(7, j)`` statistics (mean, std, min, 25th percentile,
     median, 75th percentile, max) of ``v``'s first ``j`` columns, as returned
-    by the call for the set before it grew; pass ``np.empty((5, 0))`` for a
+    by the call for the set before it grew; pass ``np.empty((7, 0))`` for a
     set seen for the first time. Sets only grow by appending columns, so only
-    columns ``j`` to ``m - 1`` are summarized here, and ``summaries`` covers
+    columns ``j`` to ``m - 1`` are described here, and ``col_stats`` covers
     all ``m``. It is read-only, so an episode can share the base set's.
 
-    Column mean and std are recomputed over the whole of ``v`` on every call:
-    ``v.mean(axis=0)`` on the C-ordered matrix sums row by row, while a single
-    column's mean sums pairwise, so cached per-column moments would round
-    differently from a cold call."""
+    A column's mean is its sum in row order over n, and its std the root of
+    the same sum of squared deviations over n: ``np.cumsum(..., axis=0)[-1]``
+    takes those sums. On the C-ordered ``(n, m)`` stack with m >= 2,
+    ``v.mean(axis=0)`` and ``v.std(axis=0)`` add one row at a time too, so a
+    column's statistics carry the same bits whichever set it is described
+    in, and a grown set's equal a whole-matrix call's. For a 1-column set
+    numpy sums the contiguous column pairwise instead, so there the row-order
+    sum defines the bits and ``np.mean`` may differ in the last place."""
+    n = len(v)
     new = v[:, known.shape[1]:]
+    mean = np.cumsum(new, axis=0)[-1] / n
+    dev = new - mean
+    dev *= dev
+    std = np.sqrt(np.cumsum(dev, axis=0)[-1] / n)
     q = np.percentile(new, [25.0, 50.0, 75.0], axis=0)
-    summaries = np.hstack([known, np.vstack([new.min(axis=0), q, new.max(axis=0)])])
-    summaries.setflags(write=False)
-    col_stats = np.vstack([v.mean(axis=0), v.std(axis=0), summaries])
+    col_stats = np.hstack([known, np.vstack([mean, std, new.min(axis=0), q, new.max(axis=0)])])
+    col_stats.setflags(write=False)
     rq = np.percentile(col_stats, [25.0, 50.0, 75.0], axis=1)
     summary = np.stack([col_stats.mean(axis=1), col_stats.std(axis=1), col_stats.min(axis=1),
                         rq[0], rq[1], rq[2], col_stats.max(axis=1)], axis=1)
-    return nn.scale_input(summary.reshape(STATE_WIDTH)), summaries
+    return nn.scale_input(summary.reshape(STATE_WIDTH)), col_stats
 
 
 class ReplayBuffer:
@@ -217,14 +225,14 @@ def _advance(features: FeatureSet, cross: FeatureCross, table: DataTable,
     return features.add(cross, eval_cross(cross, table))
 
 
-def _score(features: FeatureSet, distances: DistanceCache, summaries: np.ndarray,
+def _score(features: FeatureSet, distances: DistanceCache, col_stats: np.ndarray,
            utility: UtilityConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """Utility, state and column summaries of the current set, from one
+    """Utility, state and column statistics of the current set, from one
     stacked matrix that is dropped on return. ``distances`` and
-    ``summaries`` let each call pay only for the appended column."""
+    ``col_stats`` let each call pay only for the appended column."""
     v = features.matrix()
-    state, summaries = describe_state(v, summaries)
-    return mdcg(v, utility, distances), state, summaries
+    state, col_stats = describe_state(v, col_stats)
+    return mdcg(v, utility, distances), state, col_stats
 
 
 def _epsilon(episode: int, episodes: int) -> float:
@@ -259,13 +267,15 @@ def collect(X: DataTable, episodes: int, steps: int,
         cross = FeatureCross((feature_token(i),))
         base.add(cross, eval_cross(cross, X))
     base_distances = DistanceCache()
-    base_utility, base_state, base_summaries = _score(
-        base, base_distances, np.empty((5, 0)), cfg.utility)
+    base_utility, base_state, base_stats = _score(
+        base, base_distances, np.empty((7, 0)), cfg.utility)
+    base_sequence = base.sequence()
 
     for episode in range(episodes):
         epsilon = _epsilon(episode, episodes)
         features, distances = base.copy(), base_distances.copy()
-        utility, state, summaries = base_utility, base_state, base_summaries
+        utility, state, col_stats = base_utility, base_state, base_stats
+        sequence = base_sequence
         for step in range(steps):
             m_before = features.n_features
             head = head_agent.select(state, m_before, epsilon, rng)
@@ -275,10 +285,11 @@ def collect(X: DataTable, episodes: int, steps: int,
             cross = _compose_cross(features, head, opcode, tail)
             next_state, gain = state, 0.0       # a no-op step leaves the set as it was
             if _advance(features, cross, X, max_features):
-                score, next_state, summaries = _score(
-                    features, distances, summaries, cfg.utility)
+                score, next_state, col_stats = _score(
+                    features, distances, col_stats, cfg.utility)
                 gain, utility = score - utility, score
-            records.append(ExplorationRecord(features.sequence(), utility, episode, step))
+                sequence = features.sequence()
+            records.append(ExplorationRecord(sequence, utility, episode, step))
             m_after = features.n_features
             for agent, action, valid in zip(agents, (head, op, tail),
                                             (m_after, len(OP_SYMBOLS), m_after)):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -70,10 +71,12 @@ OPCODES.update({s: OpCode(s, 1) for s in UNARY_OPS})
 
 def is_feature(token: str) -> bool:
     """Whether ``token`` is spelled as ``feature_token`` spells an index:
-    ``f``, then ASCII digits without a leading zero."""
+    ``f``, then ASCII digits without a leading zero, no more of them than
+    ``int`` converts (``sys.get_int_max_str_digits()``, 0 for no limit)."""
     digits = token[1:]
+    limit = sys.get_int_max_str_digits()
     return (token[:1] == "f" and digits.isascii() and digits.isdigit()
-            and (digits == "0" or digits[0] != "0"))
+            and (digits == "0" or digits[0] != "0") and (not limit or len(digits) <= limit))
 
 
 def feature_index(token: str) -> int:

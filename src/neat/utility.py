@@ -112,8 +112,10 @@ def _append_distinct(kept: np.ndarray, new: np.ndarray) -> np.ndarray:
 LIST_LEN = 32
 
 # Rows ranked per pass, so the (block, n) temporaries stay small; it does
-# not change the result.
-_ROW_BLOCK = 64
+# not change the result. At n = 1000 and 12-24 columns under 2 OpenBLAS
+# threads, a 64-row block's product sometimes takes the threaded path, at
+# 250-730 us a block, while a 32-row block stays single-threaded at 22-46 us.
+_ROW_BLOCK = 32
 
 
 class DistanceCache:
@@ -134,6 +136,11 @@ class DistanceCache:
     ``outside`` stays a lower bound. Any other set, or another row count or
     subsample, drops the lists. The keys take about 0.3 MB at 1000 rows, and
     rows are ranked ``_ROW_BLOCK`` at a time, so no (n, n) array exists.
+
+    ``spread`` holds each kept column's 2 s^2 = 2 sum(c^2) / (n - 1), computed
+    once when the column is kept: a column's codes are integers that sum to
+    0, so its mean is exactly 0 and its sum of squares exact, and this is
+    ``2 * var(ddof=1)`` bit for bit. It grows and drops with ``columns``.
     """
 
     def __init__(self):
@@ -141,6 +148,7 @@ class DistanceCache:
         self.rows: np.ndarray | None = None
         self.raw: np.ndarray | None = None       # (n, m): the subsampled set
         self.columns: np.ndarray | None = None   # (n, kept): its distinct codes
+        self.spread: np.ndarray | None = None    # (kept,) 2 s^2 of each code column
         self.keys: np.ndarray | None = None      # (n, width) n d2 + j of listed rows j
         self.outside: np.ndarray | None = None   # (n,) smallest key of the rest
 
@@ -155,15 +163,18 @@ class DistanceCache:
         cached = 0 if self.raw is None else self.raw.shape[1]
         if not (cached and cached <= sub.shape[1]
                 and np.array_equal(self.raw, sub[:, :cached])):
-            cached, self.columns = 0, np.empty((len(sub), 0))
+            cached, self.columns, self.spread = 0, np.empty((len(sub), 0)), np.empty(0)
             self.keys = self.outside = None
         kept = self.columns.shape[1]
+        n = len(sub)
         self.raw = sub
         self.columns = _append_distinct(self.columns, _rank_codes(sub[:, cached:]))
+        new = self.columns[:, kept:]
+        squares = np.einsum("ij,ij->j", new, new)
+        self.spread = np.concatenate([self.spread, 2.0 * (squares / (n - 1))])
         if self.keys is not None:
-            n = len(sub)
             listed = self.keys.astype(np.intp) % n
-            for c in self.columns[:, kept:].T:
+            for c in new.T:
                 diff = c.take(listed)
                 diff -= c[:, None]
                 diff *= diff
@@ -193,16 +204,20 @@ class DistanceCache:
         # Relist ``rows``: the keys of each row's nearest rows, from one Gram
         # block of exact keys, and the next smallest key as ``outside``. A
         # row's own key is +inf, so a list of every other row gets +inf.
+        # Key n (|c_i|^2 + |c_j|^2 - 2 c_i.c_j) + j is a GEMM and two adds:
+        # n |c_j|^2 + j is summed once, and -2n rides on the block operand.
+        # Every partial sum is an integer below 2^53, so it is exact in any
+        # order.
         n, width = self.keys.shape
         c = self.columns
         norms = np.einsum("ij,ij->i", c, c)
+        norms *= n
+        base = norms + np.arange(n)
         for start in range(0, len(rows), _ROW_BLOCK):
             block = rows[start:start + _ROW_BLOCK]
-            keys = (-2.0 * c[block]) @ c.T
-            keys += norms
+            keys = (-2.0 * n * c[block]) @ c.T
+            keys += base
             keys += norms[block, None]
-            keys *= n
-            keys += np.arange(n)
             keys[np.arange(len(block)), block] = np.inf
             keys.partition(width, axis=1)
             self.keys[block], self.outside[block] = keys[:, :width], keys[:, width]
@@ -211,8 +226,8 @@ class DistanceCache:
         """An independent cache that starts from this one's set: the keys
         are copied, since appending columns updates them in place."""
         other = DistanceCache()
-        other.key, other.rows, other.raw, other.columns = (
-            self.key, self.rows, self.raw, self.columns)
+        other.key, other.rows, other.raw, other.columns, other.spread = (
+            self.key, self.rows, self.raw, self.columns, self.spread)
         if self.keys is not None:
             other.keys, other.outside = self.keys.copy(), self.outside.copy()
         return other
@@ -251,7 +266,7 @@ def feature_importance(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
         np.square(diffs, out=diffs)
         gain += discount[rank] * diffs.sum(axis=0)
     gain /= n
-    spread = 2.0 * v.var(axis=0, ddof=1)
+    spread = cache.spread
     return np.divide(spread - gain, spread, out=np.zeros_like(gain), where=spread > 0.0)
 
 

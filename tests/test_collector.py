@@ -24,10 +24,12 @@ from neat.expr import (
     OPCODES,
     SEGMENT_CAP,
     VALUE_CAP,
+    CrossSequence,
     FeatureCross,
     FeatureSet,
     apply_sequence,
     eval_cross,
+    feature_token,
     random_cross,
 )
 from neat.utility import DistanceCache, UtilityConfig, mdcg
@@ -96,6 +98,35 @@ class TestCollect:
         assert builds == [(40, 5)]             # one build, over the table's own columns
         # Every episode grows its own copy of the base cache's candidate lists.
         assert len(copies) == episodes
+
+    def test_a_no_op_step_reuses_the_recorded_sequence(self, small_table, monkeypatch):
+        # from_crosses lays out the table's columns once per call, then once
+        # per step that grew the set; a no-op step records the sequence
+        # that the step before it recorded, the same object.
+        built, advanced = [], []
+        from_crosses, advance = CrossSequence.from_crosses.__func__, collector._advance
+
+        def counted_from_crosses(cls, crosses):
+            built.append(1)
+            return from_crosses(cls, crosses)
+
+        def counted_advance(*args):
+            advanced.append(advance(*args))
+            return advanced[-1]
+
+        monkeypatch.setattr(CrossSequence, "from_crosses", classmethod(counted_from_crosses))
+        monkeypatch.setattr(collector, "_advance", counted_advance)
+        records = collect(small_table, episodes=3, steps=8, cfg=SMALL,
+                          rng=np.random.default_rng(11))
+        assert 0 < sum(advanced) < len(advanced)    # both kinds of step ran
+        assert len(built) == 1 + sum(advanced)
+        originals = CrossSequence.from_crosses(
+            [FeatureCross((feature_token(i),)) for i in range(small_table.n_features)])
+        for i, (rec, grew) in enumerate(zip(records, advanced)):
+            if not grew:
+                before = records[i - 1].sequence if rec.step else originals
+                assert rec.sequence == before
+                assert rec.step == 0 or rec.sequence is before
 
     def test_reward_is_the_step_gain(self, small_table, monkeypatch):
         # Every push of a step carries its record's utility minus the one
@@ -291,12 +322,17 @@ EXTREME = ("f0 exp exp", "f1 exp exp exp", "f0 exp exp f1 exp exp -",
            "f4")
 
 
+def _whole_matrix_stats(v):
+    # Reference: the (7, m) per-column statistics of the whole matrix at once.
+    q = np.percentile(v, [25.0, 50.0, 75.0], axis=0)
+    return np.vstack([
+        v.mean(axis=0), v.std(axis=0), v.min(axis=0), q[0], q[1], q[2], v.max(axis=0)])
+
+
 def _describe_state_loop(v):
     # Reference: each row of per-column statistics summarized on its own,
     # then arcsinh-scaled.
-    q = np.percentile(v, [25.0, 50.0, 75.0], axis=0)
-    col_stats = np.vstack([
-        v.mean(axis=0), v.std(axis=0), v.min(axis=0), q[0], q[1], q[2], v.max(axis=0)])
+    col_stats = _whole_matrix_stats(v)
     out = np.empty(STATE_WIDTH)
     for s in range(7):
         row = col_stats[s]
@@ -307,8 +343,8 @@ def _describe_state_loop(v):
 
 
 def _cold(v):
-    # A set seen for the first time: no column summaries known.
-    return describe_state(v, np.empty((5, 0)))
+    # A set seen for the first time: no column statistics known.
+    return describe_state(v, np.empty((7, 0)))
 
 
 class TestDescribeState:
@@ -348,18 +384,50 @@ class TestDescribeState:
         columns.append(np.full(rows, 3.0))
         order = rng.permutation(len(columns))
         v = np.column_stack([columns[i] for i in order])
-        # Grow from a 1-column set, by one or two columns at a time.
+        # Grow from a 1-column set, by one or two columns at a time. The
+        # whole-matrix reference holds from 2 columns on (a 1-column set's
+        # mean and std are pinned by test_one_column_sums_in_row_order).
         widths = [1]
         while widths[-1] < v.shape[1]:
             widths.append(min(v.shape[1], widths[-1] + int(rng.integers(1, 3))))
-        known = np.empty((5, 0))
+        known = np.empty((7, 0))
         for m in widths:
             state, known = describe_state(v[:, :m], known)
             cold_state, cold_known = _cold(v[:, :m])
-            assert known.shape == (5, m) and not known.flags.writeable
+            assert known.shape == (7, m) and not known.flags.writeable
             assert np.array_equal(known, cold_known)
             assert np.array_equal(state, cold_state)
+            if m >= 2:
+                assert np.array_equal(state, _describe_state_loop(v[:, :m]))
+
+    @pytest.mark.parametrize("shape", [(2000, 24), (100, 64)])
+    def test_grown_by_single_columns_equals_the_whole_matrix(self, shape):
+        # Each column's statistics are computed once, when it is appended,
+        # and still equal the whole matrix's at every width m >= 2.
+        v = np.random.default_rng(shape[1]).normal(size=shape)
+        v *= 10.0 ** np.random.default_rng(shape[0]).integers(-6, 7, size=shape[1])
+        _, known = _cold(v[:, :1])
+        for m in range(2, shape[1] + 1):
+            state, known = describe_state(v[:, :m], known)
+            assert np.array_equal(known, _whole_matrix_stats(v[:, :m]))
             assert np.array_equal(state, _describe_state_loop(v[:, :m]))
+
+    def test_one_column_sums_in_row_order(self):
+        # A 1-column set's mean and std are row-order sums over n, as every
+        # column's are in a wider set. numpy sums one contiguous column
+        # pairwise, so np.mean may differ here in the last place.
+        x = np.random.default_rng(7).normal(size=1000) * 1e3 + 1e-3
+        total = 0.0
+        for value in x:
+            total += value
+        mean = total / len(x)
+        squares = 0.0
+        for value in x:
+            squares += (value - mean) * (value - mean)
+        _, stats = _cold(x[:, None])
+        assert stats[0, 0] == mean
+        assert stats[1, 0] == np.sqrt(squares / len(x))
+        assert stats[0, 0] == _whole_matrix_stats(np.column_stack([x, x]))[0, 0]
 
     @pytest.mark.parametrize("episodes", [1, 3])
     def test_every_state_is_a_cold_state(self, small_table, monkeypatch, episodes):

@@ -671,6 +671,18 @@ class TestPretrain:
         _, result = _pretrain(small_table, records, epochs=1)
         assert result.skipped_records == 1
 
+    def test_a_record_of_a_feature_token_too_long_for_int_is_skipped(
+            self, small_table, corpus):
+        # Canonical digits past Python's int() digit limit (4300 by default):
+        # the walk refuses the token, so the record is skipped, not a crash.
+        records = corpus + [_record([FeatureCross(("f0",)), FeatureCross(("f" + "1" * 5000,))])]
+        with pytest.raises(ValueError):
+            int("1" * 5000)
+        _, skipped = materialize_graphs(records, small_table, ROWS)
+        assert skipped == 1
+        _, result = _pretrain(small_table, records, epochs=1)
+        assert result.skipped_records == 1
+
 
 @pytest.fixture(scope="module")
 def mixed_corpus():

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -414,8 +415,10 @@ class TestOneWalker:
 
     # Spellings that feature_token never makes: f, superscript two (int()
     # fails on it); f, Arabic-Indic three and f01 (int() reads columns 3 and
-    # 1); and f-1. The vocabulary refuses them all.
-    @pytest.mark.parametrize("token", ["f\u00b2", "f\u0663", "f01", "f-1"])
+    # 1); f-1; and f with 5000 digits, past int()'s default conversion limit
+    # of 4300. The vocabulary refuses them all.
+    @pytest.mark.parametrize("token", ["f\u00b2", "f\u0663", "f01", "f-1",
+                                       pytest.param("f" + "1" * 5000, id="f-5000-digits")])
     def test_non_canonical_feature_tokens_are_refused(self, token):
         table = make_table(np.zeros((2, 4)))
         with pytest.raises(InvalidPostfix, match=re.escape(f"unexpected token {token!r}")):
@@ -424,6 +427,13 @@ class TestOneWalker:
             render_infix(cross(token), ["a", "b", "c", "d"])
         with pytest.raises(UnknownToken):
             Vocabulary(4).id_of(token)
+
+    def test_feature_digits_stop_at_the_int_conversion_limit(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        assert expr.is_feature("f" + "1" * 4300)
+        assert not expr.is_feature("f" + "1" * 4301)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)     # no limit
+        assert expr.is_feature("f" + "1" * 5000)
 
     @given(st.integers(0, 10**6))
     def test_feature_tokens_round_trip(self, index):

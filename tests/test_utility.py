@@ -16,6 +16,7 @@ from neat.errors import DegenerateK
 from neat.expr import VALUE_CAP, eval_cross, random_cross
 from neat.tabular import sample_indices
 from neat.utility import (
+    _ROW_BLOCK,
     LIST_LEN,
     DistanceCache,
     UtilityConfig,
@@ -562,6 +563,34 @@ class TestExactKeys:
         np.put_along_axis(rest, grown.keys.astype(np.intp) % n, np.inf, axis=1)
         assert np.all(grown.outside <= rest.min(axis=1))
 
+    def test_a_stale_set_over_several_blocks_is_listed_exactly(self):
+        # Rows ranked again in blocks of _ROW_BLOCK, the last one partial, at
+        # n not a multiple of the block: each ranked row's keys are its
+        # width smallest exact keys, and ``outside`` the next one.
+        n = 3 * _ROW_BLOCK + 7
+        rng = np.random.default_rng(13)
+        F = np.column_stack([rng.normal(size=(n, 2)), np.exp(np.exp(rng.normal(size=n))),
+                             rng.integers(0, 4, size=n).astype(float)])
+        want = oracle_sq_dists(oracle_scaled(F)) * n + np.arange(n)
+        np.fill_diagonal(want, np.inf)
+        ordered = np.sort(want, axis=1)
+        cache = DistanceCache()
+        cache.update(F[:, :2], BIG)
+        cache.neighbours(3)
+        cache.update(F, BIG)
+        stale = np.flatnonzero(rng.random(n) < 0.8)
+        assert len(stale) > 2 * _ROW_BLOCK and len(stale) % _ROW_BLOCK
+        cache._rank(stale)
+        width = cache.keys.shape[1]
+        assert width < n - 1
+        assert np.array_equal(np.sort(cache.keys[stale], axis=1), ordered[stale, :width])
+        assert np.array_equal(cache.outside[stale], ordered[stale, width])
+        cold = DistanceCache()
+        cold.update(F, BIG)
+        cold.neighbours(3)                  # every row, in four blocks
+        assert np.array_equal(np.sort(cold.keys, axis=1), ordered[:, :width])
+        assert np.array_equal(cold.outside, ordered[:, width])
+
     def test_results_do_not_depend_on_the_blas_threads(self):
         # The same bits from one BLAS thread and from two.
         script = ("import sys; import numpy as np; from neat.utility import *\n"
@@ -586,6 +615,44 @@ class TestExactKeys:
         with pytest.raises(ValueError, match="2\\^53"):
             feature_importance(F, UtilityConfig(max_rows=2 ** 17))
         assert time.monotonic() - start < 5.0
+
+
+class TestSpread:
+    """Each kept code column's 2 s^2 is kept beside it, and equals
+    ``2 * var(ddof=1)`` of the column bit for bit."""
+
+    @staticmethod
+    def _check(cache):
+        assert cache.spread.shape == (cache.columns.shape[1],)
+        assert np.array_equal(cache.spread, 2.0 * cache.columns.var(axis=0, ddof=1))
+
+    @pytest.mark.parametrize("n,max_rows", [(400, 300), (120, 1000)])
+    def test_cold_grown_copied_and_dropped(self, n, max_rows):
+        rng = np.random.default_rng(n)
+        # Every kind of column, then a copy of the first one, which is not kept.
+        F = np.column_stack([_column(kind, rng, n) for kind in COLUMN_KINDS])
+        F = np.column_stack([F, F[:, 0]])
+        cfg = UtilityConfig(k_neighbors=3, max_rows=max_rows)
+        cold = DistanceCache()
+        cold.update(F, cfg)
+        self._check(cold)
+        grown = DistanceCache()
+        for width in range(1, F.shape[1] + 1):
+            feature_importance(F[:, :width], cfg, grown)
+            self._check(grown)
+        assert np.array_equal(grown.spread, cold.spread)
+        assert len(grown.spread) == len(COLUMN_KINDS)
+        before = grown.spread.copy()
+        branch = grown.copy()
+        feature_importance(np.column_stack([F, rng.normal(size=n)]), cfg, branch)
+        self._check(branch)
+        assert np.array_equal(grown.spread, before)
+        assert np.array_equal(branch.spread[:-1], before)
+        # Not a prefix of the cached set: the lists drop, and so does the
+        # spread of every column not in the new set.
+        feature_importance(F[:, [3, 1]], cfg, grown)
+        self._check(grown)
+        assert len(grown.spread) == 2
 
 
 class TestFeatureImportance:
