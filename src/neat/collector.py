@@ -59,6 +59,26 @@ class CollectorConfig:
     hidden: int = 64
 
 
+def _quartiles(a: np.ndarray, axis: int) -> np.ndarray:
+    """The 25th, 50th and 75th percentiles of ``a`` along ``axis``, stacked
+    first, from one sort. numpy's ``linear`` rule: the quantile q sits at
+    virtual index i = (n - 1) q of the sorted values, between positions
+    floor(i) and floor(i) + 1, and with t = i - floor(i) it is
+    ``lo + (hi - lo) t``, or ``hi - (hi - lo) (1 - t)`` when t >= 0.5, as in
+    numpy's ``_lerp``. At n = 1 numpy reads the last value with t = 1."""
+    s = np.moveaxis(np.sort(a, axis=axis), axis, 0)
+    n = len(s)
+    out = np.empty((3,) + s.shape[1:])
+    for row, q in zip(out, (0.25, 0.5, 0.75)):
+        i = (n - 1) * q
+        lo = int(i)
+        hi = min(lo + 1, n - 1)
+        t = i - lo if hi > lo else 1.0
+        diff = s[hi] - s[lo]
+        row[...] = s[hi] - diff * (1.0 - t) if t >= 0.5 else s[lo] + diff * t
+    return out
+
+
 def describe_state(v: np.ndarray, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-width description of a feature set's ``(n, m)`` values: 7
     per-column statistics, each summarized across columns by the same 7
@@ -78,17 +98,22 @@ def describe_state(v: np.ndarray, known: np.ndarray) -> tuple[np.ndarray, np.nda
     column's statistics carry the same bits whichever set it is described
     in, and a grown set's equal a whole-matrix call's. For a 1-column set
     numpy sums the contiguous column pairwise instead, so there the row-order
-    sum defines the bits and ``np.mean`` may differ in the last place."""
+    sum defines the bits and ``np.mean`` may differ in the last place.
+
+    Quartiles follow numpy's ``linear`` rule (see ``_quartiles``), so they
+    equal ``np.percentile(..., [25, 50, 75], axis)`` bit for bit, apart from
+    the sign of a zero read from a tie of 0.0 and -0.0, which a sort and
+    numpy's partition may order differently."""
     n = len(v)
     new = v[:, known.shape[1]:]
     mean = np.cumsum(new, axis=0)[-1] / n
     dev = new - mean
     dev *= dev
     std = np.sqrt(np.cumsum(dev, axis=0)[-1] / n)
-    q = np.percentile(new, [25.0, 50.0, 75.0], axis=0)
+    q = _quartiles(new, axis=0)
     col_stats = np.hstack([known, np.vstack([mean, std, new.min(axis=0), q, new.max(axis=0)])])
     col_stats.setflags(write=False)
-    rq = np.percentile(col_stats, [25.0, 50.0, 75.0], axis=1)
+    rq = _quartiles(col_stats, axis=1)
     summary = np.stack([col_stats.mean(axis=1), col_stats.std(axis=1), col_stats.min(axis=1),
                         rq[0], rq[1], rq[2], col_stats.max(axis=1)], axis=1)
     return nn.scale_input(summary.reshape(STATE_WIDTH)), col_stats
@@ -227,9 +252,9 @@ def _advance(features: FeatureSet, cross: FeatureCross, table: DataTable,
 
 def _score(features: FeatureSet, distances: DistanceCache, col_stats: np.ndarray,
            utility: UtilityConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """Utility, state and column statistics of the current set, from one
-    stacked matrix that is dropped on return. ``distances`` and
-    ``col_stats`` let each call pay only for the appended column."""
+    """Utility, state and column statistics of the current set, read from
+    its kept matrix. ``distances`` and ``col_stats`` let each call pay only
+    for the appended column."""
     v = features.matrix()
     state, col_stats = describe_state(v, col_stats)
     return mdcg(v, utility, distances), state, col_stats
@@ -262,7 +287,7 @@ def collect(X: DataTable, episodes: int, steps: int,
         for name, n_actions, seed in zip(("head", "op", "tail"),
                                          (max_features, len(OP_SYMBOLS), max_features), seeds)]
     records: list[ExplorationRecord] = []
-    base = FeatureSet()                     # every episode starts from the table's columns
+    base = FeatureSet(max_features)         # every episode starts from the table's columns
     for i in range(X.n_features):
         cross = FeatureCross((feature_token(i),))
         base.add(cross, eval_cross(cross, X))

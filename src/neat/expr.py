@@ -311,17 +311,25 @@ class FeatureSet:
     (first occurrence wins), and ``fits`` says whether one more cross keeps
     the sequence inside ``SEGMENT_CAP`` and ``MAX_LEN``. ``add`` does not
     check ``fits``, so a caller that must respect the budgets asks first.
+
+    Columns live in one ``(n, capacity)`` float64 array, allocated at the
+    first ``add`` (or by ``copy``) and never grown: ``capacity`` is the
+    caller's bound on the columns the set will hold, and adding past it
+    raises ``IndexError``. So ``matrix()`` is a read-only view of the filled
+    columns, not a stack of them. Columns are only appended, so a view
+    returned earlier keeps its values while the set grows.
     """
 
-    def __init__(self):
+    def __init__(self, capacity: int):
         self.provenance: list[FeatureCross] = []
-        self._columns: list[np.ndarray] = []
+        self._capacity = capacity
+        self._values: np.ndarray | None = None     # (n, capacity), filled from the left
         self._keys: set[bytes] = set()
         self._length = 1    # <SOS> and <EOS>, less the <SEP> the first cross goes without
 
     @property
     def n_features(self) -> int:
-        return len(self._columns)
+        return len(self.provenance)
 
     def fits(self, cross: FeatureCross) -> bool:
         """Whether ``CrossSequence.from_crosses`` accepts the set plus
@@ -334,23 +342,30 @@ class FeatureSet:
         key = column.tobytes()
         if key in self._keys:
             return False
+        if self._values is None:
+            self._values = np.empty((len(column), self._capacity))
+        self._values[:, self.n_features] = column
         self._keys.add(key)
-        self._columns.append(column)
         self.provenance.append(cross)
         self._length += len(cross.tokens) + 1
         return True
 
     def copy(self) -> "FeatureSet":
-        other = FeatureSet()
+        """An independent set with the same columns, in an array of its own."""
+        other = FeatureSet(self._capacity)
         other.provenance = list(self.provenance)
-        other._columns = list(self._columns)
+        if self._values is not None:
+            other._values = self._values.copy()
         other._keys = set(self._keys)
         other._length = self._length
         return other
 
     def matrix(self) -> np.ndarray:
-        """The set's values, one column per kept cross: ``(n, m)`` float64."""
-        return np.column_stack(self._columns)
+        """The set's values, one column per kept cross: a read-only
+        ``(n, m)`` float64 view of the kept array."""
+        view = self._values[:, :self.n_features]
+        view.flags.writeable = False
+        return view
 
     def sequence(self) -> CrossSequence:
         return CrossSequence.from_crosses(self.provenance)
@@ -358,7 +373,8 @@ class FeatureSet:
 
 def apply_sequence(seq: CrossSequence, table: DataTable,
                    columns: dict[FeatureCross, np.ndarray] | None = None) -> np.ndarray:
-    """Materialize a sequence into an ``(n, m)`` array, one column per cross.
+    """Materialize a sequence into a read-only ``(n, m)`` array, one column
+    per cross: the ``matrix()`` of a ``FeatureSet`` sized to its crosses.
 
     ``columns`` memoizes ``eval_cross`` by cross (a local memo if None). The
     caller owns it, and it is valid for this ``table`` only. Each column it
@@ -372,7 +388,7 @@ def apply_sequence(seq: CrossSequence, table: DataTable,
     """
     crosses = parse_sequence(seq)
     columns = {} if columns is None else columns
-    features = FeatureSet()
+    features = FeatureSet(len(crosses))
     for cross in crosses:
         column = columns.get(cross)
         if column is None:

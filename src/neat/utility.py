@@ -49,6 +49,11 @@ so results do not depend on the BLAS or its thread count, and a set grown
 column by column gets the bits of the same set scored at once. Keys are
 distinct, and sorting them orders rows by (d^2, row index), so ties at the
 k-th distance go to the lower row index.
+
+A ``DistanceCache`` keeps each row's candidate rows beside their keys, so a
+set grown by a column adds that column's squared differences at the listed
+rows without deriving them again, and a row's k nearest are the first k of
+its sorted keys: one sort of a list width, not a partition and a sort.
 """
 
 from __future__ import annotations
@@ -121,18 +126,21 @@ _ROW_BLOCK = 32
 class DistanceCache:
     """Row subsample of the last set scored, its kept rank codes, and each
     subsampled row's candidate list: ``keys``, n d^2 + j of each listed row
-    j, and ``outside``, the smallest key of any row not listed.
+    j, ``listed``, those rows j, and ``outside``, the smallest key of any
+    row not listed.
 
     A list holds its row's min(n - 1, max(``LIST_LEN``, k)) nearest rows
     when it is ranked, for every n; when n - 1 <= ``LIST_LEN`` that is every
     other row, with ``outside`` +inf. Keys are distinct, so a row's k
     smallest listed keys are its k nearest rows while the k-th is below
     ``outside``; a row whose k-th key exceeds it is ranked again from all
-    its keys.
+    its keys. ``neighbours`` reads them from one sort of each row's keys.
 
     Append-only contract: when the cached raw columns are a prefix of the
     next set's, only the new columns are coded, and n (c_j - c_i)^2 of each
-    one kept is added to the keys (n x list length work). Keys only grow, so
+    one kept is added to the keys (n x list length work), gathered at the
+    rows in ``listed``. Adding n d^2 leaves a key's row j as it was, so
+    ``listed`` is written only when a row is ranked. Keys only grow, so
     ``outside`` stays a lower bound. Any other set, or another row count or
     subsample, drops the lists. The keys take about 0.3 MB at 1000 rows, and
     rows are ranked ``_ROW_BLOCK`` at a time, so no (n, n) array exists.
@@ -150,6 +158,7 @@ class DistanceCache:
         self.columns: np.ndarray | None = None   # (n, kept): its distinct codes
         self.spread: np.ndarray | None = None    # (kept,) 2 s^2 of each code column
         self.keys: np.ndarray | None = None      # (n, width) n d2 + j of listed rows j
+        self.listed: np.ndarray | None = None    # (n, width) intp: those rows j
         self.outside: np.ndarray | None = None   # (n,) smallest key of the rest
 
     def update(self, F: np.ndarray, cfg: UtilityConfig) -> np.ndarray:
@@ -164,7 +173,7 @@ class DistanceCache:
         if not (cached and cached <= sub.shape[1]
                 and np.array_equal(self.raw, sub[:, :cached])):
             cached, self.columns, self.spread = 0, np.empty((len(sub), 0)), np.empty(0)
-            self.keys = self.outside = None
+            self.keys = self.listed = self.outside = None
         kept = self.columns.shape[1]
         n = len(sub)
         self.raw = sub
@@ -173,9 +182,8 @@ class DistanceCache:
         squares = np.einsum("ij,ij->j", new, new)
         self.spread = np.concatenate([self.spread, 2.0 * (squares / (n - 1))])
         if self.keys is not None:
-            listed = self.keys.astype(np.intp) % n
             for c in new.T:
-                diff = c.take(listed)
+                diff = c.take(self.listed)
                 diff -= c[:, None]
                 diff *= diff
                 diff *= n
@@ -190,20 +198,21 @@ class DistanceCache:
         width = min(n - 1, max(LIST_LEN, k))
         if self.keys is None or self.keys.shape[1] < width:
             self.keys, self.outside = np.empty((n, width)), np.empty(n)
+            self.listed = np.empty((n, width), dtype=np.intp)
             self._rank(np.arange(n))
-        near = np.partition(self.keys, k - 1, axis=1)[:, :k]
+        near = np.sort(self.keys, axis=1)[:, :k]
         stale = np.flatnonzero(near[:, k - 1] > self.outside)
         if len(stale):
             self._rank(stale)
-            near[stale] = np.partition(self.keys[stale], k - 1, axis=1)[:, :k]
-        near.sort(axis=1)
+            near[stale] = np.sort(self.keys[stale], axis=1)[:, :k]
         d2, index = np.divmod(near, n)
         return index.astype(np.intp), d2
 
     def _rank(self, rows: np.ndarray) -> None:
-        # Relist ``rows``: the keys of each row's nearest rows, from one Gram
-        # block of exact keys, and the next smallest key as ``outside``. A
-        # row's own key is +inf, so a list of every other row gets +inf.
+        # Relist ``rows``: the keys of each row's nearest rows and those rows,
+        # from one Gram block of exact keys, and the next smallest key as
+        # ``outside``. A row's own key is +inf, so a list of every other row
+        # gets +inf.
         # Key n (|c_i|^2 + |c_j|^2 - 2 c_i.c_j) + j is a GEMM and two adds:
         # n |c_j|^2 + j is summed once, and -2n rides on the block operand.
         # Every partial sum is an integer below 2^53, so it is exact in any
@@ -220,16 +229,20 @@ class DistanceCache:
             keys += norms[block, None]
             keys[np.arange(len(block)), block] = np.inf
             keys.partition(width, axis=1)
-            self.keys[block], self.outside[block] = keys[:, :width], keys[:, width]
+            near = keys[:, :width]
+            self.keys[block], self.outside[block] = near, keys[:, width]
+            self.listed[block] = near.astype(np.intp) % n
 
     def copy(self) -> "DistanceCache":
-        """An independent cache that starts from this one's set: the keys
-        are copied, since appending columns updates them in place."""
+        """An independent cache that starts from this one's set: the lists
+        are copied, since appending columns and ranking update them in
+        place."""
         other = DistanceCache()
         other.key, other.rows, other.raw, other.columns, other.spread = (
             self.key, self.rows, self.raw, self.columns, self.spread)
         if self.keys is not None:
             other.keys, other.outside = self.keys.copy(), self.outside.copy()
+            other.listed = self.listed.copy()
         return other
 
 

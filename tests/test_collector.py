@@ -3,6 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import make_table
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from neat import collector
 from neat.collector import (
@@ -12,6 +15,7 @@ from neat.collector import (
     QAgent,
     ReplayBuffer,
     _advance,
+    _quartiles,
     bellman_update,
     collect,
     describe_state,
@@ -127,6 +131,82 @@ class TestCollect:
                 before = records[i - 1].sequence if rec.step else originals
                 assert rec.sequence == before
                 assert rec.step == 0 or rec.sequence is before
+
+    def test_a_grown_set_makes_no_whole_set_pass(self, monkeypatch):
+        # A seeded call never calls np.percentile; each FeatureSet fills one
+        # kept array, allocated once (the base set's, then one per episode's
+        # copy); and a cache's listed rows change only inside _rank. 300 of
+        # 400 rows, so that lists are narrower than the rows and some rows
+        # are ranked again as the sets grow.
+        table = make_table(np.random.default_rng(5).normal(size=(400, 5)))
+        cfg = dataclasses.replace(SMALL, utility=UtilityConfig(max_rows=300))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.percentile was called")
+
+        kept = {}           # id -> (FeatureSet, every array its matrix viewed)
+        add, copy_set = FeatureSet.add, FeatureSet.copy
+
+        def seen(features):
+            kept.setdefault(id(features), (features, []))[1].append(features.matrix().base)
+
+        def watched_add(features, cross, column):
+            grew = add(features, cross, column)
+            seen(features)
+            return grew
+
+        def watched_copy_set(features):
+            other = copy_set(features)
+            seen(other)
+            return other
+
+        written, ranked = {}, []  # id -> (cache, its listed array, their values)
+        rank, copy_cache = DistanceCache._rank, DistanceCache.copy
+
+        def unchanged(cache):
+            if cache.listed is not None:
+                _, array, values = written[id(cache)]
+                assert cache.listed is array and np.array_equal(array, values)
+
+        def watched_rank(cache, rows):
+            rank(cache, rows)
+            ranked.append(len(rows))
+            written[id(cache)] = (cache, cache.listed, cache.listed.copy())
+
+        def guarded(method):
+            def run(cache, *args):
+                unchanged(cache)
+                out = method(cache, *args)
+                unchanged(cache)
+                return out
+            return run
+
+        def watched_copy_cache(cache):
+            other = copy_cache(cache)
+            unchanged(cache)
+            assert other.listed is not cache.listed
+            written[id(other)] = (other, other.listed, cache.listed.copy())
+            unchanged(other)
+            return other
+
+        monkeypatch.setattr(np, "percentile", refused)
+        monkeypatch.setattr(FeatureSet, "add", watched_add)
+        monkeypatch.setattr(FeatureSet, "copy", watched_copy_set)
+        monkeypatch.setattr(DistanceCache, "_rank", watched_rank)
+        monkeypatch.setattr(DistanceCache, "update", guarded(DistanceCache.update))
+        monkeypatch.setattr(DistanceCache, "neighbours", guarded(DistanceCache.neighbours))
+        monkeypatch.setattr(DistanceCache, "copy", watched_copy_cache)
+        episodes = 3
+        records = collect(table, episodes=episodes, steps=8, cfg=cfg,
+                          rng=np.random.default_rng(11))
+        assert len(records) == episodes * 8
+        arrays = [views for _, views in kept.values()]
+        assert len(arrays) == 1 + episodes
+        assert all(all(a is views[0] for a in views) for views in arrays)
+        assert len({id(views[0]) for views in arrays}) == 1 + episodes
+        assert all(views[0].shape == (400, 2 * table.n_features) for views in arrays)
+        # The lists were built once, and rows ranked again as the sets grew.
+        assert ranked[0] == 300 and len(ranked) > 1 and ranked.count(300) == 1
 
     def test_reward_is_the_step_gain(self, small_table, monkeypatch):
         # Every push of a step carries its record's utility minus the one
@@ -357,6 +437,24 @@ class TestDescribeState:
         F = _matrix(small_table, EXTREME)
         assert np.array_equal(_cold(F)[0], _describe_state_loop(F))
 
+    @given(a=hnp.arrays(np.float64,
+                        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+                        elements=st.one_of(
+                            st.sampled_from([-VALUE_CAP, -1.0, 0.0, 1.0, VALUE_CAP]),
+                            st.floats(-VALUE_CAP, VALUE_CAP))))
+    @example(a=np.array([[3.0, -VALUE_CAP, 0.5, VALUE_CAP]]))              # one row
+    @example(a=np.array([[2.0], [2.0], [-1.0], [VALUE_CAP], [2.0]]))       # one column
+    @example(a=np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -VALUE_CAP]]))      # ties
+    @example(a=np.array([[0.1], [0.7], [1.3], [2.9], [3.1], [4.7]]))       # t = 0.25, 0.75
+    @settings(max_examples=300, deadline=None)
+    def test_quartiles_equal_np_percentile(self, a):
+        # The one-sort quartiles are numpy's linear rule on both axes: the
+        # same values (np.array_equal does not tell a zero's sign).
+        for axis in (0, 1):
+            got = _quartiles(a, axis)
+            want = np.percentile(a, [25.0, 50.0, 75.0], axis=axis)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
     def test_width(self, small_table):
         assert _cold(_matrix(small_table, ["f0", "f1 f2 *"]))[0].shape == (STATE_WIDTH,)
         assert _cold(_matrix(small_table, EXTREME))[0].shape == (STATE_WIDTH,)
@@ -557,7 +655,7 @@ class TestActions:
                 assert set(picked) == {valid - 1}
 
     def _features(self, table, crosses):
-        features = FeatureSet()
+        features = FeatureSet(len(crosses) + 1)     # room for one advance
         for text in crosses:
             assert features.add(_cross(text), eval_cross(_cross(text), table))
         return features

@@ -18,6 +18,7 @@ from neat.errors import (
 )
 from neat.expr import (
     EOS,
+    MAX_LEN,
     SEGMENT_CAP,
     SEP,
     SOS,
@@ -366,7 +367,7 @@ class TestFeatureSet:
     def test_is_the_one_rule(self, seed, moves):
         table = make_table(np.random.default_rng(7).normal(size=(20, 5)))
         rng = np.random.default_rng(seed)
-        base = FeatureSet()
+        base = FeatureSet(MAX_LEN)     # a sequence holds fewer crosses than tokens
         for i in range(5):
             base.add(cross(f"f{i}"), eval_cross(cross(f"f{i}"), table))
         sets = [base]
@@ -386,6 +387,61 @@ class TestFeatureSet:
             sequence = features.sequence()
             assert parse_sequence(sequence) == features.provenance
             assert np.array_equal(apply_sequence(sequence, table), features.matrix())
+
+
+class TestKeptMatrix:
+    """A FeatureSet keeps its columns in one array of its capacity's width;
+    ``matrix()`` is a read-only view of the filled columns."""
+
+    def test_matrix_is_the_stack_of_the_added_columns_at_every_width(self):
+        columns = list(np.random.default_rng(3).normal(size=(6, 50)))
+        features = FeatureSet(len(columns))
+        views = []
+        for i, column in enumerate(columns):
+            assert features.add(cross(f"f{i}"), column)
+            views.append(features.matrix())
+            assert views[-1].dtype == np.float64 and not views[-1].flags.writeable
+            assert np.array_equal(views[-1], np.column_stack(columns[:i + 1]))
+        # Adding never moved the array: every earlier view still holds its columns.
+        for i, view in enumerate(views):
+            assert np.array_equal(view, np.column_stack(columns[:i + 1]))
+
+    def test_growing_a_copy_leaves_the_original(self):
+        rng = np.random.default_rng(4)
+        columns = list(rng.normal(size=(3, 20)))
+        base = FeatureSet(5)
+        for i, column in enumerate(columns):
+            base.add(cross(f"f{i}"), column)
+        before = base.matrix()
+        branches = [base.copy(), base.copy()]
+        extra = rng.normal(size=(2, 2, 20))
+        for branch, (a, b) in zip(branches, extra):
+            branch.add(cross("f0", "sin"), a)
+            branch.add(cross("f1", "sin"), b)
+        for branch, grown in zip(branches, extra):
+            assert np.array_equal(branch.matrix(), np.column_stack(columns + list(grown)))
+        assert np.array_equal(base.matrix(), np.column_stack(columns))
+        assert np.array_equal(before, np.column_stack(columns))
+        base.add(cross("f2", "sin"), extra[0, 0] + 1.0)    # and the other way round
+        for branch, grown in zip(branches, extra):
+            assert np.array_equal(branch.matrix(), np.column_stack(columns + list(grown)))
+
+    def test_a_column_past_the_capacity_is_refused(self):
+        features = FeatureSet(2)
+        features.add(cross("f0"), np.zeros(4))
+        features.add(cross("f1"), np.ones(4))
+        with pytest.raises(IndexError):
+            features.add(cross("f2"), np.full(4, 2.0))
+        assert features.n_features == 2 and features.provenance == [cross("f0"), cross("f1")]
+        assert features.add(cross("f2"), np.ones(4)) is False      # still a duplicate
+
+    def test_apply_sequence_returns_the_distinct_columns(self, small_table):
+        # A duplicate in the middle: the view is narrower than its array.
+        crosses = [cross("f0"), cross("f1", "f2", "*"), cross("f0"), cross("f3", "sin")]
+        F = apply_sequence(CrossSequence.from_crosses(crosses), small_table)
+        want = np.column_stack([eval_cross(c, small_table) for c in crosses[:2] + crosses[3:]])
+        assert F.shape == (40, 3) and not F.flags.writeable
+        assert F.tobytes() == want.tobytes()
 
 
 # Malformed programs: an operator short of operands, two operands left, a
