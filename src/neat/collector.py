@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -35,10 +35,14 @@ from .utility import DistanceCache, UtilityConfig, mdcg
 log = logging.getLogger(__name__)
 
 STATE_WIDTH = 49
-LEARNING_RATE = 0.001     # Adam, for every Q-network
 EPSILON_START = 1.0
 EPSILON_END = 0.05
 EPSILON_FRACTION = 0.7
+GAMMA = 0.9               # TD discount
+REPLAY_CAPACITY = 4096    # most rows a replay buffer holds
+BATCH_SIZE = 64           # transitions per TD update
+SYNC_EVERY = 50           # TD updates between target-network syncs
+HIDDEN = 64               # Q-network hidden width
 
 
 @dataclass(frozen=True)
@@ -51,12 +55,9 @@ class ExplorationRecord:
 
 @dataclass(frozen=True)
 class CollectorConfig:
+    """Only the utility's settings: a caller needs them again to re-score the records."""
+
     utility: UtilityConfig = field(default_factory=UtilityConfig)
-    gamma: float = 0.9
-    replay_capacity: int = 4096
-    batch_size: int = 64
-    sync_every: int = 50
-    hidden: int = 64
 
 
 def _quartiles(a: np.ndarray, axis: int) -> np.ndarray:
@@ -122,7 +123,7 @@ def describe_state(v: np.ndarray, known: np.ndarray) -> tuple[np.ndarray, np.nda
 class ReplayBuffer:
     """Ring buffer over transition fields; ``next_valid`` is the valid-action
     count at ``next_state``. Its arrays are allocated once, at ``capacity``
-    rows: ``collect`` passes the smaller of ``replay_capacity`` and its step
+    rows: ``collect`` passes the smaller of ``REPLAY_CAPACITY`` and its step
     budget, so no row is allocated that no push can fill. That keeps
     ``peak_rss_mb`` flat: buffers of the default 4096 rows, freed and
     allocated again on each ``collect`` call, once made it jump between 49.5
@@ -157,21 +158,18 @@ class ReplayBuffer:
 
 
 class QAgent:
-    """Two-layer Q-network with a synced target copy and replay buffer."""
+    """Two-layer Q-network, ``HIDDEN`` wide, with a synced target copy and replay buffer."""
 
-    def __init__(self, name: str, n_actions: int, cfg: CollectorConfig,
+    def __init__(self, name: str, n_actions: int, capacity: int,
                  rng: np.random.Generator):
         self.n_actions = n_actions
-        self.gamma = cfg.gamma
-        self.sync_every = cfg.sync_every
-        self.batch_size = cfg.batch_size
-        self.d1 = nn.Dense(f"{name}.d1", STATE_WIDTH, cfg.hidden, rng)
-        self.d2 = nn.Dense(f"{name}.d2", cfg.hidden, n_actions, rng)
-        self.t1 = nn.Dense(f"{name}.t1", STATE_WIDTH, cfg.hidden, rng)
-        self.t2 = nn.Dense(f"{name}.t2", cfg.hidden, n_actions, rng)
+        self.d1 = nn.Dense(f"{name}.d1", STATE_WIDTH, HIDDEN, rng)
+        self.d2 = nn.Dense(f"{name}.d2", HIDDEN, n_actions, rng)
+        self.t1 = nn.Dense(f"{name}.t1", STATE_WIDTH, HIDDEN, rng)
+        self.t2 = nn.Dense(f"{name}.t2", HIDDEN, n_actions, rng)
         self._sync_target()
-        self.opt = nn.Adam(self.d1.params() + self.d2.params(), lr=LEARNING_RATE)
-        self.buffer = ReplayBuffer(cfg.replay_capacity)
+        self.opt = nn.Adam(self.d1.params() + self.d2.params())
+        self.buffer = ReplayBuffer(capacity)
         self.updates = 0
 
     def _sync_target(self) -> None:
@@ -202,8 +200,8 @@ class QAgent:
 
 def bellman_update(agent: QAgent, batch) -> float:
     """One TD step on a batch, the tuple that ``ReplayBuffer.sample`` returns:
-    y = r + agent.gamma * masked max target-Q (r when terminal); returns the
-    mean squared TD error. Syncs the target network every ``sync_every``
+    y = r + ``GAMMA`` * masked max target-Q (r when terminal); returns the
+    mean squared TD error. Syncs the target network every ``SYNC_EVERY``
     updates."""
     states, actions, rewards, next_states, next_valid, terminal = batch
     B = states.shape[0]
@@ -212,7 +210,7 @@ def bellman_update(agent: QAgent, batch) -> float:
     mask = np.arange(agent.n_actions)[None, :] < next_valid[:, None]
     tq = np.where(mask, tq, -np.inf)
     best_next = tq.max(axis=1)
-    y = np.where(terminal, rewards, rewards + agent.gamma * best_next)
+    y = np.where(terminal, rewards, rewards + GAMMA * best_next)
 
     q, cache = agent.q_values(states)
     picked = q[np.arange(B), actions]
@@ -226,7 +224,7 @@ def bellman_update(agent: QAgent, batch) -> float:
     agent.d1.backward_params(da, c1)
     agent.opt.step()
     agent.updates += 1
-    if agent.updates % agent.sync_every == 0:
+    if agent.updates % SYNC_EVERY == 0:
         agent._sync_target()
     return loss
 
@@ -240,12 +238,11 @@ def _compose_cross(features: FeatureSet, head: int, opcode: OpCode,
     return FeatureCross(tuple(tokens))
 
 
-def _advance(features: FeatureSet, cross: FeatureCross, table: DataTable,
-             max_features: int) -> bool:
-    """Try to add a cross; a no-op (False, set unchanged) when the feature cap
-    is hit, the sequence would overflow its token budgets, or the column is a
-    bitwise duplicate. An over-budget cross is not evaluated."""
-    if features.n_features >= max_features or not features.fits(cross):
+def _advance(features: FeatureSet, cross: FeatureCross, table: DataTable) -> bool:
+    """Try to add a cross; a no-op (False, set unchanged) when the set does
+    not fit it (``FeatureSet.fits``: no room, or a token budget overflows) or
+    the column is a bitwise duplicate. A cross that does not fit is not evaluated."""
+    if not features.fits(cross):
         return False
     return features.add(cross, eval_cross(cross, table))
 
@@ -274,16 +271,16 @@ def collect(X: DataTable, episodes: int, steps: int,
     After the set has grown, one loop runs over the three: an agent that
     acted pushes its transition, rewarded by the step's utility gain (0.0
     on a no-op step), and each agent whose buffer holds
-    ``batch_size`` rows takes one TD update. Epsilon decays linearly from
+    ``BATCH_SIZE`` rows takes one TD update. Epsilon decays linearly from
     ``EPSILON_START`` to ``EPSILON_END`` over the first ``EPSILON_FRACTION``
-    of the episodes. A set holds at most twice the table's feature count."""
+    of the episodes. A set's capacity is twice the table's feature count."""
     cfg = cfg or CollectorConfig()
     max_features = 2 * X.n_features
     seeds = rng.integers(np.iinfo(np.int64).max, size=3)
     # An agent pushes at most once a step, so its buffer needs no more rows.
-    agent_cfg = replace(cfg, replay_capacity=min(cfg.replay_capacity, episodes * steps))
+    capacity = min(REPLAY_CAPACITY, episodes * steps)
     head_agent, op_agent, tail_agent = agents = [
-        QAgent(name, n_actions, agent_cfg, np.random.default_rng(int(seed)))
+        QAgent(name, n_actions, capacity, np.random.default_rng(int(seed)))
         for name, n_actions, seed in zip(("head", "op", "tail"),
                                          (max_features, len(OP_SYMBOLS), max_features), seeds)]
     records: list[ExplorationRecord] = []
@@ -309,7 +306,7 @@ def collect(X: DataTable, episodes: int, steps: int,
             tail = tail_agent.select(state, m_before, epsilon, rng) if opcode.arity == 2 else None
             cross = _compose_cross(features, head, opcode, tail)
             next_state, gain = state, 0.0       # a no-op step leaves the set as it was
-            if _advance(features, cross, X, max_features):
+            if _advance(features, cross, X):
                 score, next_state, col_stats = _score(
                     features, distances, col_stats, cfg.utility)
                 gain, utility = score - utility, score
@@ -321,8 +318,8 @@ def collect(X: DataTable, episodes: int, steps: int,
                 if action is not None:
                     agent.buffer.push(state, action, gain, next_state, valid,
                                       step == steps - 1)
-                if agent.buffer.size >= agent.batch_size:
-                    bellman_update(agent, agent.buffer.sample(agent.batch_size, rng))
+                if agent.buffer.size >= BATCH_SIZE:
+                    bellman_update(agent, agent.buffer.sample(BATCH_SIZE, rng))
             state = next_state
         if (episode + 1) % 32 == 0 or episode == episodes - 1:
             log.info("stage=collect episode=%d epsilon=%.3f utility=%.6f",
@@ -350,9 +347,9 @@ def read_records(path: str | Path) -> tuple[list[ExplorationRecord], dict[str, s
 
     Raises:
         ConfigHashMismatch: the header is missing or names another op set.
-        MalformedRecord: the header's ``steps`` is not a positive integer, or
-            a record line has no tab or a utility that is not a finite float;
-            the message names the line.
+        MalformedRecord: the header's ``steps`` is missing or not a positive
+            integer, or a record line has no tab or a utility that is not a
+            finite float; the message names the line.
     """
     lines = Path(path).read_text().splitlines()
     header = dict(kv.split("=", 1) for kv in lines[0].split("\t") if "=" in kv) if lines else {}
@@ -360,12 +357,12 @@ def read_records(path: str | Path) -> tuple[list[ExplorationRecord], dict[str, s
         raise ConfigHashMismatch(
             f"{path}: op set {header.get('opset')!r}, this build has {op_set_hash()!r}")
     try:
-        steps = int(header.get("steps", 1))
-    except ValueError:
+        steps = int(header["steps"])
+    except (KeyError, ValueError):
         steps = 0
     if steps < 1:
         raise MalformedRecord(
-            f"{path}: line 1: header steps={header['steps']!r} is not a positive integer")
+            f"{path}: line 1: header steps={header.get('steps')!r} is not a positive integer")
     records = []
     try:
         for i, line in enumerate(lines[1:]):

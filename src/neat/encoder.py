@@ -44,7 +44,6 @@ log = logging.getLogger(__name__)
 EDGE_RATIO = 0.2       # edge view: flips max(1, round(EDGE_RATIO * edges)) node pairs
 MASK_RATIO = 0.2       # mask view: zeroes round(MASK_RATIO * nodes) attribute rows
 TAU = 0.5              # NT-Xent temperature
-LEARNING_RATE = 0.001  # Adam
 
 
 @dataclass(frozen=True)
@@ -396,7 +395,7 @@ def pretrain(records, table, model: EncoderModel, rows: RowSample,
     if n < 2 or batch < 2:
         raise BatchTooSmall(f"pretraining needs >= 2 usable records and batch >= 2, "
                             f"got {n} and {batch}")
-    opt = nn.Adam(model.params(), lr=LEARNING_RATE)
+    opt = nn.Adam(model.params())
     result = PretrainResult(skipped_records=skipped)
     for epoch in range(epochs + 1):
         train = epoch > 0

@@ -308,9 +308,9 @@ class FeatureSet:
 
     The one owner of the two rules that keep a recorded sequence equal to the
     set it was scored on: ``add`` drops a column bitwise equal to a kept one
-    (first occurrence wins), and ``fits`` says whether one more cross keeps
-    the sequence inside ``SEGMENT_CAP`` and ``MAX_LEN``. ``add`` does not
-    check ``fits``, so a caller that must respect the budgets asks first.
+    (first occurrence wins), and ``fits`` says whether the set has room for
+    one more cross that keeps the sequence inside ``SEGMENT_CAP`` and
+    ``MAX_LEN``. ``add`` does not check ``fits``, so a caller asks first.
 
     Columns live in one ``(n, capacity)`` float64 array, allocated at the
     first ``add`` (or by ``copy``) and never grown: ``capacity`` is the
@@ -332,10 +332,10 @@ class FeatureSet:
         return len(self.provenance)
 
     def fits(self, cross: FeatureCross) -> bool:
-        """Whether ``CrossSequence.from_crosses`` accepts the set plus
-        ``cross``, given that it accepts the set."""
+        """Whether the set is below its capacity and ``CrossSequence.from_crosses``
+        accepts the set plus ``cross``, given that it accepts the set."""
         n = len(cross.tokens)
-        return _within_budget(n, self._length + n + 1)
+        return self.n_features < self._capacity and _within_budget(n, self._length + n + 1)
 
     def add(self, cross: FeatureCross, column: np.ndarray) -> bool:
         """Keep ``column``, built by ``cross``, unless it is a bitwise duplicate."""

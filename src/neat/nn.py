@@ -1,6 +1,6 @@
 """A small neural substrate: layers with explicit forward/backward, an Adam
-optimizer, seeded Glorot initialization, finite-difference gradient
-verification, and the one scaling of what the networks read
+optimizer at rate ``ADAM_LR``, seeded Glorot initialization, finite-difference
+gradient verification, and the one scaling of what the networks read
 (``scale_input``). Every training module builds on this.
 
 Parameters, their gradients, the optimizer's state and checkpoints are
@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 
+ADAM_LR = 0.001
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -256,9 +257,8 @@ class Adam:
     rebind either attribute, or the optimizer stops seeing it.
     """
 
-    def __init__(self, params: Sequence[Param], lr: float = 0.001):
+    def __init__(self, params: Sequence[Param]):
         params = list(params)
-        self.lr = lr
         self.t = 0
         size = sum(p.value.size for p in params)
         self.value = np.empty(size)
@@ -283,7 +283,7 @@ class Adam:
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
-        self.value -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+        self.value -= ADAM_LR * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
         g[...] = 0.0
 
 

@@ -255,11 +255,11 @@ def feature_importance(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
     Raises:
         DegenerateK: ``cfg.k_neighbors`` is below 1, or not below the
             number of subsampled rows.
-        ValueError: 4 m n^3 reaches 2^53 for m columns and n subsampled
-            rows, so keys would no longer be exact.
+        ValueError: ``F`` is not 2-D or has no columns, or 4 m n^3 reaches
+            2^53 (m columns, n subsampled rows), so keys would not be exact.
     """
-    if F.ndim != 2:
-        raise ValueError(f"expected a 2-D feature matrix, got shape {F.shape}")
+    if F.ndim != 2 or F.shape[1] == 0:
+        raise ValueError(f"expected a 2-D feature matrix with columns, got shape {F.shape}")
     n = min(F.shape[0], cfg.max_rows)
     k = cfg.k_neighbors
     if not 1 <= k < n:
@@ -290,5 +290,8 @@ def mdcg(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
     definition and its range). Pass the same ``cache`` while a set grows by
     appended columns to pay only for the new columns; the result is
     bit-identical to a call without one.
+
+    Raises:
+        DegenerateK, ValueError: as ``feature_importance``, no columns included.
     """
     return float(feature_importance(F, cfg, cache).mean())

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from conftest import make_table
@@ -7,9 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from neat import collector
+from neat import collector, nn
 from neat.collector import (
-    LEARNING_RATE,
     STATE_WIDTH,
     CollectorConfig,
     QAgent,
@@ -38,15 +35,21 @@ from neat.expr import (
 )
 from neat.utility import DistanceCache, UtilityConfig, mdcg
 
-# Small enough that the replay buffers fill within the run, so the agents
-# train and later actions depend on the TD updates.
-SMALL = CollectorConfig(batch_size=4, hidden=8, replay_capacity=32, sync_every=3)
+
+@pytest.fixture
+def small_agents(monkeypatch):
+    # Small enough that the replay buffers fill within the run, so the agents
+    # train and later actions depend on the TD updates.
+    for name, value in (("BATCH_SIZE", 4), ("HIDDEN", 8), ("REPLAY_CAPACITY", 32),
+                        ("SYNC_EVERY", 3)):
+        monkeypatch.setattr(collector, name, value)
 
 
 def _collect(table):
-    return collect(table, episodes=3, steps=5, cfg=SMALL, rng=np.random.default_rng(11))
+    return collect(table, episodes=3, steps=5, rng=np.random.default_rng(11))
 
 
+@pytest.mark.usefixtures("small_agents")
 class TestCollect:
     def test_seeded_run_repeats(self, small_table):
         first = _collect(small_table)
@@ -57,7 +60,7 @@ class TestCollect:
     # 40 rows: all of them, then a 30-row subsample
     @pytest.mark.parametrize("max_rows", [1000, 30])
     def test_utilities_equal_a_cold_recompute(self, small_table, max_rows):
-        cfg = dataclasses.replace(SMALL, utility=UtilityConfig(max_rows=max_rows))
+        cfg = CollectorConfig(utility=UtilityConfig(max_rows=max_rows))
         records = collect(small_table, episodes=3, steps=5, cfg=cfg,
                           rng=np.random.default_rng(11))
         assert {rec.episode for rec in records} == {0, 1, 2}
@@ -66,7 +69,7 @@ class TestCollect:
 
     def test_utilities_equal_a_cold_recompute_on_candidate_lists(self, monkeypatch):
         table = make_table(np.random.default_rng(5).normal(size=(400, 5)))
-        cfg = dataclasses.replace(SMALL, utility=UtilityConfig(max_rows=300))
+        cfg = CollectorConfig(utility=UtilityConfig(max_rows=300))
         ranked = []
         rank = DistanceCache._rank
 
@@ -97,8 +100,7 @@ class TestCollect:
 
         monkeypatch.setattr(DistanceCache, "_rank", counted_rank)
         monkeypatch.setattr(DistanceCache, "copy", counted_copy)
-        collect(small_table, episodes=episodes, steps=5, cfg=SMALL,
-                rng=np.random.default_rng(11))
+        collect(small_table, episodes=episodes, steps=5, rng=np.random.default_rng(11))
         assert builds == [(40, 5)]             # one build, over the table's own columns
         # Every episode grows its own copy of the base cache's candidate lists.
         assert len(copies) == episodes
@@ -120,8 +122,7 @@ class TestCollect:
 
         monkeypatch.setattr(CrossSequence, "from_crosses", classmethod(counted_from_crosses))
         monkeypatch.setattr(collector, "_advance", counted_advance)
-        records = collect(small_table, episodes=3, steps=8, cfg=SMALL,
-                          rng=np.random.default_rng(11))
+        records = collect(small_table, episodes=3, steps=8, rng=np.random.default_rng(11))
         assert 0 < sum(advanced) < len(advanced)    # both kinds of step ran
         assert len(built) == 1 + sum(advanced)
         originals = CrossSequence.from_crosses(
@@ -139,7 +140,7 @@ class TestCollect:
         # 400 rows, so that lists are narrower than the rows and some rows
         # are ranked again as the sets grow.
         table = make_table(np.random.default_rng(5).normal(size=(400, 5)))
-        cfg = dataclasses.replace(SMALL, utility=UtilityConfig(max_rows=300))
+        cfg = CollectorConfig(utility=UtilityConfig(max_rows=300))
 
         def refused(*args, **kwargs):
             raise AssertionError("np.percentile was called")
@@ -224,9 +225,8 @@ class TestCollect:
         monkeypatch.setattr(collector, "_advance", marked_advance)
         monkeypatch.setattr(ReplayBuffer, "push", recorded_push)
         # Seed 28: the run has no-op steps (see TestAgentProtocol).
-        records = collect(small_table, episodes=3, steps=5, cfg=SMALL,
-                          rng=np.random.default_rng(28))
-        base = mdcg(small_table.values, SMALL.utility)
+        records = collect(small_table, episodes=3, steps=5, rng=np.random.default_rng(28))
+        base = mdcg(small_table.values, CollectorConfig().utility)
         assert len(rewards) == len(records)
         for i, (rec, pushed) in enumerate(zip(records, rewards)):
             previous = base if rec.step == 0 else records[i - 1].utility
@@ -247,10 +247,11 @@ class TestCollect:
 
 
 class TestAgentProtocol:
-    """What each step hands the three agents, recorded from one ``SMALL`` run."""
+    """What each step hands the three agents, recorded from one run with
+    ``small_agents``."""
 
     @pytest.fixture
-    def steps(self, small_table, monkeypatch):
+    def steps(self, small_table, monkeypatch, small_agents):
         agents, events = {}, []
         init, select, push = QAgent.__init__, QAgent.select, ReplayBuffer.push
         advance, update = collector._advance, collector.bellman_update
@@ -264,8 +265,8 @@ class TestAgentProtocol:
             events.append(("select", agents[id(agent)], state, action))
             return action
 
-        def recorded_advance(features, cross, table, max_features):
-            added = advance(features, cross, table, max_features)
+        def recorded_advance(features, cross, table):
+            added = advance(features, cross, table)
             events.append(("advance", added, features.n_features, cross))
             return added
 
@@ -284,7 +285,7 @@ class TestAgentProtocol:
         monkeypatch.setattr(collector, "bellman_update", recorded_update)
         # Seed 28: the run has unary, binary and no-op steps, and the tail
         # agent's buffer fills in time to update on some unary steps.
-        collect(small_table, episodes=3, steps=5, cfg=SMALL, rng=np.random.default_rng(28))
+        collect(small_table, episodes=3, steps=5, rng=np.random.default_rng(28))
         # A step's events start at its head agent's select.
         starts = [i for i, e in enumerate(events) if e[:2] == ("select", "head")]
         return [events[a:b] for a, b in zip(starts, starts[1:] + [len(events)])]
@@ -327,20 +328,21 @@ class TestAgentProtocol:
             for e in events:
                 if e[0] == "push":
                     assert e[1] not in updated          # no update before its own push
-                    rows[e[1]] = min(rows[e[1]] + 1, SMALL.replay_capacity)
+                    rows[e[1]] = min(rows[e[1]] + 1, collector.REPLAY_CAPACITY)
                 elif e[0] == "update":
                     _, name, size, batch = e
-                    assert size == rows[name] >= SMALL.batch_size == batch
+                    assert size == rows[name] >= collector.BATCH_SIZE == batch
                     updated.append(name)
             # Every agent whose buffer holds a batch updates once a step, in the
             # order head, op, tail: the tail too on a unary step, with no push.
             assert updated == [name for name in ("head", "op", "tail")
-                               if rows[name] >= SMALL.batch_size]
+                               if rows[name] >= collector.BATCH_SIZE]
             tail_updates_unpushed += "tail" in updated and ("push", "tail") not in {
                 e[:2] for e in events}
         assert tail_updates_unpushed > 0
 
 
+@pytest.mark.usefixtures("small_agents")
 class TestRecordHeader:
     def _write(self, table, tmp_path):
         path = tmp_path / "records.tsv"
@@ -374,12 +376,13 @@ class TestRecordHeader:
         with pytest.raises(MalformedRecord, match=r"line 5\b"):
             read_records(path)
 
-    @pytest.mark.parametrize("steps", ["x", "0", "-2", ""])
+    # None: no steps= at all, so no record's episode and step can be recovered
+    @pytest.mark.parametrize("steps", ["x", "0", "-2", "", None])
     def test_bad_steps_header_names_line_1(self, small_table, tmp_path, steps):
         path = self._write(small_table, tmp_path)
         lines = path.read_text().splitlines()
-        lines[0] = "\t".join(f"steps={steps}" if kv.startswith("steps=") else kv
-                              for kv in lines[0].split("\t"))
+        kvs = [kv for kv in lines[0].split("\t") if not kv.startswith("steps=")]
+        lines[0] = "\t".join(kvs if steps is None else kvs + [f"steps={steps}"])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedRecord, match=r"line 1\b.*steps"):
             read_records(path)
@@ -528,6 +531,7 @@ class TestDescribeState:
         assert stats[0, 0] == _whole_matrix_stats(np.column_stack([x, x]))[0, 0]
 
     @pytest.mark.parametrize("episodes", [1, 3])
+    @pytest.mark.usefixtures("small_agents")
     def test_every_state_is_a_cold_state(self, small_table, monkeypatch, episodes):
         describe, known_widths = collector.describe_state, []
 
@@ -540,8 +544,7 @@ class TestDescribeState:
             return state, summaries
 
         monkeypatch.setattr(collector, "describe_state", checked)
-        collect(small_table, episodes=episodes, steps=5, cfg=SMALL,
-                rng=np.random.default_rng(11))
+        collect(small_table, episodes=episodes, steps=5, rng=np.random.default_rng(11))
         # The table's columns are summarized once; every later call summarizes
         # only the column its step appended.
         assert known_widths[0] == (0, small_table.n_features)
@@ -569,8 +572,9 @@ class TestReplayBuffer:
         assert np.array_equal(buffer.next_valid, expected % 7)
         assert np.array_equal(buffer.terminal, expected % 3 == 0)
 
-    # 3 x 5 steps: below SMALL.replay_capacity (32); 3 x 15: above it
+    # 3 x 5 steps: below small_agents' REPLAY_CAPACITY (32); 3 x 15: above it
     @pytest.mark.parametrize("steps", [5, 15])
+    @pytest.mark.usefixtures("small_agents")
     def test_collect_sizes_each_buffer_once_from_its_step_budget(
             self, small_table, monkeypatch, steps):
         fields = ("states", "actions", "rewards", "next_states", "next_valid", "terminal")
@@ -584,22 +588,23 @@ class TestReplayBuffer:
             push(buffer, *transition)
 
         monkeypatch.setattr(ReplayBuffer, "push", recorded_push)
-        collect(small_table, episodes=3, steps=steps, cfg=SMALL, rng=np.random.default_rng(11))
-        rows = min(SMALL.replay_capacity, 3 * steps)
+        collect(small_table, episodes=3, steps=steps, rng=np.random.default_rng(11))
+        rows = min(collector.REPLAY_CAPACITY, 3 * steps)
         assert len(seen) == 3                   # every agent pushed
         for arrays in seen.values():
             assert [len(a) for a in arrays] == [rows] * len(fields)
         # A budget of no steps: buffers of 0 rows, never pushed to.
         for episodes, none in ((0, steps), (3, 0)):
-            assert collect(small_table, episodes=episodes, steps=none, cfg=SMALL,
+            assert collect(small_table, episodes=episodes, steps=none,
                            rng=np.random.default_rng(11)) == []
         assert len(seen) == 3
 
 
 class TestBellmanUpdate:
-    def test_targets_match_hand_computation(self):
-        cfg = CollectorConfig(gamma=0.5, hidden=4, sync_every=1000)
-        agent = QAgent("q", 3, cfg, np.random.default_rng(0))
+    def test_targets_match_hand_computation(self, monkeypatch):
+        for name, value in (("GAMMA", 0.5), ("HIDDEN", 4), ("SYNC_EVERY", 1000)):
+            monkeypatch.setattr(collector, name, value)
+        agent = QAgent("q", 3, collector.REPLAY_CAPACITY, np.random.default_rng(0))
         # Zero weights make every Q-value its layer-2 bias, whatever the state.
         for layer in (agent.d1, agent.d2, agent.t1, agent.t2):
             layer.W.value[...] = 0.0
@@ -616,8 +621,24 @@ class TestBellmanUpdate:
         assert loss == pytest.approx(np.mean(diffs ** 2), rel=1e-12)
         # A first Adam step moves each picked bias by lr against its TD error.
         step = agent.d2.b.value - np.array([0.5, -1.0, 2.0])
-        assert step == pytest.approx(-LEARNING_RATE * np.sign(diffs), rel=1e-6)
+        assert step == pytest.approx(-nn.ADAM_LR * np.sign(diffs), rel=1e-6)
         assert agent.updates == 1
+
+    def test_target_syncs_every_sync_every_updates(self, monkeypatch):
+        monkeypatch.setattr(collector, "SYNC_EVERY", 2)
+        agent = QAgent("q", 4, 16, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for k in range(16):
+            agent.buffer.push(rng.normal(size=STATE_WIDTH), k % 4, rng.normal(),
+                              rng.normal(size=STATE_WIDTH), 4, k % 5 == 0)
+        online = (agent.d1.W, agent.d1.b, agent.d2.W, agent.d2.b)
+        target = (agent.t1.W, agent.t1.b, agent.t2.W, agent.t2.b)
+        synced = []
+        for _ in range(3):
+            bellman_update(agent, agent.buffer.sample(8, rng))
+            synced.append([np.array_equal(t.value, o.value) for t, o in zip(target, online)])
+        # Synced after the 2nd update only; every online param moves at each.
+        assert synced == [[False] * 4, [True] * 4, [False] * 4]
 
     def test_loss_stays_small_on_a_wide_table(self, monkeypatch):
         # Scaled states and bounded rewards: on raw column statistics the
@@ -641,8 +662,9 @@ def _cross(text):
 
 class TestActions:
     @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    @pytest.mark.usefixtures("small_agents")
     def test_select_stays_below_valid(self, epsilon):
-        agent = QAgent("q", 6, SMALL, np.random.default_rng(0))
+        agent = QAgent("q", 6, collector.REPLAY_CAPACITY, np.random.default_rng(0))
         # Q-values rise with the action index, so an unmasked greedy pick
         # would always be the last action.
         agent.d2.b.value[...] = 100.0 * np.arange(agent.n_actions)
@@ -654,18 +676,18 @@ class TestActions:
             if epsilon == 0.0:
                 assert set(picked) == {valid - 1}
 
-    def _features(self, table, crosses):
-        features = FeatureSet(len(crosses) + 1)     # room for one advance
+    def _features(self, table, crosses, room=1):
+        features = FeatureSet(len(crosses) + room)
         for text in crosses:
             assert features.add(_cross(text), eval_cross(_cross(text), table))
         return features
 
     @pytest.mark.parametrize("case", ["cap", "budget", "duplicate"])
     def test_advance_refusals_leave_the_set(self, small_table, monkeypatch, case):
-        features = self._features(small_table, ["f0", "f1", "f0 f1 +"])
-        max_features, cross = 10, _cross("f2 f3 *")
+        crosses, cross = ["f0", "f1", "f0 f1 +"], _cross("f2 f3 *")
+        features = self._features(small_table, crosses, room=0 if case == "cap" else 1)
         if case == "cap":
-            max_features = features.n_features
+            assert not features.fits(cross)
         elif case == "budget":
             cross = _cross("f2" + " sin" * SEGMENT_CAP)      # one token too many
             assert not features.fits(cross)
@@ -677,7 +699,7 @@ class TestActions:
         else:
             cross = _cross("f1 f0 +")                       # bitwise equal to f0 f1 +
         provenance, matrix = list(features.provenance), features.matrix()
-        assert _advance(features, cross, small_table, max_features) is False
+        assert _advance(features, cross, small_table) is False
         assert features.provenance == provenance
         assert np.array_equal(features.matrix(), matrix)
 
@@ -685,7 +707,7 @@ class TestActions:
         features = self._features(small_table, ["f0", "f1"])
         matrix = features.matrix()
         cross = _cross("f2 f3 *")
-        assert _advance(features, cross, small_table, 3) is True
+        assert _advance(features, cross, small_table) is True
         assert features.provenance == [_cross("f0"), _cross("f1"), cross]
         assert np.array_equal(features.matrix(),
                               np.column_stack([matrix, eval_cross(cross, small_table)]))

@@ -12,7 +12,6 @@ from neat.checkpoint import load_checkpoint, save_checkpoint
 from neat.collector import ExplorationRecord, read_records, write_records
 from neat.encoder import (
     EDGE_RATIO,
-    LEARNING_RATE,
     MASK_RATIO,
     TAU,
     EncoderModel,
@@ -135,7 +134,7 @@ def per_graph_pretrain(records, table, model, rows, epochs, batch, rng):
         except NeatError:
             pass
     graphs = layout(graphs)
-    opt = Adam(model.params(), lr=LEARNING_RATE)
+    opt = Adam(model.params())
     losses = []
     for epoch in range(epochs + 1):
         order = rng.permutation(len(graphs))
@@ -369,8 +368,9 @@ class TestParamDict:
             EncoderModel(ATTR_WIDTH, np.random.default_rng(99), hidden=6).load_param_dict(params)
 
 
-    def test_load_after_adam_moves_the_loaded_values(self, model, rng):
-        opt = Adam(model.params(), lr=0.01)
+    def test_load_after_adam_moves_the_loaded_values(self, model, rng, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_LR", 0.01)
+        opt = Adam(model.params())
         loaded = {name: rng.normal(size=value.shape)
                   for name, value in model.param_dict().items()}
         model.load_param_dict(loaded)
@@ -379,7 +379,7 @@ class TestParamDict:
         opt.step()
         # A first Adam step moves every coordinate by lr against the sign of its grad.
         for name, value in model.param_dict().items():
-            np.testing.assert_allclose(value, loaded[name] - 0.01, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(value, loaded[name] - nn.ADAM_LR, rtol=0, atol=1e-9)
 
 
 def test_cached_triu_indices_are_read_only():

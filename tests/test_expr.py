@@ -435,6 +435,19 @@ class TestKeptMatrix:
         assert features.n_features == 2 and features.provenance == [cross("f0"), cross("f1")]
         assert features.add(cross("f2"), np.ones(4)) is False      # still a duplicate
 
+    @given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(1, 6),
+           depth=st.integers(1, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_a_set_at_its_capacity_fits_no_cross(self, seed, capacity, depth):
+        rng = np.random.default_rng(seed)
+        features = FeatureSet(capacity)
+        for i in range(capacity):
+            assert features.fits(cross(f"f{i}"))
+            features.add(cross(f"f{i}"), np.full(4, float(i)))
+        c = random_cross(5, depth, rng)
+        assert not features.fits(c)
+        assert not features.copy().fits(c)
+
     def test_apply_sequence_returns_the_distinct_columns(self, small_table):
         # A duplicate in the middle: the view is narrower than its array.
         crosses = [cross("f0"), cross("f1", "f2", "*"), cross("f0"), cross("f3", "sin")]

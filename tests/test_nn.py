@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from neat import nn
 from neat.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from neat.errors import CorruptCheckpoint, ShapeMismatch, VersionMismatch
 from neat.nn import (
@@ -268,34 +269,38 @@ class TestLstm:
 
 
 class TestOptimizers:
-    def test_first_adam_step_is_signed_lr(self):
+    def test_first_adam_step_is_signed_lr(self, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_LR", 0.01)
         p = Param("p", np.array([1.0, -1.0]))
-        opt = Adam([p], lr=0.01)
+        opt = Adam([p])
         p.grad[:] = np.array([3.0, -5.0])
         opt.step()
         # m̂=g, v̂=g² at t=1, so the update is lr·sign(g) up to eps
-        assert np.allclose(p.value, [1.0 - 0.01, -1.0 + 0.01], atol=1e-6)
+        assert np.allclose(p.value, [1.0 - nn.ADAM_LR, -1.0 + nn.ADAM_LR], atol=1e-6)
 
-    def test_zero_grad_no_change(self):
+    def test_zero_grad_no_change(self, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_LR", 0.1)
         p = Param("p", np.array([2.0]))
-        opt = Adam([p], lr=0.1)
+        opt = Adam([p])
         opt.step()
         assert p.value.tolist() == [2.0]
 
-    def test_grads_zeroed_after_step(self):
+    def test_grads_zeroed_after_step(self, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_LR", 0.01)
         p = Param("p", np.ones(3))
-        opt = Adam([p], lr=0.01)
+        opt = Adam([p])
         p.grad[:] = 1.0
         opt.step()
         assert np.all(p.grad == 0.0)
 
-    def test_flat_step_equals_the_per_param_formula(self, rng):
+    def test_flat_step_equals_the_per_param_formula(self, rng, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_LR", 0.01)
         shapes = [(3, 4), (4,), (2, 3, 2)]
         params = [Param(f"p{i}", rng.normal(size=shape)) for i, shape in enumerate(shapes)]
         ref = [p.value.copy() for p in params]
         m = [np.zeros(shape) for shape in shapes]
         v = [np.zeros(shape) for shape in shapes]
-        opt = Adam(params, lr=0.01)
+        opt = Adam(params)
         for t in range(1, 6):
             grads = [rng.normal(size=shape) for shape in shapes]
             for p, g in zip(params, grads):
@@ -307,15 +312,16 @@ class TestOptimizers:
                 m[i] += (1.0 - 0.9) * g
                 v[i] *= 0.999
                 v[i] += (1.0 - 0.999) * (g * g)
-                ref[i] -= 0.01 * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + 1e-8)
+                ref[i] -= nn.ADAM_LR * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + 1e-8)
             for p, r in zip(params, ref):
                 assert np.array_equal(p.value, r), (t, p.name)
 
-    def test_params_become_views_of_the_buffers(self, rng):
+    def test_params_become_views_of_the_buffers(self, rng, monkeypatch):
+        monkeypatch.setattr(nn, "ADAM_LR", 0.01)
         layer = Dense("d", 3, 2, rng)
         W0, b0 = layer.W.value.copy(), layer.b.value.copy()
         layer.b.grad[:] = 0.5                       # a grad pending at construction is kept
-        opt = Adam(layer.params(), lr=0.01)
+        opt = Adam(layer.params())
         assert np.array_equal(layer.W.value, W0) and np.array_equal(layer.b.value, b0)
         assert np.array_equal(layer.b.grad, [0.5, 0.5])
         for p in layer.params():
@@ -334,7 +340,7 @@ class TestOptimizers:
 
     def test_quadratic_descent_monotone(self):
         p = Param("p", np.array([5.0]))
-        opt = Adam([p], lr=0.001)
+        opt = Adam([p])
         losses = []
         for _ in range(100):
             loss = float(p.value[0] ** 2)

@@ -256,6 +256,12 @@ class TestMdcg:
             with pytest.raises(DegenerateK):
                 mdcg(np.zeros((4, 2)), UtilityConfig(k_neighbors=k))
 
+    def test_a_set_with_no_columns_is_refused(self):
+        # The mean of no terms would be nan.
+        for score in (mdcg, feature_importance):
+            with pytest.raises(ValueError, match="columns"):
+                score(np.zeros((10, 0)))
+
 
 class TestDistanceCache:
     # (rows, max_rows): the subsample path, then the full-row path
