@@ -18,12 +18,11 @@ import numpy as np
 
 from . import nn
 from .expr import (
-    OPCODES,
     OP_SYMBOLS,
+    OPS,
     CrossSequence,
     FeatureCross,
     FeatureSet,
-    OpCode,
     eval_cross,
     feature_token,
     op_set_hash,
@@ -229,12 +228,12 @@ def bellman_update(agent: QAgent, batch) -> float:
     return loss
 
 
-def _compose_cross(features: FeatureSet, head: int, opcode: OpCode,
+def _compose_cross(features: FeatureSet, head: int, symbol: str,
                    tail: int | None) -> FeatureCross:
     tokens = list(features.provenance[head].tokens)
-    if opcode.arity == 2:
-        tokens += list(features.provenance[tail].tokens)
-    tokens.append(opcode.symbol)
+    if tail is not None:
+        tokens += features.provenance[tail].tokens
+    tokens.append(symbol)
     return FeatureCross(tuple(tokens))
 
 
@@ -302,9 +301,10 @@ def collect(X: DataTable, episodes: int, steps: int,
             m_before = features.n_features
             head = head_agent.select(state, m_before, epsilon, rng)
             op = op_agent.select(state, len(OP_SYMBOLS), epsilon, rng)
-            opcode = OPCODES[OP_SYMBOLS[op]]
-            tail = tail_agent.select(state, m_before, epsilon, rng) if opcode.arity == 2 else None
-            cross = _compose_cross(features, head, opcode, tail)
+            symbol = OP_SYMBOLS[op]
+            tail = (tail_agent.select(state, m_before, epsilon, rng)
+                    if OPS[symbol].arity == 2 else None)
+            cross = _compose_cross(features, head, symbol, tail)
             next_state, gain = state, 0.0       # a no-op step leaves the set as it was
             if _advance(features, cross, X):
                 score, next_state, col_stats = _score(
@@ -337,8 +337,20 @@ def write_records(path: str | Path, records: Sequence[ExplorationRecord],
     lines = [f"dataset_id={dataset_id}\topset={op_set_hash()}\tseed={seed}"
              f"\tepisodes={episodes}\tsteps={steps}"]
     for rec in records:
-        lines.append(f"{rec.utility!r}\t{rec.sequence.text()}")
+        lines.append(f"{float(rec.utility)!r}\t{rec.sequence.text()}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _positive(header: dict[str, str], key: str, path: str | Path) -> int:
+    """The header's ``key`` as a positive integer; ``MalformedRecord`` otherwise."""
+    try:
+        value = int(header[key])
+    except (KeyError, ValueError):
+        value = 0
+    if value < 1:
+        raise MalformedRecord(
+            f"{path}: line 1: header {key}={header.get(key)!r} is not a positive integer")
+    return value
 
 
 def read_records(path: str | Path) -> tuple[list[ExplorationRecord], dict[str, str]]:
@@ -347,22 +359,20 @@ def read_records(path: str | Path) -> tuple[list[ExplorationRecord], dict[str, s
 
     Raises:
         ConfigHashMismatch: the header is missing or names another op set.
-        MalformedRecord: the header's ``steps`` is missing or not a positive
-            integer, or a record line has no tab or a utility that is not a
-            finite float; the message names the line.
+        MalformedRecord: the header's ``episodes`` or ``steps`` is missing or
+            not a positive integer, the file does not hold ``episodes × steps``
+            records, or a record line has no tab or a utility that is not a
+            finite float; the message names the line, if one is at fault.
     """
     lines = Path(path).read_text().splitlines()
     header = dict(kv.split("=", 1) for kv in lines[0].split("\t") if "=" in kv) if lines else {}
     if header.get("opset") != op_set_hash():
         raise ConfigHashMismatch(
             f"{path}: op set {header.get('opset')!r}, this build has {op_set_hash()!r}")
-    try:
-        steps = int(header["steps"])
-    except (KeyError, ValueError):
-        steps = 0
-    if steps < 1:
-        raise MalformedRecord(
-            f"{path}: line 1: header steps={header.get('steps')!r} is not a positive integer")
+    episodes, steps = (_positive(header, key, path) for key in ("episodes", "steps"))
+    if len(lines) - 1 != episodes * steps:
+        raise MalformedRecord(f"{path}: {len(lines) - 1} records, but the header's "
+                              f"episodes={episodes} and steps={steps} make {episodes * steps}")
     records = []
     try:
         for i, line in enumerate(lines[1:]):

@@ -2,8 +2,10 @@
 
 A cross is a postfix program over original feature columns; a sequence is
 ``<SOS> cross (<SEP> cross)* <EOS>``, the unit that the collector records and
-the decoder generates. Evaluation is total: every operator carries a guard so
-any valid cross produces finite output on any finite table.
+the decoder generates. ``OPS`` is the operator set: each operator's arity,
+guarded evaluation and infix form, stated once. Evaluation is total: every
+operator carries a guard so any valid cross produces finite output on any
+finite table.
 
 A feature set has two forms: its values, a plain ``(n, m)`` float64 array
 that the utility and the graph encoder read, and its crosses, a
@@ -46,10 +48,6 @@ EOS = "<EOS>"
 SEP = "<SEP>"
 SPECIALS = (PAD, SOS, EOS, SEP)
 
-BINARY_OPS = ("+", "-", "*", "/")
-UNARY_OPS = ("sin", "cos", "log", "exp", "sqrt", "square", "reciprocal")
-OP_SYMBOLS = BINARY_OPS + UNARY_OPS
-
 MAX_LEN = 128          # whole-sequence token budget
 SEGMENT_CAP = 24       # per-cross token budget
 DIV_EPSILON = 1e-8     # divisor floor; sign(0) treated as +1
@@ -59,14 +57,40 @@ VALUE_CAP = 1e150      # every op output clamped here so stacked ops stay finite
 LEAF_PROB = 0.35       # random_cross: chance a subtree above depth 1 is a leaf
 
 
+def _safe_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # |b| <= eps is replaced by sign(b)*eps with sign(0) = +1
+    floor = np.where(b >= 0.0, DIV_EPSILON, -DIV_EPSILON)
+    denom = np.where(np.abs(b) > DIV_EPSILON, b, floor)
+    return a / denom
+
+
 @dataclass(frozen=True)
-class OpCode:
-    symbol: str
+class Op:
+    """An operator: how many operands it pops, its guarded evaluation on
+    columns, and its infix form, a format string over the operands' renderings."""
+
     arity: int
+    evaluate: Callable[..., np.ndarray]
+    infix: str
 
 
-OPCODES = {s: OpCode(s, 2) for s in BINARY_OPS}
-OPCODES.update({s: OpCode(s, 1) for s in UNARY_OPS})
+# The operator set. Its order fixes op_set_hash(), the Vocabulary ids and the
+# op agent's actions. The guards and _apply_op's VALUE_CAP clamp keep each
+# output finite on finite input.
+OPS = {
+    "+": Op(2, np.add, "({}+{})"),
+    "-": Op(2, np.subtract, "({}-{})"),
+    "*": Op(2, np.multiply, "({}*{})"),
+    "/": Op(2, _safe_divide, "({}/{})"),                    # divisor floored off 0
+    "sin": Op(1, np.sin, "sin({})"),
+    "cos": Op(1, np.cos, "cos({})"),
+    "log": Op(1, lambda a: np.log(np.abs(a) + LOG_EPSILON), "log({})"),   # |a|, shifted off 0
+    "exp": Op(1, lambda a: np.exp(np.clip(a, -EXP_MAX, EXP_MAX)), "exp({})"),  # can't overflow
+    "sqrt": Op(1, lambda a: np.sqrt(np.abs(a)), "sqrt({})"),               # |a|: no NaN below 0
+    "square": Op(1, lambda a: a * a, "({})^2"),
+    "reciprocal": Op(1, lambda a: _safe_divide(np.ones_like(a), a), "1/({})"),  # as "/"
+}
+OP_SYMBOLS = tuple(OPS)
 
 
 def is_feature(token: str) -> bool:
@@ -189,37 +213,8 @@ def op_set_hash() -> str:
     return hashlib.sha256("|".join(OP_SYMBOLS).encode()).hexdigest()[:12]
 
 
-def _safe_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # |b| <= eps is replaced by sign(b)*eps with sign(0) = +1
-    floor = np.where(b >= 0.0, DIV_EPSILON, -DIV_EPSILON)
-    denom = np.where(np.abs(b) > DIV_EPSILON, b, floor)
-    return a / denom
-
-
-def _apply_op(symbol: str, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    if symbol == "+":
-        out = a + b
-    elif symbol == "-":
-        out = a - b
-    elif symbol == "*":
-        out = a * b
-    elif symbol == "/":
-        out = _safe_divide(a, b)
-    elif symbol == "sin":
-        out = np.sin(a)
-    elif symbol == "cos":
-        out = np.cos(a)
-    elif symbol == "log":
-        out = np.log(np.abs(a) + LOG_EPSILON)
-    elif symbol == "exp":
-        out = np.exp(np.clip(a, -EXP_MAX, EXP_MAX))
-    elif symbol == "sqrt":
-        out = np.sqrt(np.abs(a))
-    elif symbol == "square":
-        out = a * a
-    else:                   # "reciprocal": _walk passes only OPCODES symbols
-        out = _safe_divide(np.ones_like(a), a)
-    return np.clip(out, -VALUE_CAP, VALUE_CAP)
+def _apply_op(symbol: str, *operands: np.ndarray) -> np.ndarray:
+    return np.clip(OPS[symbol].evaluate(*operands), -VALUE_CAP, VALUE_CAP)
 
 
 def _walk(tokens: Sequence[str], leaf: Callable[[str], T], apply: Callable[..., T]) -> T:
@@ -228,19 +223,17 @@ def _walk(tokens: Sequence[str], leaf: Callable[[str], T], apply: Callable[..., 
     left. The only place that raises the grammar's ``InvalidPostfix`` errors."""
     stack: list[T] = []
     for token in tokens:
-        code = OPCODES.get(token)
-        if code is None:
+        op = OPS.get(token)
+        if op is None:
             if not is_feature(token):
                 raise InvalidPostfix(f"unexpected token {token!r}")
             stack.append(leaf(token))
             continue
-        if len(stack) < code.arity:
+        if len(stack) < op.arity:
             raise InvalidPostfix(f"operator {token!r} underflows the stack")
-        if code.arity == 2:
-            b = stack.pop()
-            stack.append(apply(token, stack.pop(), b))
-        else:
-            stack.append(apply(token, stack.pop()))
+        operands = stack[-op.arity:]
+        del stack[-op.arity:]
+        stack.append(apply(token, *operands))
     if len(stack) != 1:
         raise InvalidPostfix(f"{len(stack)} operands left on the stack")
     return stack[0]
@@ -249,10 +242,8 @@ def _walk(tokens: Sequence[str], leaf: Callable[[str], T], apply: Callable[..., 
 def eval_cross(cross: FeatureCross, table: DataTable) -> np.ndarray:
     """Evaluate one postfix cross against a table's original columns.
 
-    Safe rules: the divisor and reciprocal floor small denominators at
-    ±1e-8, log and sqrt take |x| (log adds 1e-8), exp clamps its argument to
-    ±50, and every op output is clamped to ±1e150, so results are finite
-    everywhere.
+    Each operator applies its guarded ``OPS`` evaluation, and its output is
+    clamped to ±``VALUE_CAP``, so results are finite everywhere.
 
     Raises:
         InvalidPostfix: stack underflow, leftover operands or a stray token.
@@ -401,21 +392,11 @@ def apply_sequence(seq: CrossSequence, table: DataTable,
     return features.matrix()
 
 
-def _render_op(symbol: str, a: str, b: str | None = None) -> str:
-    if b is not None:
-        return f"({a}{symbol}{b})"
-    if symbol == "square":
-        return f"({a})^2"
-    if symbol == "reciprocal":
-        return f"1/({a})"
-    return f"{symbol}({a})"
-
-
 def render_infix(cross: FeatureCross, names: Sequence[str]) -> str:
-    """Render a cross as a fully parenthesized infix string.
-
-    Features appear as ``[column name]``; ``square`` renders as ``(x)^2``
-    and ``reciprocal`` as ``1/(x)``.
+    """Render a cross as a fully parenthesized infix string: each operator
+    fills its ``OPS`` infix form with its operands' renderings, so
+    ``square`` renders as ``(x)^2`` and ``reciprocal`` as ``1/(x)``.
+    Features appear as ``[column name]``.
     """
     def name(token: str) -> str:
         idx = feature_index(token)
@@ -423,7 +404,7 @@ def render_infix(cross: FeatureCross, names: Sequence[str]) -> str:
             raise FeatureIndexOutOfRange(f"{token} but only {len(names)} names")
         return f"[{names[idx]}]"
 
-    return _walk(cross.tokens, name, _render_op)
+    return _walk(cross.tokens, name, lambda symbol, *operands: OPS[symbol].infix.format(*operands))
 
 
 def random_cross(n_features: int, depth_limit: int, rng: np.random.Generator) -> FeatureCross:
@@ -435,7 +416,7 @@ def random_cross(n_features: int, depth_limit: int, rng: np.random.Generator) ->
         if depth <= 1 or rng.random() < LEAF_PROB:
             return [feature_token(int(rng.integers(n_features)))]
         symbol = OP_SYMBOLS[int(rng.integers(len(OP_SYMBOLS)))]
-        if OPCODES[symbol].arity == 1:
+        if OPS[symbol].arity == 1:
             return grow(depth - 1) + [symbol]
         return grow(depth - 1) + grow(depth - 1) + [symbol]
 

@@ -174,8 +174,11 @@ def train_test_folds(table: DataTable, folds: int, seed: int
     of (n, folds, seed).
 
     Raises:
+        ValueError: ``folds`` is below 2, so no row could train.
         TooFewRows: fewer rows than folds.
     """
+    if folds < 2:
+        raise ValueError(f"folds={folds}: need at least 2 folds")
     n = table.n_rows
     if n < folds:
         raise TooFewRows(f"cannot split {n} rows into {folds} folds")

@@ -9,6 +9,7 @@ from neat import collector, nn
 from neat.collector import (
     STATE_WIDTH,
     CollectorConfig,
+    ExplorationRecord,
     QAgent,
     ReplayBuffer,
     _advance,
@@ -22,7 +23,7 @@ from neat.collector import (
 from neat.errors import ConfigHashMismatch, MalformedRecord
 from neat.expr import (
     OP_SYMBOLS,
-    OPCODES,
+    OPS,
     SEGMENT_CAP,
     VALUE_CAP,
     CrossSequence,
@@ -245,6 +246,15 @@ class TestCollect:
             assert repr(b.utility) == repr(a.utility)
             assert (b.episode, b.step) == (a.episode, a.step)
 
+    def test_a_numpy_utility_round_trips(self, tmp_path):
+        # repr(np.float64(0.5)) is "np.float64(0.5)" under NumPy 2
+        seq = CrossSequence.from_text("<SOS> f0 <EOS>")
+        path = tmp_path / "records.tsv"
+        write_records(path, [ExplorationRecord(seq, np.float64(0.5), 0, 0)], "d", seed=0,
+                      episodes=1, steps=1)
+        [back], _ = read_records(path)
+        assert back.utility == 0.5 and type(back.utility) is float
+
 
 class TestAgentProtocol:
     """What each step hands the three agents, recorded from one run with
@@ -303,7 +313,7 @@ class TestAgentProtocol:
                     pushes[e[1]] = e[2]
             op = OP_SYMBOLS[selects["op"][3]]
             assert cross.tokens[-1] == op
-            binary = OPCODES[op].arity == 2
+            binary = OPS[op].arity == 2
             saw_binary |= binary
             saw_unary |= not binary
             acted = ["head", "op", "tail"] if binary else ["head", "op"]
@@ -385,6 +395,28 @@ class TestRecordHeader:
         lines[0] = "\t".join(kvs if steps is None else kvs + [f"steps={steps}"])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedRecord, match=r"line 1\b.*steps"):
+            read_records(path)
+
+    # None: no episodes= at all, so the record count cannot be checked
+    @pytest.mark.parametrize("episodes", ["x", "0", "-2", "", None])
+    def test_bad_episodes_header_names_line_1(self, small_table, tmp_path, episodes):
+        path = self._write(small_table, tmp_path)
+        lines = path.read_text().splitlines()
+        kvs = [kv for kv in lines[0].split("\t") if not kv.startswith("episodes=")]
+        lines[0] = "\t".join(kvs if episodes is None else kvs + [f"episodes={episodes}"])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord, match=r"line 1\b.*episodes"):
+            read_records(path)
+
+    # 3 episodes of 5 steps: cut to 13 records, or grown to 16
+    @pytest.mark.parametrize("keep", [13, 16])
+    def test_a_record_count_other_than_episodes_times_steps_is_refused(
+            self, small_table, tmp_path, keep):
+        path = self._write(small_table, tmp_path)
+        lines = path.read_text().splitlines()
+        lines = (lines + lines[-1:])[:1 + keep]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord, match=rf"\b{keep} records.*episodes=3.*steps=5"):
             read_records(path)
 
     def test_headerless_file_is_refused(self, small_table, tmp_path):

@@ -91,6 +91,14 @@ class TestEvalCross:
         table = make_table(np.array([[-3.0]]))
         assert eval_cross(cross("f0", "square"), table)[0] == 9.0
 
+    def test_product(self):
+        table = make_table(np.array([[1.5, -2.0], [-0.25, -4.0]]))
+        assert eval_cross(cross("f0", "f1", "*"), table).tolist() == [-3.0, 1.0]
+
+    def test_cosine(self):
+        table = make_table(np.array([[0.0], [np.pi]]))
+        assert eval_cross(cross("f0", "cos"), table).tolist() == [1.0, -1.0]
+
     def test_underflow(self):
         table = make_table(np.zeros((2, 2)))
         with pytest.raises(InvalidPostfix):
@@ -511,7 +519,29 @@ class TestOneWalker:
         assert expr.feature_index(token) == index
 
 
+class TestOperatorSet:
+    # Record files and checkpoints carry op_set_hash(), and the Vocabulary ids
+    # and the op agent's action ids follow this order.
+    def test_order_and_hash(self):
+        assert expr.OP_SYMBOLS == ("+", "-", "*", "/", "sin", "cos", "log", "exp",
+                                   "sqrt", "square", "reciprocal")
+        assert expr.op_set_hash() == "dd9677bdc6c5"
+
+
 class TestRenderInfix:
+    # +, sin, square and reciprocal are pinned by the tests below
+    @pytest.mark.parametrize("tokens, text", [
+        (("f0", "f1", "-"), "([a]-[b])"),
+        (("f0", "f1", "*"), "([a]*[b])"),
+        (("f0", "f1", "/"), "([a]/[b])"),
+        (("f0", "cos"), "cos([a])"),
+        (("f0", "log"), "log([a])"),
+        (("f0", "exp"), "exp([a])"),
+        (("f0", "sqrt"), "sqrt([a])"),
+    ])
+    def test_operator_shape(self, tokens, text):
+        assert render_infix(cross(*tokens), ["a", "b"]) == text
+
     def test_reciprocal_shape(self):
         assert render_infix(cross("f0", "reciprocal"), ["fixed acidity"]) == "1/([fixed acidity])"
 

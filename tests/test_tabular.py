@@ -169,3 +169,9 @@ class TestFolds:
         table = make_table(np.zeros((3, 2)))
         with pytest.raises(TooFewRows):
             train_test_folds(table, folds=5, seed=0)
+
+    # 1 fold leaves no training rows; 0 and -1 split nothing
+    @pytest.mark.parametrize("folds", [1, 0, -1])
+    def test_fewer_than_two_folds_are_refused(self, small_table, folds):
+        with pytest.raises(ValueError, match=rf"folds={folds}\b"):
+            train_test_folds(small_table, folds=folds, seed=0)
