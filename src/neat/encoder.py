@@ -18,11 +18,11 @@ loss. A ``GraphStack`` holds the graphs of one node count ``m``: ``attrs``
 diagonal); ``build_graph`` makes both read-only, so a stack can be shared
 between epochs and batches. The encoder computes in float32 on them, since
 ``nn.Dense`` computes in its input's dtype; its parameters and their
-gradients stay float64. A batch is its stacks in increasing node count,
-and its layout is those stacks laid end to end: graph ``i`` of the layout is
-row ``i`` of ``encode_many``'s H and Z and of the gradients ``backward_many``
-takes, and ``augment`` draws its views in layout order. The contrastive loss
-does not depend on the order of its pairs.
+gradients stay float64. A batch is its stacks in increasing node count, and
+its layout is those stacks laid end to end: graph ``i`` of the layout is row
+``i`` of ``encode_many``'s H and Z and of the gradients ``backward_many`` takes,
+``augment`` draws its views in layout order, and ``materialize_graphs``'s
+``order[i]`` is its record. The loss does not depend on the order of its pairs.
 """
 
 from __future__ import annotations
@@ -324,39 +324,38 @@ def ntxent_backward(cache):
 @dataclass
 class PretrainResult:
     losses: list[float] = field(default_factory=list)   # [0] is the no-update pass
-    skipped_records: int = 0
+    skipped_records: int = 0    # records absent from materialize_graphs' order
 
 
 def materialize_graphs(records, table, rows: RowSample):
     """Build every record's graph, in node-count stacks of increasing node
-    count, each in record order. Returns the stacks and the number of
-    records skipped because they fail to materialize.
+    count. Returns the stacks and ``order``, an intp array: ``order[i]`` is the
+    index in ``records`` of layout row ``i``, increasing within each stack. A
+    record is skipped exactly when it is absent from ``order``: it fails to
+    materialize, or it keeps one column on the sampled rows.
 
     Each record's sequence is applied to ``table.take(rows.indices)``, with one
     ``apply_sequence`` memo for all records. Every operator is elementwise, so
     a column holds the same bits as the full-table column at those rows.
-    Duplicates are dropped on the sampled rows, before scaling: a record whose
-    columns agree there has fewer nodes, and is skipped when it has one left.
-    The graphs are built on the columns scaled by ``nn.scale_input``."""
+    Duplicates are dropped there, before scaling: a record whose columns agree
+    there has fewer nodes. Graphs are built on the ``nn.scale_input`` columns."""
     sampled = table.take(rows.indices)
     columns: dict = {}      # cross -> its column on ``sampled``
-    groups: dict[int, list[np.ndarray]] = {}
-    skipped = 0
-    for rec in records:
+    groups: dict[int, list] = {}    # node count -> [(record index, attrs)]
+    for i, rec in enumerate(records):
         try:
             v = apply_sequence(rec.sequence, sampled, columns)
         except NeatError:
-            skipped += 1
             continue
-        groups.setdefault(v.shape[1], []).append(v.T)
-    stacks = []
+        groups.setdefault(v.shape[1], []).append((i, v.T))
+    stacks, order = [], []
     for m in sorted(groups):
-        attrs = groups.pop(m)
-        try:
+        kept = groups.pop(m)
+        if m > 1:
+            index, attrs = zip(*kept)
             stacks.append(build_graph(nn.scale_input(np.stack(attrs))))
-        except SingleFeature:
-            skipped += len(attrs)
-    return stacks, skipped
+            order.extend(index)
+    return stacks, np.array(order, dtype=np.intp)
 
 
 def _gather(stacks: Sequence[GraphStack], chunk: np.ndarray) -> list[GraphStack]:
@@ -388,21 +387,21 @@ def pretrain(records, table, model: EncoderModel, rows: RowSample,
     Raises:
         BatchTooSmall: fewer than two usable records, or ``batch`` < 2.
     """
-    stacks, skipped = materialize_graphs(records, table, rows)
-    if skipped:
-        log.warning("pretrain skipped %d unmaterializable record(s)", skipped)
-    n = sum(len(s.attrs) for s in stacks)
+    stacks, order = materialize_graphs(records, table, rows)
+    result = PretrainResult(skipped_records=len(records) - len(order))
+    if result.skipped_records:
+        log.warning("pretrain skipped %d record(s) without a graph", result.skipped_records)
+    n = len(order)
     if n < 2 or batch < 2:
         raise BatchTooSmall(f"pretraining needs >= 2 usable records and batch >= 2, "
                             f"got {n} and {batch}")
     opt = nn.Adam(model.params())
-    result = PretrainResult(skipped_records=skipped)
     for epoch in range(epochs + 1):
         train = epoch > 0
-        order = rng.permutation(n)
+        shuffled = rng.permutation(n)
         total, count = 0.0, 0
-        for start in range(0, len(order), batch):
-            chunk = order[start:start + batch]
+        for start in range(0, n, batch):
+            chunk = shuffled[start:start + batch]
             if chunk.size < 2:
                 continue
             view1, view2 = augment(_gather(stacks, chunk), rng)

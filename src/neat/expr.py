@@ -53,7 +53,7 @@ SEGMENT_CAP = 24       # per-cross token budget
 DIV_EPSILON = 1e-8     # divisor floor; sign(0) treated as +1
 LOG_EPSILON = 1e-8
 EXP_MAX = 50.0         # exp argument clamp
-VALUE_CAP = 1e150      # every op output clamped here so stacked ops stay finite
+VALUE_CAP = 1e150      # every leaf and op output clamped here, so no op overflows
 LEAF_PROB = 0.35       # random_cross: chance a subtree above depth 1 is a leaf
 
 
@@ -242,8 +242,8 @@ def _walk(tokens: Sequence[str], leaf: Callable[[str], T], apply: Callable[..., 
 def eval_cross(cross: FeatureCross, table: DataTable) -> np.ndarray:
     """Evaluate one postfix cross against a table's original columns.
 
-    Each operator applies its guarded ``OPS`` evaluation, and its output is
-    clamped to ±``VALUE_CAP``, so results are finite everywhere.
+    Leaf columns and each operator's guarded ``OPS`` output are clipped to
+    ±``VALUE_CAP``, so no operator overflows and every value lies within it.
 
     Raises:
         InvalidPostfix: stack underflow, leftover operands or a stray token.
@@ -256,9 +256,9 @@ def eval_cross(cross: FeatureCross, table: DataTable) -> np.ndarray:
         idx = feature_index(token)
         if idx >= d:
             raise FeatureIndexOutOfRange(f"{token} but table has {d} columns")
-        return values[:, idx]
+        return np.clip(values[:, idx], -VALUE_CAP, VALUE_CAP)
 
-    return np.array(_walk(cross.tokens, column, _apply_op), dtype=np.float64, copy=True)
+    return _walk(cross.tokens, column, _apply_op)
 
 
 def parse_sequence(seq: CrossSequence) -> list[FeatureCross]:

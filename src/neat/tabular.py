@@ -77,8 +77,11 @@ def load_csv(path: str | Path, target_column: str, task: TaskKind,
     """Load an RFC-4180-style CSV with a header row into a DataTable.
 
     Rows containing cells that do not parse as finite reals are dropped and
-    counted in ``dropped_rows``. Feature columns are z-scored in place with
-    population statistics; zero-variance columns are centered only.
+    counted in ``dropped_rows``. Feature columns are z-scored with population
+    statistics; zero-variance columns are centered only. Each column is first
+    divided by a power of two near its largest magnitude, so its moments
+    neither overflow nor underflow at any finite scale; the division is exact,
+    so a column and its multiple by ``2**k`` load to the same bits.
 
     Args:
         path: CSV file location.
@@ -137,6 +140,7 @@ def load_csv(path: str | Path, target_column: str, task: TaskKind,
     target = data[:, t_idx].copy()
     features = np.delete(data, t_idx, axis=1)
 
+    features = np.ldexp(features, -np.frexp(np.abs(features).max(axis=0))[1])
     mean = features.mean(axis=0)
     std = features.std(axis=0)          # population (ddof=0)
     scale = np.where(std > 0.0, std, 1.0)

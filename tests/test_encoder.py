@@ -678,8 +678,8 @@ class TestPretrain:
         records = corpus + [_record([FeatureCross(("f0",)), FeatureCross(("f" + "1" * 5000,))])]
         with pytest.raises(ValueError):
             int("1" * 5000)
-        _, skipped = materialize_graphs(records, small_table, ROWS)
-        assert skipped == 1
+        _, order = materialize_graphs(records, small_table, ROWS)
+        assert sorted(order) == list(range(len(corpus)))
         _, result = _pretrain(small_table, records, epochs=1)
         assert result.skipped_records == 1
 
@@ -705,20 +705,22 @@ def mixed_corpus():
 class TestMatchesPerGraphPipeline:
     def test_stacks_hold_each_record_graph_in_record_order(self, mixed_corpus):
         table, records = mixed_corpus
-        stacks, skipped = materialize_graphs(records, table, ROWS)
-        assert skipped == 2
+        stacks, order = materialize_graphs(records, table, ROWS)
+        assert order.dtype == np.intp
+        assert sorted(order) == [i for i in range(len(records)) if i not in (3, 7)]
         assert [s.n_nodes for s in stacks] == sorted({s.n_nodes for s in stacks})
         assert 1 in [len(s.attrs) for s in stacks]         # a node count held by one graph
-        kept = [sampled_graph(r.sequence, table, ROWS)
-                for i, r in enumerate(records) if i not in (3, 7)]
+        rows = _unstack(stacks)
+        assert len(rows) == len(order)
+        for (attrs, adjacency), i in zip(rows, order):
+            g = sampled_graph(records[i].sequence, table, ROWS)
+            assert np.array_equal(attrs, g.attrs)
+            assert np.array_equal(adjacency, g.adjacency)
+        stop = 0
         for s in stacks:
-            group = [g for g in kept if g.n_nodes == s.n_nodes]     # in record order
-            assert len(group) == len(s.attrs)
-            for b, g in enumerate(group):
-                assert np.array_equal(s.attrs[b], g.attrs)
-                assert np.array_equal(s.adjacency[b], g.adjacency)
-        assert sum(len(s.attrs) for s in stacks) == len(kept)
-        assert any(g.adjacency.sum() >= 6 for g in kept)   # some graph flips an edge
+            start, stop = stop, stop + len(s.attrs)
+            assert np.all(np.diff(order[start:stop]) > 0)     # record order within a stack
+        assert any(adjacency.sum() >= 6 for _, adjacency in rows)   # some graph flips an edge
 
     def test_gather_keeps_the_chunk_in_layout_order(self, rng):
         graphs = layout(_random_batch(rng))
@@ -770,8 +772,8 @@ class TestSampledRowNodes:
                    (("f0", "sin"), ("f1", "sin"), ("f2",), ("f3", "f4", "*"))]
         record = _record(crosses)
         assert apply_sequence(record.sequence, table).shape[1] == 4
-        (stack,), skipped = materialize_graphs([record], table, ROWS)
-        assert skipped == 0 and stack.n_nodes == 3
+        (stack,), order = materialize_graphs([record], table, ROWS)
+        assert list(order) == [0] and stack.n_nodes == 3
         kept = np.column_stack([eval_cross(c, table) for c in crosses[:1] + crosses[2:]])
         expected = graph_of(np.arcsinh(np.ascontiguousarray(kept[ROWS.indices].T)))
         assert np.array_equal(stack.attrs[0], expected.attrs)
@@ -780,7 +782,8 @@ class TestSampledRowNodes:
     def test_a_record_left_with_one_sampled_column_is_skipped(self, table, corpus):
         lone = _record([FeatureCross(("f0",)), FeatureCross(("f1",))])
         assert apply_sequence(lone.sequence, table).shape[1] == 2
-        assert materialize_graphs([lone], table, ROWS) == ([], 1)
+        stacks, order = materialize_graphs([lone], table, ROWS)
+        assert stacks == [] and order.size == 0
         _, result = _pretrain(table, corpus[:3] + [lone] + corpus[3:], epochs=1)
         assert result.skipped_records == 1
 
@@ -831,8 +834,8 @@ class TestCrossMemo:
             return column
 
         monkeypatch.setattr(expr, "eval_cross", counted)
-        _, skipped = materialize_graphs(records, table, ROWS)
-        assert skipped == 1
+        _, order = materialize_graphs(records, table, ROWS)
+        assert len(records) - len(order) == 1
         assert sorted(calls, key=repr) == sorted(valid, key=repr)
 
     def test_stacks_equal_the_memoless_build_bit_for_bit(self, records):

@@ -114,6 +114,17 @@ class TestEvalCross:
         with pytest.raises(FeatureIndexOutOfRange):
             eval_cross(cross("f5"), table)
 
+    @pytest.mark.parametrize("leaf", [1e200, -1e200, np.finfo(float).max, -np.finfo(float).max])
+    @pytest.mark.parametrize("symbol", [None, *expr.OPS])
+    def test_a_leaf_beyond_the_value_cap_is_clipped_before_any_operator(self, symbol, leaf):
+        # Table columns are unbounded, and 1e200 squared overflows. Every
+        # value read or returned lies within the cap, so nothing warns (and
+        # a warning would fail the test).
+        table = make_table(np.array([[leaf]]))
+        tokens = ("f0",) if symbol is None else ("f0",) * expr.OPS[symbol].arity + (symbol,)
+        out = eval_cross(cross(*tokens), table)
+        assert np.abs(out).max() <= expr.VALUE_CAP
+
     @pytest.mark.parametrize("seed", range(20))
     def test_totality_under_stacked_ops(self, seed):
         # hostile magnitudes; every op output must stay finite

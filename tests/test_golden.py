@@ -1,0 +1,46 @@
+"""The benchmark's seed-1 outputs, pinned.
+
+Each workload of ``bench/workloads.py`` runs once at seed 1, as one unit of
+``bench/run.py --seed 1`` does, and its output hashes must equal the digests
+below. A change that moves a hash on purpose edits the digest here and says
+why.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+SEED_1_HASHES = {
+    "collect-tall": {
+        "records_sha256": "1db185c2d3bfc8b0798c4bfb86519657aaffb7106cd65c15dc0b5a91f58c39ff",
+    },
+    "collect-wide": {
+        "records_sha256": "0f16e947b1dbe6c711e62541c853982095776322e7d192a05310422d5e9d4543",
+    },
+    "pretrain": {
+        "loss_log_sha256": "1c65f6c8a1a8d1793e79d4694b70de01cc2fc01f956f5ac3a2e94ed25752602e",
+        "records_sha256": "3dc1828e52299264f503dc65f35e7ff27010aa78df622e98b6c032152a2be4e5",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return workloads
+
+
+@pytest.mark.parametrize("name", sorted(SEED_1_HASHES))
+def test_seed_1_outputs_keep_their_hashes(workloads, tmp_path, name):
+    spec = workloads.WORKLOADS[name]
+    inp = spec.setup(1, tmp_path)
+    out = spec.outcome(inp, spec.stage(inp))
+    assert out.problems == []
+    assert out.hashes == SEED_1_HASHES[name]

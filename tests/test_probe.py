@@ -67,8 +67,8 @@ def embeddings(inp, model, seed):
     """``H`` of a seeded sample of the corpus, and each record's node count."""
     pick = np.sort(np.random.default_rng(seed).choice(len(inp.corpus), PROBE_RECORDS,
                                                       replace=False))
-    stacks, skipped = materialize_graphs([inp.corpus[i] for i in pick], inp.table, inp.rows)
-    assert skipped == 0
+    stacks, order = materialize_graphs([inp.corpus[i] for i in pick], inp.table, inp.rows)
+    assert sorted(order) == list(range(PROBE_RECORDS))
     H, _, _ = encode_many(stacks, model)
     return H, np.concatenate([np.full(len(s.attrs), s.n_nodes) for s in stacks])
 

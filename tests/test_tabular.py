@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from neat.errors import (
     DuplicateColumnName,
@@ -91,6 +95,22 @@ class TestLoadCsv:
         assert abs(col.std() - 1.0) < 1e-12      # ddof=0
         # zero-variance column is centered only, never divided
         assert np.all(table.values[:, 1] == 0.0)
+
+    @given(base=st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=2, max_size=8),
+           k=st.integers(-1000, 1000))
+    @example(base=[0.0, 1.0], k=513)        # squares overflow
+    @example(base=[0.0, 1.0], k=-1000)      # the variance underflows to 0
+    @settings(max_examples=60, deadline=None)
+    def test_a_column_times_a_power_of_two_loads_to_the_same_bits(
+            self, tmp_path_factory, base, k):
+        # Only finite, normal multiples: the scaling is then exact both ways.
+        assume(all(v == 0.0 or -1021 <= math.frexp(v)[1] + k <= 1024 for v in base))
+        tables = []
+        for column in (base, [math.ldexp(v, k) for v in base]):
+            path = tmp_path_factory.mktemp("scaled") / "data.csv"
+            path.write_text("a,y\n" + "".join(f"{v!r},0\n" for v in column))
+            tables.append(load_csv(path, "y", "regression"))
+        assert tables[0].values.tobytes() == tables[1].values.tobytes()
 
     def test_target_kept_raw(self, tmp_path):
         path = write(tmp_path, "a,y\n1,10\n2,20\n3,40\n")
