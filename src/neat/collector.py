@@ -157,42 +157,28 @@ class ReplayBuffer:
 
 
 class QAgent:
-    """Two-layer Q-network, ``HIDDEN`` wide, with a synced target copy and replay buffer."""
+    """``HIDDEN``-wide ``nn.Mlp`` Q-network ``online``, its synced ``target``, a replay buffer."""
 
     def __init__(self, name: str, n_actions: int, capacity: int,
                  rng: np.random.Generator):
         self.n_actions = n_actions
-        self.d1 = nn.Dense(f"{name}.d1", STATE_WIDTH, HIDDEN, rng)
-        self.d2 = nn.Dense(f"{name}.d2", HIDDEN, n_actions, rng)
-        self.t1 = nn.Dense(f"{name}.t1", STATE_WIDTH, HIDDEN, rng)
-        self.t2 = nn.Dense(f"{name}.t2", HIDDEN, n_actions, rng)
+        self.online = nn.Mlp(f"{name}.d", STATE_WIDTH, HIDDEN, n_actions, rng)
+        self.target = nn.Mlp(f"{name}.t", STATE_WIDTH, HIDDEN, n_actions, rng)
         self._sync_target()
-        self.opt = nn.Adam(self.d1.params() + self.d2.params())
+        self.opt = nn.Adam(self.online.params())
         self.buffer = ReplayBuffer(capacity)
         self.updates = 0
 
     def _sync_target(self) -> None:
-        self.t1.W.value[...] = self.d1.W.value
-        self.t1.b.value[...] = self.d1.b.value
-        self.t2.W.value[...] = self.d2.W.value
-        self.t2.b.value[...] = self.d2.b.value
-
-    def q_values(self, states: np.ndarray, target: bool = False):
-        """Q-values ``(B, n_actions)`` of a batch of states ``(B, STATE_WIDTH)``,
-        with the cache that ``bellman_update`` backpropagates."""
-        l1, l2 = (self.t1, self.t2) if target else (self.d1, self.d2)
-        a1, c1 = l1.forward(states)
-        h1, r1 = nn.relu(a1)
-        q, c2 = l2.forward(h1)
-        cache = (c1, r1, c2)
-        return q, cache
+        for t, o in zip(self.target.params(), self.online.params()):
+            t.value[...] = o.value
 
     def select(self, state: np.ndarray, valid: int, epsilon: float,
                rng: np.random.Generator) -> int:
         valid = min(valid, self.n_actions)
         if rng.random() < epsilon:
             return int(rng.integers(valid))
-        q, _ = self.q_values(state[None, :])
+        q, _ = self.online.forward(state[None, :])
         q[0, valid:] = -np.inf
         return int(np.argmax(q[0]))
 
@@ -205,22 +191,19 @@ def bellman_update(agent: QAgent, batch) -> float:
     states, actions, rewards, next_states, next_valid, terminal = batch
     B = states.shape[0]
 
-    tq, _ = agent.q_values(next_states, target=True)
+    tq, _ = agent.target.forward(next_states)
     mask = np.arange(agent.n_actions)[None, :] < next_valid[:, None]
     tq = np.where(mask, tq, -np.inf)
     best_next = tq.max(axis=1)
     y = np.where(terminal, rewards, rewards + GAMMA * best_next)
 
-    q, cache = agent.q_values(states)
+    q, cache = agent.online.forward(states)
     picked = q[np.arange(B), actions]
     diff = picked - y
     loss = float(np.mean(diff * diff))
     dq = np.zeros_like(q)
     dq[np.arange(B), actions] = 2.0 * diff / B
-    c1, r1, c2 = cache
-    dh = agent.d2.backward(dq, c2)
-    da = nn.relu_backward(dh, r1)
-    agent.d1.backward_params(da, c1)
+    agent.online.backward_params(dq, cache)
     agent.opt.step()
     agent.updates += 1
     if agent.updates % SYNC_EVERY == 0:

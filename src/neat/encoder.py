@@ -162,19 +162,17 @@ def augment(stacks: Sequence[GraphStack], rng: np.random.Generator
 
 
 class EncoderModel:
-    """Input projection, two mean-aggregation GNN layers, projection head."""
+    """Input projection, two mean-aggregation GNN layers, an ``nn.Mlp`` projection head."""
 
     def __init__(self, attr_width: int, rng: np.random.Generator, hidden: int = 64):
-        self.hidden = hidden
         self.input_proj = nn.Dense("encoder.input", attr_width, hidden, rng)
         self.gnn1 = nn.Dense("encoder.gnn1", 2 * hidden, hidden, rng)
         self.gnn2 = nn.Dense("encoder.gnn2", 2 * hidden, hidden, rng)
-        self.head1 = nn.Dense("encoder.head1", hidden, hidden, rng)
-        self.head2 = nn.Dense("encoder.head2", hidden, hidden, rng)
+        self.head = nn.Mlp("encoder.head", hidden, hidden, hidden, rng)
 
     def params(self) -> list[nn.Param]:
         out = []
-        for layer in (self.input_proj, self.gnn1, self.gnn2, self.head1, self.head2):
+        for layer in (self.input_proj, self.gnn1, self.gnn2, self.head):
             out.extend(layer.params())
         return out
 
@@ -228,8 +226,9 @@ def forward_stack(model: EncoderModel, attrs: np.ndarray, adj: np.ndarray):
     their dtype: float32 for ``build_graph``'s stacks. ``P = adj / max(deg, 1)``
     is formed once, and a GNN layer is ``relu(H @ W[:h] + (P @ H) @ W[h:] + b)``.
 
-    Returns (h, z, cache) with h/z of shape (B, hidden). The cache holds
-    ``P``, each GNN layer's (B, m, hidden) input and each ReLU's bool gate: no
+    Returns (h, z, cache) with h/z of shape (B, hidden). The cache is
+    ``(P, c_in, c_g1, c_g2, c_head)``: ``P``, each GNN layer's (B, m, hidden)
+    input and each ReLU's bool gate, the head's among them: no
     pre-activation, no ``P @ H`` and no (·, 2·hidden) array.
     """
     P = adj / np.maximum(adj.sum(axis=2, keepdims=True), 1.0)
@@ -237,19 +236,16 @@ def forward_stack(model: EncoderModel, attrs: np.ndarray, adj: np.ndarray):
     H1, c_g1 = _gnn_forward(model.gnn1, X0, P)
     H2, c_g2 = _gnn_forward(model.gnn2, H1, P)
     h = H2.mean(axis=1)
-    P1, c_h1 = model.head1.forward(h)
-    R1, rh = nn.relu(P1)
-    z, c_h2 = model.head2.forward(R1)
-    return h, z, (P, c_in, c_g1, c_g2, c_h1, rh, c_h2)
+    z, c_head = model.head.forward(h)
+    return h, z, (P, c_in, c_g1, c_g2, c_head)
 
 
 def backward_stack(model: EncoderModel, dz: np.ndarray, cache,
                    dh: np.ndarray | None = None) -> None:
     """Accumulate parameter grads for a forward_stack call. A GNN layer forms
     ``Q = Pᵀ dA`` once and reads only ``P``, its input ``H`` and its gate."""
-    P, c_in, c_g1, c_g2, c_h1, rh, c_h2 = cache
-    dP1 = nn.relu_backward(model.head2.backward(dz, c_h2), rh)
-    dh_total = model.head1.backward(dP1, c_h1)
+    P, c_in, c_g1, c_g2, c_head = cache
+    dh_total = model.head.backward(dz, c_head)
     if dh is not None:
         dh_total = dh_total + dh
     dH2 = dh_total[:, None, :] / P.shape[1]     # the node mean's grad, broadcast by the gate

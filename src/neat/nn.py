@@ -1,7 +1,7 @@
-"""A small neural substrate: layers with explicit forward/backward, an Adam
-optimizer at rate ``ADAM_LR``, seeded Glorot initialization, finite-difference
-gradient verification, and the one scaling of what the networks read
-(``scale_input``). Every training module builds on this.
+"""A small neural substrate: layers with explicit forward/backward (``Dense``,
+``Mlp``, ``LstmCell``), Adam at rate ``ADAM_LR``, seeded Glorot initialization,
+finite-difference gradient checks, and the one scaling of what the networks
+read (``scale_input``). Every training module builds on this.
 
 Parameters, their gradients, the optimizer's state and checkpoints are
 float64. A layer computes in its input's dtype: ``Dense`` casts its weights
@@ -100,6 +100,32 @@ class Dense:
 
     def params(self) -> list[Param]:
         return [self.W, self.b]
+
+
+class Mlp:
+    """Dense → ReLU → Dense, layers ``{name}1`` and ``{name}2`` drawn from ``rng`` in turn."""
+
+    def __init__(self, name: str, n_in: int, n_hidden: int, n_out: int, rng: np.random.Generator):
+        self.layer1 = Dense(f"{name}1", n_in, n_hidden, rng)
+        self.layer2 = Dense(f"{name}2", n_hidden, n_out, rng)
+
+    def forward(self, x: np.ndarray):
+        a, c1 = self.layer1.forward(x)
+        h, gate = relu(a)
+        y, c2 = self.layer2.forward(h)
+        return y, (c1, gate, c2)
+
+    def backward_params(self, dout: np.ndarray, cache) -> None:
+        """Accumulate the grads only, skipping the input gradient's matmul."""
+        c1, gate, c2 = cache
+        self.layer1.backward_params(relu_backward(self.layer2.backward(dout, c2), gate), c1)
+
+    def backward(self, dout: np.ndarray, cache) -> np.ndarray:
+        c1, gate, c2 = cache
+        return self.layer1.backward(relu_backward(self.layer2.backward(dout, c2), gate), c1)
+
+    def params(self) -> list[Param]:
+        return self.layer1.params() + self.layer2.params()
 
 
 def relu(x: np.ndarray):

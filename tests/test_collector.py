@@ -638,11 +638,10 @@ class TestBellmanUpdate:
             monkeypatch.setattr(collector, name, value)
         agent = QAgent("q", 3, collector.REPLAY_CAPACITY, np.random.default_rng(0))
         # Zero weights make every Q-value its layer-2 bias, whatever the state.
-        for layer in (agent.d1, agent.d2, agent.t1, agent.t2):
-            layer.W.value[...] = 0.0
-            layer.b.value[...] = 0.0
-        agent.d2.b.value[...] = [0.5, -1.0, 2.0]     # online Q
-        agent.t2.b.value[...] = [1.0, 5.0, 3.0]      # target Q
+        for p in agent.online.params() + agent.target.params():
+            p.value[...] = 0.0
+        agent.online.layer2.b.value[...] = [0.5, -1.0, 2.0]     # online Q
+        agent.target.layer2.b.value[...] = [1.0, 5.0, 3.0]      # target Q
         buffer = ReplayBuffer(8)
         s = np.zeros(STATE_WIDTH)
         buffer.push(s, 0, 1.0, s, 3, False)    # y = 1 + 0.5 * max(1, 5, 3) = 3.5
@@ -652,7 +651,7 @@ class TestBellmanUpdate:
         diffs = np.array([0.5 - 3.5, -1.0 - -1.5, 2.0 - 0.25])
         assert loss == pytest.approx(np.mean(diffs ** 2), rel=1e-12)
         # A first Adam step moves each picked bias by lr against its TD error.
-        step = agent.d2.b.value - np.array([0.5, -1.0, 2.0])
+        step = agent.online.layer2.b.value - np.array([0.5, -1.0, 2.0])
         assert step == pytest.approx(-nn.ADAM_LR * np.sign(diffs), rel=1e-6)
         assert agent.updates == 1
 
@@ -663,8 +662,7 @@ class TestBellmanUpdate:
         for k in range(16):
             agent.buffer.push(rng.normal(size=STATE_WIDTH), k % 4, rng.normal(),
                               rng.normal(size=STATE_WIDTH), 4, k % 5 == 0)
-        online = (agent.d1.W, agent.d1.b, agent.d2.W, agent.d2.b)
-        target = (agent.t1.W, agent.t1.b, agent.t2.W, agent.t2.b)
+        online, target = agent.online.params(), agent.target.params()
         synced = []
         for _ in range(3):
             bellman_update(agent, agent.buffer.sample(8, rng))
@@ -699,7 +697,7 @@ class TestActions:
         agent = QAgent("q", 6, collector.REPLAY_CAPACITY, np.random.default_rng(0))
         # Q-values rise with the action index, so an unmasked greedy pick
         # would always be the last action.
-        agent.d2.b.value[...] = 100.0 * np.arange(agent.n_actions)
+        agent.online.layer2.b.value[...] = 100.0 * np.arange(agent.n_actions)
         rng = np.random.default_rng(1)
         states = rng.normal(size=(20, STATE_WIDTH))
         for valid in range(1, agent.n_actions + 1):

@@ -44,6 +44,7 @@ from neat.nn import Adam, Param, cosine_matrix, grad_check
 from neat.tabular import RowSample
 
 ATTR_WIDTH = 5
+HIDDEN = 6             # the width of the small models built here
 
 
 # The per-graph pipeline that node-count stacks replaced, kept as an oracle:
@@ -145,7 +146,7 @@ def per_graph_pretrain(records, table, model, rows, epochs, batch, rng):
                 continue
             Z, caches = [], []
             for view in views([graphs[i] for i in chunk], rng):
-                z_all = np.zeros((len(view), model.hidden), dtype=np.float32)
+                z_all = np.zeros((len(view), HIDDEN), dtype=np.float32)
                 cache_list = []
                 for idxs, attrs, adj in stacked_groups(view):
                     _, z, cache = forward_stack(model, attrs, adj)
@@ -182,8 +183,8 @@ def concat_layers(model, attrs, adj) -> dict[str, np.ndarray]:
     s["N2"] = adj @ s["H1"] / denom
     s["A2"] = dense(model.gnn2, np.concatenate([s["H1"], s["N2"]], axis=2))
     s["h"] = np.maximum(s["A2"], 0.0).mean(axis=1)
-    s["P1"] = dense(model.head1, s["h"])
-    s["z"] = dense(model.head2, np.maximum(s["P1"], 0.0))
+    s["P1"] = dense(model.head.layer1, s["h"])
+    s["z"] = dense(model.head.layer2, np.maximum(s["P1"], 0.0))
     return s
 
 
@@ -230,7 +231,7 @@ def graphs(rng):
 
 @pytest.fixture
 def model(rng):
-    return EncoderModel(ATTR_WIDTH, rng, hidden=6)
+    return EncoderModel(ATTR_WIDTH, rng, hidden=HIDDEN)
 
 
 class TestEncodeMany:
@@ -318,7 +319,7 @@ class TestEncodeMany:
             assert p.value.dtype == p.grad.dtype == np.float64 and p.grad.any(), p.name
 
     def test_cache_holds_bool_gates_not_pre_activations(self, model, rng):
-        B, m, h = 3, 4, model.hidden        # m is neither h nor the attribute width
+        B, m, h = 3, 4, HIDDEN      # m is neither h nor the attribute width
         (stack,) = _stacks([_graph(m, rng) for _ in range(B)])
         _, _, cache = forward_stack(model, stack.attrs, stack.adjacency)
         arrays = list(_arrays(cache))
@@ -338,8 +339,8 @@ class TestEncodeMany:
     @pytest.mark.parametrize("with_dh", [False, True])
     def test_grad_check(self, graphs, model, rng, with_dh):
         stacks = _stacks(graphs)
-        RZ = rng.normal(size=(len(graphs), model.hidden))
-        RH = rng.normal(size=(len(graphs), model.hidden)) if with_dh else None
+        RZ = rng.normal(size=(len(graphs), HIDDEN))
+        RH = rng.normal(size=(len(graphs), HIDDEN)) if with_dh else None
 
         def loss_fn():
             H, Z, _ = encode_many(stacks, model)
@@ -351,6 +352,12 @@ class TestEncodeMany:
 
 
 class TestParamDict:
+    def test_names_keep_the_checkpoint_layout(self, model):
+        assert list(model.param_dict()) == [
+            "encoder.input.W", "encoder.input.b", "encoder.gnn1.W", "encoder.gnn1.b",
+            "encoder.gnn2.W", "encoder.gnn2.b", "encoder.head1.W", "encoder.head1.b",
+            "encoder.head2.W", "encoder.head2.b"]
+
     def test_checkpoint_round_trip(self, graphs, model, tmp_path):
         path = tmp_path / "encoder.ckpt"
         save_checkpoint(path, model.param_dict(), {"seed": "0"})
@@ -747,10 +754,10 @@ class TestMatchesPerGraphPipeline:
         n = len(records) - 2
         batch = {"N-1": n - 1, "N": n, "N+5": n + 5}.get(batch, batch)
         width = len(ROWS.indices)
-        model = EncoderModel(width, np.random.default_rng(5), hidden=6)
+        model = EncoderModel(width, np.random.default_rng(5), hidden=HIDDEN)
         result = pretrain(records, table, model, ROWS, epochs=2, batch=batch,
                           rng=np.random.default_rng(9))
-        oracle = EncoderModel(width, np.random.default_rng(5), hidden=6)
+        oracle = EncoderModel(width, np.random.default_rng(5), hidden=HIDDEN)
         losses = per_graph_pretrain(records, table, oracle, ROWS, epochs=2, batch=batch,
                                     rng=np.random.default_rng(9))
         assert result.losses == losses

@@ -111,6 +111,20 @@ def _constants(tree: ast.Module):
                 yield target.id
 
 
+def _instance_attributes(tree: ast.Module):
+    """Attributes that the methods of the module's classes assign on ``self``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in ast.walk(node):
+                targets = item.targets if isinstance(item, ast.Assign) else [
+                    item.target] if isinstance(item, (ast.AugAssign, ast.AnnAssign)) else []
+                for target in targets:
+                    for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                        if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                                and t.value.id == "self"):
+                            yield t.attr
+
+
 def _refers_to(trees, caller: str, name: str) -> bool:
     """Whether the top-level function ``module.function`` uses an attribute ``name``."""
     module, _, function = caller.partition(".")
@@ -127,8 +141,9 @@ def test_every_definition_has_a_caller():
     and ``opt.step()`` calls a method of the same name. A field annotated
     ``Callable`` is read by a call too. A module constant counts as read
     through a bare name that is loaded, not assigned, or through an
-    attribute. A method named like a builtin's attribute needs its
-    SHARED_NAMES entry."""
+    attribute. An attribute that a method assigns on ``self`` counts as read
+    only through an attribute that is loaded. A method named like a
+    builtin's attribute needs its SHARED_NAMES entry."""
     sources = [p for p in sorted((ROOT / "src" / "neat").glob("*.py"))
                if p.name != "__init__.py"]
     bench = [p for p in sorted((ROOT / "bench").glob("*.py")) if p.name != "test_bench.py"]
@@ -150,10 +165,14 @@ def test_every_definition_has_a_caller():
     callables = {name for name, is_callable in annotated if is_callable}
     field_reads = reads | (callables & attributes)
     constants = {name for p in sources for name in _constants(trees[p])}
-    assert defined and fields and constants and shared
+    stored = {name for p in sources for name in _instance_attributes(trees[p])}
+    attribute_loads = {node.attr for node in nodes
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert defined and fields and constants and shared and stored
     unshown = {name for key, name in shared.items() if key not in SHARED_NAMES}
     uncalled = sorted(((defined - referenced) | unshown | (fields - field_reads)
-                       | (constants - loaded)) - AWAITING_CALLER.keys())
+                       | (constants - loaded) | (stored - attribute_loads))
+                      - AWAITING_CALLER.keys())
     assert uncalled == [], f"no caller: {uncalled}"
     stale = sorted(key for key, caller in SHARED_NAMES.items()
                    if key not in shared or not _refers_to(trees, caller, shared[key]))
