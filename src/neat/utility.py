@@ -46,9 +46,14 @@ and its key n d^2 + j, for row j, is an integer below 4 m n^3. While that is
 below 2^53 (``feature_importance`` refuses larger sets), every norm, dot
 product, sum and key is a float64 integer, exact in any order of summation,
 so results do not depend on the BLAS or its thread count, and a set grown
-column by column gets the bits of the same set scored at once. Keys are
+column by column gets the bits of the same set scored at once. A block of
+keys is one matrix product: row i of the left operand is
+[-2 n c_i, 1, n |c_i|^2] and column j of the right one [c_j; n |c_j|^2 + j; 1],
+and the absolute values of their m + 2 products sum to at most
+4 m n (n - 1)^2 + n - 1 < 4 m n^3, so every partial sum is exact too. Keys are
 distinct, and sorting them orders rows by (d^2, row index), so ties at the
-k-th distance go to the lower row index.
+k-th distance go to the lower row index; ``neighbours`` splits them into rows
+and d^2 in int64.
 
 A ``DistanceCache`` keeps each row's candidate rows beside their keys, so a
 set grown by a column adds that column's squared differences at the listed
@@ -102,12 +107,22 @@ def _rank_codes(columns: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _append_distinct(kept: np.ndarray, new: np.ndarray) -> np.ndarray:
-    # ``kept`` with each column of ``new`` appended that equals none before it.
+def _append_distinct(kept: np.ndarray, seen: frozenset[bytes],
+                     new: np.ndarray) -> tuple[np.ndarray, frozenset[bytes]]:
+    # ``kept`` with each column of ``new`` appended that equals none before
+    # it, kept or new, and the bytes of the result's columns; ``seen`` holds
+    # those of ``kept``. Codes are float64 integers, never -0.0 or NaN, so
+    # equal bytes are equal values. The distinct columns are stacked once.
+    seen = set(seen)
+    distinct = []
     for column in new.T:
-        if not (kept == column[:, None]).all(axis=0).any():
-            kept = np.column_stack([kept, column])
-    return kept
+        key = column.tobytes()
+        if key not in seen:
+            seen.add(key)
+            distinct.append(column)
+    if distinct:
+        kept = np.column_stack([kept, *distinct])
+    return kept, frozenset(seen)
 
 
 # Candidate rows kept per subsampled row by a DistanceCache: the nearest
@@ -116,10 +131,12 @@ def _append_distinct(kept: np.ndarray, new: np.ndarray) -> np.ndarray:
 # changes no result.
 LIST_LEN = 32
 
-# Rows ranked per pass, so the (block, n) temporaries stay small; it does
-# not change the result. At n = 1000 and 12-24 columns under 2 OpenBLAS
-# threads, a 64-row block's product sometimes takes the threaded path, at
-# 250-730 us a block, while a 32-row block stays single-threaded at 22-46 us.
+# Rows ranked per product, so the (block, n) work array stays small; it does
+# not change the result. At n = 1000 and K = m + 2 = 14-26 under 2 OpenBLAS
+# threads, a 32-row product takes 27-38 us (median) and its partition 47-76
+# us; a 64-row product takes 45-54 us, but at K = 14 one in ten took about
+# 16 ms on the threaded path. Whole ranks of 150 and 1000 rows took as long
+# or longer in 64-row blocks (0.66-0.76 ms against 0.44-0.69 ms at 150 rows).
 _ROW_BLOCK = 32
 
 
@@ -137,13 +154,16 @@ class DistanceCache:
     its keys. ``neighbours`` reads them from one sort of each row's keys.
 
     Append-only contract: when the cached raw columns are a prefix of the
-    next set's, only the new columns are coded, and n (c_j - c_i)^2 of each
-    one kept is added to the keys (n x list length work), gathered at the
-    rows in ``listed``. Adding n d^2 leaves a key's row j as it was, so
+    next set's, only the new columns are coded and checked against the bytes
+    of the kept ones (``seen``), and n (c_j - c_i)^2 of each one kept is
+    added to the keys (n x list length work), gathered at the rows in
+    ``listed``. Adding n d^2 leaves a key's row j as it was, so
     ``listed`` is written only when a row is ranked. Keys only grow, so
     ``outside`` stays a lower bound. Any other set, or another row count or
-    subsample, drops the lists. The keys take about 0.3 MB at 1000 rows, and
-    rows are ranked ``_ROW_BLOCK`` at a time, so no (n, n) array exists.
+    subsample, drops the lists. The keys take about 0.3 MB at 1000 rows.
+    Rows are ranked ``_ROW_BLOCK`` at a time, each block's keys one product
+    of augmented code rows (module docstring) written into one
+    (``_ROW_BLOCK``, n) work array per ranking, so no (n, n) array exists.
 
     ``spread`` holds each kept column's 2 s^2 = 2 sum(c^2) / (n - 1), computed
     once when the column is kept: a column's codes are integers that sum to
@@ -157,6 +177,7 @@ class DistanceCache:
         self.raw: np.ndarray | None = None       # (n, m): the subsampled set
         self.columns: np.ndarray | None = None   # (n, kept): its distinct codes
         self.spread: np.ndarray | None = None    # (kept,) 2 s^2 of each code column
+        self.seen: frozenset[bytes] = frozenset()   # the bytes of each code column
         self.keys: np.ndarray | None = None      # (n, width) n d2 + j of listed rows j
         self.listed: np.ndarray | None = None    # (n, width) intp: those rows j
         self.outside: np.ndarray | None = None   # (n,) smallest key of the rest
@@ -173,11 +194,13 @@ class DistanceCache:
         if not (cached and cached <= sub.shape[1]
                 and np.array_equal(self.raw, sub[:, :cached])):
             cached, self.columns, self.spread = 0, np.empty((len(sub), 0)), np.empty(0)
+            self.seen = frozenset()
             self.keys = self.listed = self.outside = None
         kept = self.columns.shape[1]
         n = len(sub)
         self.raw = sub
-        self.columns = _append_distinct(self.columns, _rank_codes(sub[:, cached:]))
+        self.columns, self.seen = _append_distinct(self.columns, self.seen,
+                                                   _rank_codes(sub[:, cached:]))
         new = self.columns[:, kept:]
         squares = np.einsum("ij,ij->j", new, new)
         self.spread = np.concatenate([self.spread, 2.0 * (squares / (n - 1))])
@@ -192,8 +215,9 @@ class DistanceCache:
 
     def neighbours(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Each row's k nearest rows, ordered by (d^2, row index), for the
-        set last passed to ``update``: (n, k) arrays of rows and their d^2
-        over the codes. Ties at the k-th distance go to the lower row index."""
+        set last passed to ``update``: (n, k) integer arrays of rows and
+        their d^2 over the codes. Ties at the k-th distance go to the lower
+        row index."""
         n = len(self.columns)
         width = min(n - 1, max(LIST_LEN, k))
         if self.keys is None or self.keys.shape[1] < width:
@@ -205,28 +229,36 @@ class DistanceCache:
         if len(stale):
             self._rank(stale)
             near[stale] = np.sort(self.keys[stale], axis=1)[:, :k]
-        d2, index = np.divmod(near, n)
-        return index.astype(np.intp), d2
+        d2, index = np.divmod(near.astype(np.int64), n)
+        return index.astype(np.intp, copy=False), d2
 
     def _rank(self, rows: np.ndarray) -> None:
         # Relist ``rows``: the keys of each row's nearest rows and those rows,
-        # from one Gram block of exact keys, and the next smallest key as
-        # ``outside``. A row's own key is +inf, so a list of every other row
-        # gets +inf.
-        # Key n (|c_i|^2 + |c_j|^2 - 2 c_i.c_j) + j is a GEMM and two adds:
-        # n |c_j|^2 + j is summed once, and -2n rides on the block operand.
-        # Every partial sum is an integer below 2^53, so it is exact in any
-        # order.
+        # and the next smallest key as ``outside``. A row's own key is +inf,
+        # so a list of every other row gets +inf.
+        # Left row i is [-2n c_i, 1, n |c_i|^2] and right column j is
+        # [c_j; n |c_j|^2 + j; 1], so one GEMM per block gives the keys
+        # n d^2 + j, written into one work array for the whole call. Every
+        # product and partial sum is an integer of magnitude below
+        # 4 m n^3 < 2^53, so it is exact in any order.
         n, width = self.keys.shape
         c = self.columns
+        m = c.shape[1]
         norms = np.einsum("ij,ij->i", c, c)
         norms *= n
-        base = norms + np.arange(n)
+        right = np.empty((n, m + 2))
+        right[:, :m] = c
+        np.add(norms, np.arange(n), out=right[:, m])
+        right[:, m + 1] = 1.0
+        left = np.empty((len(rows), m + 2))
+        np.multiply(c[rows], -2.0 * n, out=left[:, :m])
+        left[:, m] = 1.0
+        left[:, m + 1] = norms[rows]
+        work = np.empty((min(len(rows), _ROW_BLOCK), n))
         for start in range(0, len(rows), _ROW_BLOCK):
             block = rows[start:start + _ROW_BLOCK]
-            keys = (-2.0 * n * c[block]) @ c.T
-            keys += base
-            keys += norms[block, None]
+            keys = work[:len(block)]
+            np.matmul(left[start:start + _ROW_BLOCK], right.T, out=keys)
             keys[np.arange(len(block)), block] = np.inf
             keys.partition(width, axis=1)
             near = keys[:, :width]
@@ -238,8 +270,8 @@ class DistanceCache:
         are copied, since appending columns and ranking update them in
         place."""
         other = DistanceCache()
-        other.key, other.rows, other.raw, other.columns, other.spread = (
-            self.key, self.rows, self.raw, self.columns, self.spread)
+        other.key, other.rows, other.raw, other.columns, other.spread, other.seen = (
+            self.key, self.rows, self.raw, self.columns, self.spread, self.seen)
         if self.keys is not None:
             other.keys, other.outside = self.keys.copy(), self.outside.copy()
             other.listed = self.listed.copy()

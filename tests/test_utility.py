@@ -625,6 +625,80 @@ class TestExactKeys:
         assert time.monotonic() - start < 5.0
 
 
+def _int_keys(codes, row):
+    # Row ``row``'s key n d2 + j to every row j, in int64 from the codes, with
+    # its own key the largest int64.
+    n = len(codes)
+    diff = codes - codes[row]
+    keys = n * np.einsum("ij,ij->i", diff, diff) + np.arange(n)
+    keys[row] = np.iinfo(np.int64).max
+    return keys
+
+
+class TestKeysAtTheGuard:
+    """Keys stay exact up to the guard 4 m n^3 < 2^53, with every column of
+    a set in one product, and the guard still refuses the next column."""
+
+    @staticmethod
+    def _check(cache, rows, k):
+        # The listed keys and ``outside`` of ``rows``, and the rows and d2
+        # that ``neighbours(k)`` returns for them, against int64 oracle keys.
+        index, d2 = cache.neighbours(k)
+        n, width = cache.keys.shape
+        codes = cache.columns.astype(np.int64)
+        assert np.array_equal(codes, cache.columns)
+        for row in rows:
+            ordered = np.sort(_int_keys(codes, row))
+            assert np.array_equal(np.sort(cache.keys[row]).astype(np.int64), ordered[:width])
+            assert cache.outside[row] == ordered[width]
+            assert np.array_equal(index[row], ordered[:k] % n)
+            assert np.array_equal(d2[row], ordered[:k] // n)
+        assert d2.dtype == np.int64 and index.dtype == np.intp
+
+    def test_a_cold_set_of_2251_columns(self):
+        # 1000 rows of 2251 distinct columns: each key of a cold cache comes
+        # from one product over 2253 terms. Appending the columns is linear
+        # in their number: about 0.3 s for coding, appending and ranking,
+        # where comparing each new column with every kept one and stacking
+        # it took about 6 s.
+        n, m = 1000, 2251
+        F = np.random.default_rng(21).normal(size=(n, m))
+        cache = DistanceCache()
+        start = time.monotonic()
+        cache.update(F, UtilityConfig())
+        cache.neighbours(5)
+        assert time.monotonic() - start < 2.0
+        assert cache.columns.shape == (n, m)
+        self._check(cache, np.random.default_rng(22).choice(n, 20, replace=False), 5)
+
+    def test_rows_at_the_guard(self):
+        # n = 2^15 rows of m = 63 columns: 4 m n^3 = 0.98 * 2^53, the largest
+        # m at this n. Rows 0-39 are the 40 lowest in every column, so their
+        # codes are near -(n - 1) and their nearest rows are each other: the
+        # terms of such a key, -2n c_i.c_j, n |c_i|^2 and n |c_j|^2, have
+        # absolute values that sum to almost 4 m n^3. A cold rank of 2^15
+        # rows is too slow for a unit test, so 20 rows are ranked into lists
+        # that hold 0, which ``neighbours`` then leaves as they are. A 64th
+        # column reaches 2^53 and is refused.
+        n, m = 2 ** 15, 63
+        assert 4 * m * n ** 3 < 2 ** 53 <= 4 * (m + 1) * n ** 3
+        rng = np.random.default_rng(23)
+        F = rng.normal(size=(n, m))
+        F[:40] = -10.0 - rng.random((40, m))
+        cfg = UtilityConfig(max_rows=n)
+        cache = DistanceCache()
+        cache.update(F, cfg)
+        cache.keys, cache.outside = np.zeros((n, LIST_LEN)), np.zeros(n)
+        cache.listed = np.zeros((n, LIST_LEN), dtype=np.intp)
+        rows = np.concatenate([np.arange(10), rng.choice(np.arange(40, n), 10, replace=False)])
+        cache._rank(rows)
+        self._check(cache, rows, 5)
+        assert np.all(cache.listed[:10] < 40)
+        wider = np.broadcast_to(0.0, (n, m + 1))
+        with pytest.raises(ValueError, match="2\\^53"):
+            mdcg(wider, cfg)
+
+
 class TestSpread:
     """Each kept code column's 2 s^2 is kept beside it, and equals
     ``2 * var(ddof=1)`` of the column bit for bit."""
