@@ -46,10 +46,6 @@ class EmptySegment(NeatError):
     pass
 
 
-class UnknownToken(NeatError):
-    pass
-
-
 class SequenceTooLong(NeatError):
     pass
 

@@ -35,18 +35,15 @@ from .errors import (
     MissingEOS,
     MissingSOS,
     SequenceTooLong,
-    UnknownToken,
 )
 from .tabular import DataTable
 
 log = logging.getLogger(__name__)
 T = TypeVar("T")
 
-PAD = "<PAD>"
 SOS = "<SOS>"
 EOS = "<EOS>"
 SEP = "<SEP>"
-SPECIALS = (PAD, SOS, EOS, SEP)
 
 MAX_LEN = 128          # whole-sequence token budget
 SEGMENT_CAP = 24       # per-cross token budget
@@ -74,9 +71,9 @@ class Op:
     infix: str
 
 
-# The operator set. Its order fixes op_set_hash(), the Vocabulary ids and the
-# op agent's actions. The guards and _apply_op's VALUE_CAP clamp keep each
-# output finite on finite input.
+# The operator set. Its order fixes op_set_hash() and the op agent's actions.
+# The guards and _apply_op's VALUE_CAP clamp keep each output finite on finite
+# input.
 OPS = {
     "+": Op(2, np.add, "({}+{})"),
     "-": Op(2, np.subtract, "({}-{})"),
@@ -160,54 +157,6 @@ class CrossSequence:
         return cls(tuple(tokens))
 
 
-class Vocabulary:
-    """Dense, stable token-id assignment for a fixed feature count.
-
-    Layout: PAD=0, SOS=1, EOS=2, SEP=3, the operator set in declaration
-    order, then f0..f{d-1}. Persisted with every checkpoint so artifacts
-    trained together always agree on ids.
-    """
-
-    def __init__(self, n_features: int):
-        self.n_features = n_features
-        self._tokens = list(SPECIALS) + list(OP_SYMBOLS) + [
-            feature_token(i) for i in range(n_features)]
-        self._ids = {t: i for i, t in enumerate(self._tokens)}
-
-    @property
-    def size(self) -> int:
-        return len(self._tokens)
-
-    @property
-    def pad_id(self) -> int:
-        return self._ids[PAD]
-
-    @property
-    def sos_id(self) -> int:
-        return self._ids[SOS]
-
-    @property
-    def eos_id(self) -> int:
-        return self._ids[EOS]
-
-    def id_of(self, token: str) -> int:
-        try:
-            return self._ids[token]
-        except KeyError:
-            raise UnknownToken(f"token {token!r} not in vocabulary (d={self.n_features})")
-
-    def token_of(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self._tokens):
-            raise UnknownToken(f"id {token_id} out of range for vocabulary size {self.size}")
-        return self._tokens[token_id]
-
-    def encode(self, tokens: Sequence[str]) -> np.ndarray:
-        return np.array([self.id_of(t) for t in tokens], dtype=np.int64)
-
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        return [self.token_of(int(i)) for i in ids]
-
-
 def op_set_hash() -> str:
     """Short digest of the operator set, stamped into records and checkpoints."""
     return hashlib.sha256("|".join(OP_SYMBOLS).encode()).hexdigest()[:12]
@@ -266,7 +215,8 @@ def parse_sequence(seq: CrossSequence) -> list[FeatureCross]:
     budgets but not the crosses themselves (their walk does that).
 
     Anything after the first EOS is ignored (a decoded sequence ends there,
-    padded with PAD); the budgets count tokens up to and including it.
+    and any padding follows it); the budgets count tokens up to and including
+    it.
 
     Raises:
         MissingSOS, MissingEOS, EmptySegment,

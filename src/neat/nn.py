@@ -1,5 +1,6 @@
 """A small neural substrate: layers with explicit forward/backward (``Dense``,
-``Mlp``, ``LstmCell``), Adam at rate ``ADAM_LR``, seeded Glorot initialization,
+``Mlp``), a squared-error loss and all-pairs cosine similarity with their
+backward passes, Adam at rate ``ADAM_LR``, seeded Glorot initialization,
 finite-difference gradient checks, and the one scaling of what the networks
 read (``scale_input``). Every training module builds on this.
 
@@ -138,43 +139,6 @@ def relu_backward(dout: np.ndarray, gate: np.ndarray) -> np.ndarray:
     return dout * gate
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
-    """Per-position negative log-likelihood of integer targets.
-
-    Returns (nll, cache) where nll has the targets' shape; the backward pass
-    maps upstream weights to dlogits = weight * (softmax - onehot).
-    """
-    probs = softmax(logits)
-    flat_p = probs.reshape(-1, logits.shape[-1])
-    flat_t = np.asarray(targets).reshape(-1)
-    picked = flat_p[np.arange(flat_t.size), flat_t]
-    nll = -np.log(np.maximum(picked, 1e-300)).reshape(np.asarray(targets).shape)
-    return nll, (probs, flat_t)
-
-
-def softmax_cross_entropy_backward(dnll: np.ndarray, cache) -> np.ndarray:
-    probs, flat_t = cache
-    dlogits = probs.copy().reshape(-1, probs.shape[-1])
-    dlogits[np.arange(flat_t.size), flat_t] -= 1.0
-    dlogits *= np.asarray(dnll).reshape(-1, 1)
-    return dlogits.reshape(probs.shape)
-
-
 def mse(pred: np.ndarray, target: np.ndarray):
     """Mean squared error over all elements; backward returns dpred."""
     pred = np.asarray(pred, dtype=np.float64)
@@ -218,58 +182,6 @@ def cosine_matrix_backward(dsims: np.ndarray, cache):
     dA = (dAn - An * np.sum(dAn * An, axis=1, keepdims=True)) / sa[:, None]
     dB = (dBn - Bn * np.sum(dBn * Bn, axis=1, keepdims=True)) / sb[:, None]
     return dA, dB
-
-
-class LstmCell:
-    """Single recurrent cell with input/forget/cell/output gates."""
-
-    def __init__(self, name: str, n_in: int, n_hidden: int, rng: np.random.Generator):
-        self.n_in = n_in
-        self.n_hidden = n_hidden
-        self.Wx = Param(f"{name}.Wx", glorot_uniform((n_in, 4 * n_hidden), rng))
-        self.Wh = Param(f"{name}.Wh", glorot_uniform((n_hidden, 4 * n_hidden), rng))
-        self.b = Param(f"{name}.b", np.zeros(4 * n_hidden))
-
-    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-        """One timestep over a batch: x (B, n_in), h/c (B, n_hidden)."""
-        if x.shape[-1] != self.n_in or h.shape[-1] != self.n_hidden:
-            raise ShapeMismatch(
-                f"{self.Wx.name}: got x {x.shape}, h {h.shape}; cell is "
-                f"{self.n_in}->{self.n_hidden}")
-        H = self.n_hidden
-        gates = x @ self.Wx.value + h @ self.Wh.value + self.b.value
-        i = _sigmoid(gates[..., 0:H])
-        f = _sigmoid(gates[..., H:2 * H])
-        g = np.tanh(gates[..., 2 * H:3 * H])
-        o = _sigmoid(gates[..., 3 * H:4 * H])
-        c2 = f * c + i * g
-        tc2 = np.tanh(c2)
-        h2 = o * tc2
-        return h2, c2, (x, h, c, i, f, g, o, tc2)
-
-    def step_backward(self, dh2: np.ndarray, dc2: np.ndarray, cache):
-        """Backward through one step; returns (dx, dh, dc)."""
-        x, h, c, i, f, g, o, tc2 = cache
-        do = dh2 * tc2
-        dc_total = dc2 + dh2 * o * (1.0 - tc2 * tc2)
-        df = dc_total * c
-        dc = dc_total * f
-        di = dc_total * g
-        dg = dc_total * i
-        dgate_i = di * i * (1.0 - i)
-        dgate_f = df * f * (1.0 - f)
-        dgate_g = dg * (1.0 - g * g)
-        dgate_o = do * o * (1.0 - o)
-        dgates = np.concatenate([dgate_i, dgate_f, dgate_g, dgate_o], axis=-1)
-        self.Wx.grad += x.T @ dgates
-        self.Wh.grad += h.T @ dgates
-        self.b.grad += dgates.sum(axis=0)
-        dx = dgates @ self.Wx.value.T
-        dh = dgates @ self.Wh.value.T
-        return dx, dh, dc
-
-    def params(self) -> list[Param]:
-        return [self.Wx, self.Wh, self.b]
 
 
 class Adam:

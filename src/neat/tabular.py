@@ -36,10 +36,6 @@ class DataTable:
     dropped_rows: int = 0
 
     @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_features(self) -> int:
         return self.values.shape[1]
 
@@ -170,9 +166,8 @@ def sample_indices(n: int, max_rows: int, seed: int) -> np.ndarray:
     return picked
 
 
-def train_test_folds(table: DataTable, folds: int, seed: int
-                     ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Partition rows into ``folds`` cross-validation splits.
+def train_test_folds(n: int, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Partition rows ``0..n-1`` into ``folds`` cross-validation splits.
 
     Every row appears in exactly one test fold; splits are a pure function
     of (n, folds, seed).
@@ -183,7 +178,6 @@ def train_test_folds(table: DataTable, folds: int, seed: int
     """
     if folds < 2:
         raise ValueError(f"folds={folds}: need at least 2 folds")
-    n = table.n_rows
     if n < folds:
         raise TooFewRows(f"cannot split {n} rows into {folds} folds")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

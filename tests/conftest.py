@@ -45,3 +45,13 @@ def rng():
 @pytest.fixture
 def small_table(rng):
     return make_table(rng.normal(size=(40, 5)))
+
+
+def latent_view_table(rows: int, seed: int, noise: float = 0.7) -> np.ndarray:
+    """A ``(rows, 12)`` table of related features: z ~ N(0, I_3), and columns
+    4k..4k+3 are four noisy views z_k + ``noise`` * N(0, 1) of latent k,
+    each z-scored (population statistics, as ``load_csv`` does)."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(rows, 3))
+    X = np.repeat(z, 4, axis=1) + noise * rng.normal(size=(rows, 12))
+    return (X - X.mean(axis=0)) / X.std(axis=0)

@@ -14,7 +14,6 @@ from neat.errors import (
     MissingEOS,
     MissingSOS,
     SequenceTooLong,
-    UnknownToken,
 )
 from neat.expr import (
     EOS,
@@ -25,7 +24,6 @@ from neat.expr import (
     CrossSequence,
     FeatureCross,
     FeatureSet,
-    Vocabulary,
     apply_sequence,
     eval_cross,
     parse_sequence,
@@ -504,7 +502,7 @@ class TestOneWalker:
     # Spellings that feature_token never makes: f, superscript two (int()
     # fails on it); f, Arabic-Indic three and f01 (int() reads columns 3 and
     # 1); f-1; and f with 5000 digits, past int()'s default conversion limit
-    # of 4300. The vocabulary refuses them all.
+    # of 4300. Evaluation and rendering refuse them all.
     @pytest.mark.parametrize("token", ["f\u00b2", "f\u0663", "f01", "f-1",
                                        pytest.param("f" + "1" * 5000, id="f-5000-digits")])
     def test_non_canonical_feature_tokens_are_refused(self, token):
@@ -513,8 +511,6 @@ class TestOneWalker:
             eval_cross(cross("f0", token, "+"), table)
         with pytest.raises(InvalidPostfix):
             render_infix(cross(token), ["a", "b", "c", "d"])
-        with pytest.raises(UnknownToken):
-            Vocabulary(4).id_of(token)
 
     def test_feature_digits_stop_at_the_int_conversion_limit(self, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
@@ -531,8 +527,8 @@ class TestOneWalker:
 
 
 class TestOperatorSet:
-    # Record files and checkpoints carry op_set_hash(), and the Vocabulary ids
-    # and the op agent's action ids follow this order.
+    # Record files and checkpoints carry op_set_hash(), and the op agent's
+    # action ids follow this order.
     def test_order_and_hash(self):
         assert expr.OP_SYMBOLS == ("+", "-", "*", "/", "sin", "cos", "log", "exp",
                                    "sqrt", "square", "reciprocal")
@@ -577,28 +573,6 @@ class TestRenderInfix:
         assert depth[-1] == 0 and depth.min() >= 0
         leaves = [f"[{names[expr.feature_index(t)]}]" for t in c.tokens if expr.is_feature(t)]
         assert re.findall(r"\[[^\]]*\]", text) == leaves
-
-
-class TestVocabulary:
-    def test_dense_stable_layout(self):
-        v = Vocabulary(3)
-        assert v.pad_id == 0 and v.sos_id == 1 and v.eos_id == 2
-        assert v.id_of("<SEP>") == 3
-        assert v.id_of("+") == 4
-        assert v.id_of("f0") == 4 + len(expr.OP_SYMBOLS)
-        assert v.size == 4 + len(expr.OP_SYMBOLS) + 3
-
-    def test_roundtrip_identity(self):
-        v = Vocabulary(4)
-        tokens = ["<SOS>", "f0", "f3", "*", "<SEP>", "f1", "sqrt", "<EOS>", "<PAD>"]
-        assert v.decode(v.encode(tokens)) == tokens
-
-    def test_unknown_token(self):
-        v = Vocabulary(2)
-        with pytest.raises(UnknownToken):
-            v.encode(["f9"])
-        with pytest.raises(UnknownToken):
-            v.token_of(99)
 
 
 class TestCrossSequence:

@@ -9,7 +9,6 @@ from neat.errors import CorruptCheckpoint, ShapeMismatch, VersionMismatch
 from neat.nn import (
     Adam,
     Dense,
-    LstmCell,
     Mlp,
     Param,
     cosine_matrix,
@@ -20,9 +19,6 @@ from neat.nn import (
     mse_backward,
     relu,
     relu_backward,
-    softmax,
-    softmax_cross_entropy,
-    softmax_cross_entropy_backward,
 )
 
 
@@ -193,28 +189,6 @@ class TestActivationsAndLosses:
         assert gate.dtype == np.bool_
         assert relu_backward(dout, gate).tobytes() == (dout * (x > 0.0)).tobytes()
 
-    def test_uniform_logits_give_uniform_probs(self):
-        probs = softmax(np.zeros((2, 7)))
-        assert np.allclose(probs, 1.0 / 7.0)
-
-    def test_cross_entropy_of_uniform(self):
-        logits = np.zeros((3, 5))
-        nll, _ = softmax_cross_entropy(logits, np.array([0, 2, 4]))
-        assert np.allclose(nll, np.log(5.0))
-
-    def test_cross_entropy_gradient(self, rng):
-        lp = Param("logits", rng.normal(size=(4, 6)))
-        targets = np.array([1, 0, 5, 2])
-        weights = rng.normal(size=4)
-
-        def loss_fn():
-            nll, _ = softmax_cross_entropy(lp.value, targets)
-            return float((nll * weights).sum())
-
-        nll, cache = softmax_cross_entropy(lp.value, targets)
-        lp.grad += softmax_cross_entropy_backward(weights, cache)
-        assert grad_check([lp], loss_fn) < 1e-4
-
     def test_mse_values_and_backward(self):
         loss, cache = mse(np.array([1.0, 3.0]), np.array([0.0, 1.0]))
         assert loss == pytest.approx(2.5)
@@ -257,64 +231,6 @@ class TestActivationsAndLosses:
         Ap.grad += dA
         Bp.grad += dB
         assert grad_check([Ap, Bp], loss_fn) < 1e-4
-
-
-class TestLstm:
-    def test_zero_everything_gives_zero_h(self, rng):
-        cell = LstmCell("l", 3, 4, rng)
-        for p in cell.params():
-            p.value[...] = 0.0
-        h2, c2, _ = cell.step(np.zeros((1, 3)), np.zeros((1, 4)), np.zeros((1, 4)))
-        assert np.all(h2 == 0.0)
-        assert np.all(c2 == 0.0)
-
-    def test_deterministic(self, rng):
-        cell = LstmCell("l", 3, 4, rng)
-        x, h, c = rng.normal(size=(2, 3)), rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-        a = cell.step(x, h, c)[0]
-        b = cell.step(x, h, c)[0]
-        assert np.array_equal(a, b)
-
-    def test_shape_mismatch(self, rng):
-        cell = LstmCell("l", 3, 4, rng)
-        with pytest.raises(ShapeMismatch):
-            cell.step(np.zeros((2, 5)), np.zeros((2, 4)), np.zeros((2, 4)))
-
-    def test_gradients_match_finite_differences(self, rng):
-        cell = LstmCell("l", 3, 4, rng)
-        x = rng.normal(size=(2, 3))
-        h = rng.normal(size=(2, 4))
-        c = rng.normal(size=(2, 4))
-        Rh = rng.normal(size=(2, 4))
-        Rc = rng.normal(size=(2, 4))
-
-        def loss_fn():
-            h2, c2, _ = cell.step(x, h, c)
-            return float((h2 * Rh).sum() + (c2 * Rc).sum())
-
-        h2, c2, cache = cell.step(x, h, c)
-        cell.step_backward(Rh, Rc, cache)
-        assert grad_check(cell.params(), loss_fn) < 1e-4
-
-    def test_input_and_state_gradients(self, rng):
-        cell = LstmCell("l", 3, 4, rng)
-        xp = Param("x", rng.normal(size=(2, 3)))
-        hp = Param("h", rng.normal(size=(2, 4)))
-        cp = Param("c", rng.normal(size=(2, 4)))
-        Rh = rng.normal(size=(2, 4))
-
-        def loss_fn():
-            h2, _, _ = cell.step(xp.value, hp.value, cp.value)
-            return float((h2 * Rh).sum())
-
-        h2, _, cache = cell.step(xp.value, hp.value, cp.value)
-        dx, dh, dc = cell.step_backward(Rh, np.zeros((2, 4)), cache)
-        for p in cell.params():
-            p.grad[...] = 0.0
-        xp.grad += dx
-        hp.grad += dh
-        cp.grad += dc
-        assert grad_check([xp, hp, cp], loss_fn) < 1e-4
 
 
 class TestOptimizers:

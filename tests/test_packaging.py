@@ -32,16 +32,9 @@ def test_every_package_data_glob_matches_a_file():
 
 
 # Names defined in src/neat that only tests call, each kept for the ROADMAP
-# item that will give it a caller. An entry that gains one must leave.
+# item that will give it a caller. An entry that gains one must leave, and so
+# must an entry whose definition is gone.
 AWAITING_CALLER = {
-    "Vocabulary": "item 6: the decoder's token ids",
-    "pad_id": "item 6: the decoder's token ids",
-    "sos_id": "item 6: the decoder's token ids",
-    "eos_id": "item 6: the decoder's token ids",
-    "LstmCell": "item 6: the decoder",
-    "step_backward": "item 6: the decoder",
-    "softmax_cross_entropy": "item 6: the decoder's loss",
-    "softmax_cross_entropy_backward": "item 6: the decoder's loss",
     "mse": "item 6: the evaluator's loss",
     "mse_backward": "item 6: the evaluator's loss",
     "render_infix": "item 7: the CLI prints the kept crosses",
@@ -55,10 +48,6 @@ AWAITING_CALLER = {
     "dropped_rows": "item 7: the CLI reports the rows it dropped",
     "episode": "the benchmark builds ExplorationRecord positionally",
     "step": "the benchmark builds ExplorationRecord positionally",
-    # methods named like an attribute of a builtin or ndarray (see SHARED_NAMES)
-    "encode": "item 6: the decoder's token ids",
-    "decode": "item 6: the decoder's token ids",
-    "size": "item 6: the decoder's token ids",
 }
 
 # Attribute names of the types whose methods src/neat calls everywhere. A bare
@@ -143,7 +132,8 @@ def test_every_definition_has_a_caller():
     through a bare name that is loaded, not assigned, or through an
     attribute. An attribute that a method assigns on ``self`` counts as read
     only through an attribute that is loaded. A method named like a
-    builtin's attribute needs its SHARED_NAMES entry."""
+    builtin's attribute needs its SHARED_NAMES entry. An AWAITING_CALLER
+    entry must name one of these definitions."""
     sources = [p for p in sorted((ROOT / "src" / "neat").glob("*.py"))
                if p.name != "__init__.py"]
     bench = [p for p in sorted((ROOT / "bench").glob("*.py")) if p.name != "test_bench.py"]
@@ -182,3 +172,5 @@ def test_every_definition_has_a_caller():
     waiting = sorted(name for name in AWAITING_CALLER if name not in BUILTIN_ATTRIBUTES
                      and name in (field_reads if name in fields else referenced))
     assert waiting == [], f"has a caller now, so leave AWAITING_CALLER: {waiting}"
+    gone = sorted(AWAITING_CALLER.keys() - (defined | fields | constants | stored))
+    assert gone == [], f"defined nowhere, so leave AWAITING_CALLER: {gone}"

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from neat.encoder import encode_many, materialize_graphs
+from neat.tabular import train_test_folds
+from neat.utility import _rank_codes
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -23,26 +25,18 @@ FOLDS = 5
 RIDGE_ALPHA = 1.0      # on standardized embeddings
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    ranks = np.empty(len(x))
-    ranks[np.argsort(x, kind="stable")] = np.arange(len(x))
-    _, tie, size = np.unique(x, return_inverse=True, return_counts=True)
-    return (np.bincount(tie, weights=ranks) / size)[tie]
-
-
 def spearman(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman's rho, ties given their average rank."""
-    return float(np.corrcoef(_average_ranks(a), _average_ranks(b))[0, 1])
+    """Spearman's rho, ties given their average rank: the utility's rank
+    codes are an affine map of average ranks, which leaves rho unchanged."""
+    return float(np.corrcoef(_rank_codes(np.column_stack([a, b])).T)[0, 1])
 
 
 def ridge_probe(H: np.ndarray, y: np.ndarray, seed: int) -> float:
     """Held-out Spearman rho between ``y`` and a ``FOLDS``-fold ridge
     prediction of it from ``H``, each fold standardized on its training rows."""
     H = np.asarray(H, dtype=np.float64)
-    n = len(y)
-    pred = np.empty(n)
-    for test in np.array_split(np.random.default_rng(seed).permutation(n), FOLDS):
-        train = np.setdiff1d(np.arange(n), test)
+    pred = np.empty(len(y))
+    for train, test in train_test_folds(len(y), FOLDS, seed):
         mean, std = H[train].mean(axis=0), H[train].std(axis=0)
         std[std == 0.0] = 1.0
         X, Xt = (H[train] - mean) / std, (H[test] - mean) / std
@@ -76,7 +70,6 @@ def embeddings(inp, model, seed):
 def test_spearman_gives_ties_their_average_rank():
     a = np.array([1.0, 2.0, 2.0, 3.0])
     assert spearman(a, np.array([10.0, 20.0, 20.0, 30.0])) == pytest.approx(1.0)
-    assert np.array_equal(_average_ranks(np.array([5.0, 1.0, 5.0, 0.0])), [2.5, 1.0, 2.5, 0.0])
 
 
 def test_ridge_probe_reads_a_linear_signal_and_not_noise():

@@ -13,8 +13,6 @@ from neat.errors import (
 )
 from neat.tabular import _parse_cell, load_csv, sample_indices, train_test_folds
 
-from conftest import make_table
-
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
@@ -26,7 +24,7 @@ class TestLoadCsv:
     def test_holds_out_target(self, tmp_path):
         path = write(tmp_path, "a,b,y\n1,2,0\n3,4,1\n5,6,0\n")
         table = load_csv(path, "y", "classification")
-        assert table.n_rows == 3
+        assert len(table.values) == 3
         assert table.n_features == 2
         assert table.column_names == ["a", "b"]
         assert table.target.tolist() == [0.0, 1.0, 0.0]
@@ -37,7 +35,7 @@ class TestLoadCsv:
         # NaN, a word, an infinite target and a short row
         path = write(tmp_path, "a,b,y\n1,2,0\n3,nan,1\n5,6,0\n7,8,1\nx,9,0\n2,3,-inf\n4,5\n")
         table = load_csv(path, "y", "classification")
-        assert table.n_rows == 3
+        assert len(table.values) == 3
         assert table.dropped_rows == 4
         assert table.values[:, 0].tolist() == load_csv(
             write(tmp_path, "a,b,y\n1,2,0\n5,6,0\n7,8,1\n", "clean.csv"), "y",
@@ -145,13 +143,13 @@ class TestTake:
 
 
 class TestSampling:
-    def test_small_n_keeps_everything(self, small_table):
-        idx = sample_indices(small_table.n_rows, max_rows=100, seed=3)
+    def test_small_n_keeps_everything(self):
+        idx = sample_indices(40, max_rows=100, seed=3)
         assert idx.tolist() == list(range(40))
 
-    def test_deterministic(self, small_table):
-        a = sample_indices(small_table.n_rows, max_rows=10, seed=1)
-        b = sample_indices(small_table.n_rows, max_rows=10, seed=1)
+    def test_deterministic(self):
+        a = sample_indices(40, max_rows=10, seed=1)
+        b = sample_indices(40, max_rows=10, seed=1)
         assert a.tolist() == b.tolist()
 
     def test_sorted_distinct_in_range(self):
@@ -168,8 +166,8 @@ class TestSampling:
 
 
 class TestFolds:
-    def test_partition(self, small_table):
-        folds = train_test_folds(small_table, folds=5, seed=0)
+    def test_partition(self):
+        folds = train_test_folds(40, folds=5, seed=0)
         assert len(folds) == 5
         all_test = np.concatenate([test for _, test in folds])
         assert sorted(all_test.tolist()) == list(range(40))
@@ -178,20 +176,19 @@ class TestFolds:
             assert set(train.tolist()) | set(test.tolist()) == set(range(40))
             assert not set(train.tolist()) & set(test.tolist())
 
-    def test_deterministic(self, small_table):
-        a = train_test_folds(small_table, folds=5, seed=7)
-        b = train_test_folds(small_table, folds=5, seed=7)
+    def test_deterministic(self):
+        a = train_test_folds(40, folds=5, seed=7)
+        b = train_test_folds(40, folds=5, seed=7)
         for (tr1, te1), (tr2, te2) in zip(a, b):
             assert tr1.tolist() == tr2.tolist()
             assert te1.tolist() == te2.tolist()
 
     def test_too_few_rows(self):
-        table = make_table(np.zeros((3, 2)))
         with pytest.raises(TooFewRows):
-            train_test_folds(table, folds=5, seed=0)
+            train_test_folds(3, folds=5, seed=0)
 
     # 1 fold leaves no training rows; 0 and -1 split nothing
     @pytest.mark.parametrize("folds", [1, 0, -1])
-    def test_fewer_than_two_folds_are_refused(self, small_table, folds):
+    def test_fewer_than_two_folds_are_refused(self, folds):
         with pytest.raises(ValueError, match=rf"folds={folds}\b"):
-            train_test_folds(small_table, folds=folds, seed=0)
+            train_test_folds(40, folds=folds, seed=0)

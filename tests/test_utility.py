@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import clamp_range_table, make_table
+from conftest import clamp_range_table, latent_view_table, make_table
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -936,3 +936,28 @@ class TestEqualWidth:
         # +0.00063 / +0.00131 / +0.00157: a thin margin.
         originals, planted, _, _ = scores[seed]
         assert planted > originals
+
+
+class TestLatentViews:
+    """The utility finds structure where the features are related: on
+    ``latent_view_table``'s four noisy views of each of three latents, a
+    sum of two views of one latent denoises it, and a sum across latents
+    mixes two. Between sets of the originals plus one sum, ``mdcg`` ranks
+    every same-latent sum above every cross-latent sum. On iid tables no
+    label-free score can prefer one cross to another, so no rank is pinned
+    there."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_same_latent_sum_beats_every_cross_latent_sum(self, seed):
+        # Measured at seeds 1-3: a margin of 0.0025 / 0.0028 / 0.0024.
+        X = latent_view_table(1000, seed)
+        base = DistanceCache()        # each wider set grows a copy: the same bits
+        mdcg(X, UtilityConfig(), base)
+        same, cross = [], []
+        for a in range(12):
+            for b in range(a + 1, 12):
+                score = mdcg(np.column_stack([X, X[:, a] + X[:, b]]), UtilityConfig(),
+                             base.copy())
+                (same if a // 4 == b // 4 else cross).append(score)
+        assert len(same) == 18 and len(cross) == 48
+        assert min(same) > max(cross)
