@@ -114,6 +114,14 @@ def _instance_attributes(tree: ast.Module):
                             yield t.attr
 
 
+def _defined_names(tree: ast.Module) -> set[str]:
+    """The names an AWAITING_CALLER entry may wait on: top-level functions
+    and classes, public methods, dataclass fields, module constants and
+    attributes assigned on ``self``."""
+    return ({name for _, name in _definitions(tree)} | {name for name, _ in _fields(tree)}
+            | set(_constants(tree)) | set(_instance_attributes(tree)))
+
+
 def _refers_to(trees, caller: str, name: str) -> bool:
     """Whether the top-level function ``module.function`` uses an attribute ``name``."""
     module, _, function = caller.partition(".")
@@ -172,5 +180,44 @@ def test_every_definition_has_a_caller():
     waiting = sorted(name for name in AWAITING_CALLER if name not in BUILTIN_ATTRIBUTES
                      and name in (field_reads if name in fields else referenced))
     assert waiting == [], f"has a caller now, so leave AWAITING_CALLER: {waiting}"
-    gone = sorted(AWAITING_CALLER.keys() - (defined | fields | constants | stored))
+    gone = sorted(AWAITING_CALLER.keys() - set().union(*(_defined_names(trees[p])
+                                                           for p in sources)))
     assert gone == [], f"defined nowhere, so leave AWAITING_CALLER: {gone}"
+
+
+# One definition of each kind that an AWAITING_CALLER entry may name, beside
+# names that are no definition: a private method, a parameter, an import and
+# a local variable.
+DEFINITION_KINDS = """
+from dataclasses import dataclass
+
+LIMIT = 3
+
+
+def helper(x):
+    total = x + LIMIT
+    return total
+
+
+@dataclass
+class Record:
+    episode: int
+
+
+class Buffer:
+    def push(self, x):
+        self.size = x
+
+    def _private(self):
+        pass
+"""
+
+
+@pytest.mark.parametrize("name", ["LIMIT", "helper", "Record", "episode", "push", "size"])
+def test_each_kind_of_definition_may_await_a_caller(name):
+    assert name in _defined_names(ast.parse(DEFINITION_KINDS))
+
+
+@pytest.mark.parametrize("name", ["_private", "x", "dataclass", "total"])
+def test_a_name_that_is_no_definition_is_reported_gone(name):
+    assert name not in _defined_names(ast.parse(DEFINITION_KINDS))

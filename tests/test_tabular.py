@@ -183,6 +183,21 @@ class TestFolds:
             assert tr1.tolist() == tr2.tolist()
             assert te1.tolist() == te2.tolist()
 
+    # rows that 5 folds do not divide evenly, and one count they do
+    @pytest.mark.parametrize("n", [200, 256, 257])
+    def test_fold_sizes_differ_by_at_most_one(self, n):
+        folds = train_test_folds(n, folds=5, seed=3)
+        sizes = [len(test) for _, test in folds]
+        assert sum(sizes) == n and max(sizes) - min(sizes) <= 1
+        assert sorted(np.concatenate([test for _, test in folds]).tolist()) == list(range(n))
+        for train, test in folds:
+            assert len(train) + len(test) == n
+
+    def test_seed_changes_the_split(self):
+        a = train_test_folds(40, folds=5, seed=0)
+        b = train_test_folds(40, folds=5, seed=1)
+        assert any(te1.tolist() != te2.tolist() for (_, te1), (_, te2) in zip(a, b))
+
     def test_too_few_rows(self):
         with pytest.raises(TooFewRows):
             train_test_folds(3, folds=5, seed=0)
