@@ -27,7 +27,7 @@ from .expr import (
     feature_token,
     op_set_hash,
 )
-from .errors import ConfigHashMismatch, MalformedRecord
+from .errors import ConfigHashMismatch, MalformedRecord, NeatError
 from .tabular import DataTable
 from .utility import DistanceCache, UtilityConfig, mdcg
 
@@ -338,14 +338,16 @@ def _positive(header: dict[str, str], key: str, path: str | Path) -> int:
 
 def read_records(path: str | Path) -> tuple[list[ExplorationRecord], dict[str, str]]:
     """Inverse of ``write_records``; episode and step are recovered from each
-    record's position, since ``collect`` keeps one record per step.
+    record's position, since ``collect`` keeps one record per step. Each
+    distinct sequence text is parsed once, and its records share the result.
 
     Raises:
         ConfigHashMismatch: the header is missing or names another op set.
         MalformedRecord: the header's ``episodes`` or ``steps`` is missing or
             not a positive integer, the file does not hold ``episodes × steps``
-            records, or a record line has no tab or a utility that is not a
-            finite float; the message names the line, if one is at fault.
+            records, or a record line has no tab, a utility that is not a
+            finite float or a sequence that ``CrossSequence.from_text``
+            refuses; the message names the line, if one is at fault.
     """
     lines = Path(path).read_text().splitlines()
     header = dict(kv.split("=", 1) for kv in lines[0].split("\t") if "=" in kv) if lines else {}
@@ -357,15 +359,18 @@ def read_records(path: str | Path) -> tuple[list[ExplorationRecord], dict[str, s
         raise MalformedRecord(f"{path}: {len(lines) - 1} records, but the header's "
                               f"episodes={episodes} and steps={steps} make {episodes * steps}")
     records = []
+    parsed: dict[str, CrossSequence] = {}
     try:
         for i, line in enumerate(lines[1:]):
             utility, text = line.split("\t", 1)
             value = float(utility)
             if not math.isfinite(value):
                 raise ValueError(f"utility {utility!r} is not finite")
+            sequence = parsed.get(text)
+            if sequence is None:
+                sequence = parsed[text] = CrossSequence.from_text(text)
             episode, step = divmod(i, steps)
-            records.append(ExplorationRecord(
-                CrossSequence.from_text(text), value, episode, step))
-    except ValueError as exc:
-        raise MalformedRecord(f"{path}: line {i + 2}: {exc}") from None
+            records.append(ExplorationRecord(sequence, value, episode, step))
+    except (ValueError, NeatError) as exc:
+        raise MalformedRecord(f"{path}: line {i + 2}: {type(exc).__name__}: {exc}") from None
     return records, header

@@ -327,8 +327,9 @@ def materialize_graphs(records, table, rows: RowSample):
     """Build every record's graph, in node-count stacks of increasing node
     count. Returns the stacks and ``order``, an intp array: ``order[i]`` is the
     index in ``records`` of layout row ``i``, increasing within each stack. A
-    record is skipped exactly when it is absent from ``order``: it fails to
-    materialize, or it keeps one column on the sampled rows.
+    record is skipped exactly when it is absent from ``order``: a cross built
+    in code that the walk refuses, a feature past the table's columns, or one
+    column kept on the sampled rows.
 
     Each record's sequence is applied to ``table.take(rows.indices)``, with one
     ``apply_sequence`` memo for all records. Every operator is elementwise, so

@@ -91,5 +91,7 @@ class ConfigHashMismatch(NeatError):
 
 
 class MalformedRecord(NeatError):
-    """A record line of a record file is not ``<utility>\\t<sequence>`` with a
-    finite utility, or its header's ``steps`` is not a positive integer."""
+    """A record file that ``read_records`` refuses: a bad header count, a
+    record count other than ``episodes × steps``, or a line that is not
+    ``<utility>\\t<sequence>`` with a finite utility and a sequence that
+    ``CrossSequence.from_text`` reads."""

@@ -9,17 +9,19 @@ finite table.
 
 A feature set has two forms: its values, a plain ``(n, m)`` float64 array
 that the utility and the graph encoder read, and its crosses, a
-``CrossSequence``. ``_within_budget`` is the one statement of the
-``SEGMENT_CAP`` and ``MAX_LEN`` token budgets, applied by
-``CrossSequence.from_crosses``, ``FeatureSet.fits`` and ``parse_sequence``.
-``FeatureSet`` owns the rule that a column bitwise equal to a kept one is not
-added. ``_walk`` is the one postfix walker: evaluation and rendering are its
-callbacks, so both raise the same ``InvalidPostfix`` errors, and a cross is
-checked only by the walk that uses it.
+``CrossSequence``, which checks the ``SEGMENT_CAP`` and ``MAX_LEN`` token
+budgets (``_within_budget``, also read by ``FeatureSet.fits``) when it is
+constructed. ``CrossSequence.from_text`` is the one parser of a sequence's
+text, and it walks each cross's grammar there; a sequence built in code is
+walked where it is used. ``FeatureSet`` owns the rule that a column bitwise
+equal to a kept one is not added. ``_walk`` is the one postfix walker:
+checking, evaluation and rendering are its callbacks, so all raise the same
+``InvalidPostfix`` errors.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import sys
@@ -114,47 +116,67 @@ def _within_budget(longest: int, length: int) -> bool:
     return longest <= SEGMENT_CAP and length <= MAX_LEN
 
 
-def _over_budget(longest: int, length: int) -> str:
-    return (f"{length} tokens with a {longest}-token cross "
-            f"(MAX_LEN {MAX_LEN}, SEGMENT_CAP {SEGMENT_CAP})")
-
-
 @dataclass(frozen=True)
 class FeatureCross:
     """A postfix program over feature tokens and operators. Its validity is
-    checked by the walk that uses it (``eval_cross``, ``render_infix``)."""
+    checked by the walk that reads it (``from_text``, ``eval_cross``, ``render_infix``)."""
 
     tokens: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class CrossSequence:
-    """A full token sequence: SOS, SEP-separated crosses, EOS."""
+    """A feature set's crosses in order, written ``<SOS> cross (<SEP> cross)*
+    <EOS>``. Constructing one raises ``SequenceTooLong`` if it breaks a token
+    budget, and ``EmptySegment`` if it holds no cross."""
 
-    tokens: tuple[str, ...]
+    crosses: tuple[FeatureCross, ...]
+
+    def __post_init__(self):
+        if not self.crosses:
+            raise EmptySegment("a sequence holds no cross")
+        lengths = [len(cross.tokens) for cross in self.crosses]
+        longest, length = max(lengths), sum(lengths) + len(lengths) + 1
+        if not _within_budget(longest, length):
+            raise SequenceTooLong(f"{length} tokens with a {longest}-token cross "
+                                  f"(MAX_LEN {MAX_LEN}, SEGMENT_CAP {SEGMENT_CAP})")
 
     def text(self) -> str:
-        return " ".join(self.tokens)
-
-    @classmethod
-    def from_text(cls, text: str) -> "CrossSequence":
-        return cls(tuple(text.split()))
+        body = f" {SEP} ".join([" ".join(cross.tokens) for cross in self.crosses])
+        return f"{SOS} {body} {EOS}"
 
     @classmethod
     def from_crosses(cls, crosses: Iterable[FeatureCross]) -> "CrossSequence":
-        """Lay ``crosses`` out as a sequence; raises ``SequenceTooLong`` if it
-        breaks a token budget."""
-        tokens: list[str] = [SOS]
-        longest = 0
-        for i, cross in enumerate(crosses):
-            if i > 0:
-                tokens.append(SEP)
-            tokens.extend(cross.tokens)
-            longest = max(longest, len(cross.tokens))
-        tokens.append(EOS)
-        if not _within_budget(longest, len(tokens)):
-            raise SequenceTooLong(_over_budget(longest, len(tokens)))
-        return cls(tuple(tokens))
+        return cls(tuple(crosses))
+
+    @classmethod
+    def from_text(cls, text: str) -> "CrossSequence":
+        """Parse ``text()``'s form, walking each distinct cross once.
+
+        Raises:
+            MissingSOS, MissingEOS: no ``<SOS>`` first, or no ``<EOS>`` last.
+            EmptySegment, SequenceTooLong: as constructing one does.
+            InvalidPostfix: a cross that is no postfix program; any other
+                ``<SOS>`` or ``<EOS>`` is a stray token in one.
+        """
+        tokens = tuple(text.split())
+        if tokens[:1] != (SOS,):
+            raise MissingSOS("sequence must start with <SOS>")
+        if len(tokens) < 2 or tokens[-1] != EOS:
+            raise MissingEOS("sequence must end with <EOS>")
+        ends = [i for i, token in enumerate(tokens) if token == SEP] + [len(tokens) - 1]
+        segments = [tokens[a + 1:b] for a, b in zip([0] + ends, ends)]
+        if () in segments:
+            raise EmptySegment(f"segment {segments.index(())} is empty")
+        return cls(tuple(map(_read_cross, segments)))
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _read_cross(tokens: tuple[str, ...]) -> FeatureCross:
+    """The cross of ``tokens`` once ``_walk`` with no-op callbacks accepts it;
+    cached, so sequences share each distinct valid cross, walked once."""
+    _walk(tokens, lambda token: None, lambda symbol, *operands: None)
+    return FeatureCross(tokens)
 
 
 def op_set_hash() -> str:
@@ -208,39 +230,6 @@ def eval_cross(cross: FeatureCross, table: DataTable) -> np.ndarray:
         return np.clip(values[:, idx], -VALUE_CAP, VALUE_CAP)
 
     return _walk(cross.tokens, column, _apply_op)
-
-
-def parse_sequence(seq: CrossSequence) -> list[FeatureCross]:
-    """Split a sequence into its crosses, checking the layout and the token
-    budgets but not the crosses themselves (their walk does that).
-
-    Anything after the first EOS is ignored (a decoded sequence ends there,
-    and any padding follows it); the budgets count tokens up to and including
-    it.
-
-    Raises:
-        MissingSOS, MissingEOS, EmptySegment,
-        SequenceTooLong: the sequence breaks a token budget.
-    """
-    tokens = seq.tokens
-    if not tokens or tokens[0] != SOS:
-        raise MissingSOS("sequence must start with <SOS>")
-    if EOS not in tokens:
-        raise MissingEOS("sequence has no <EOS>")
-    end = tokens.index(EOS)
-
-    crosses: list[FeatureCross] = []
-    start = 1
-    for i in range(1, end + 1):
-        if tokens[i] == SEP or i == end:
-            if i == start:
-                raise EmptySegment(f"segment {len(crosses)} is empty")
-            crosses.append(FeatureCross(tokens[start:i]))
-            start = i + 1
-    longest = max(len(cross.tokens) for cross in crosses)
-    if not _within_budget(longest, end + 1):
-        raise SequenceTooLong(_over_budget(longest, end + 1))
-    return crosses
 
 
 class FeatureSet:
@@ -325,9 +314,11 @@ def apply_sequence(seq: CrossSequence, table: DataTable,
     Constant columns are kept.
 
     Raises:
-        the errors of ``parse_sequence`` and of ``eval_cross``.
+        the errors of ``eval_cross``: a cross built in code is walked here
+        first, and a sequence read by ``CrossSequence.from_text`` can still
+        name a feature past ``table``'s columns.
     """
-    crosses = parse_sequence(seq)
+    crosses = seq.crosses
     columns = {} if columns is None else columns
     features = FeatureSet(len(crosses))
     for cross in crosses:

@@ -374,10 +374,16 @@ class TestRecordHeader:
         with pytest.raises(ConfigHashMismatch):
             read_records(path)
 
-    # a line with no tab, a blank line, a utility that is not a float or not finite
+    # a line with no tab, a blank line, a utility that is not a float or not
+    # finite; a 41-token cross, an operator short of operands, a feature token
+    # that int() cannot read and a token after <EOS>
     @pytest.mark.parametrize("bad", ["<SOS> f0 <EOS>", "", "high\t<SOS> f0 <EOS>",
                                      "nan\t<SOS> f0 <EOS>", "inf\t<SOS> f0 <EOS>",
-                                     "-inf\t<SOS> f0 <EOS>"])
+                                     "-inf\t<SOS> f0 <EOS>",
+                                     pytest.param("0.5\t<SOS> f0" + " sin" * 40 + " <EOS>",
+                                                  id="0.5-41-token-cross"),
+                                     "0.5\t<SOS> + <EOS>", "0.5\t<SOS> f0 <SEP> f\u00b2 <EOS>",
+                                     "0.5\t<SOS> f0 <EOS> <PAD>"])
     def test_malformed_record_names_its_line(self, small_table, tmp_path, bad):
         path = self._write(small_table, tmp_path)
         lines = path.read_text().splitlines()
@@ -385,6 +391,22 @@ class TestRecordHeader:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedRecord, match=r"line 5\b"):
             read_records(path)
+
+    def test_each_distinct_sequence_is_parsed_once(self, small_table, tmp_path, monkeypatch):
+        path = self._write(small_table, tmp_path)
+        texts = [line.split("\t", 1)[1] for line in path.read_text().splitlines()[1:]]
+        parsed, from_text = [], CrossSequence.from_text.__func__
+
+        def counted(cls, text):
+            parsed.append(text)
+            return from_text(cls, text)
+
+        monkeypatch.setattr(CrossSequence, "from_text", classmethod(counted))
+        back, _ = read_records(path)
+        assert len(set(texts)) < len(texts) and sorted(parsed) == sorted(set(texts))
+        for rec, text in zip(back, texts):
+            assert rec.sequence.text() == text
+            assert rec.sequence is back[texts.index(text)].sequence
 
     # None: no steps= at all, so no record's episode and step can be recovered
     @pytest.mark.parametrize("steps", ["x", "0", "-2", "", None])

@@ -29,7 +29,13 @@ from neat.encoder import (
     ntxent_loss,
     pretrain,
 )
-from neat.errors import BatchTooSmall, CheckpointMismatch, NeatError, SingleFeature
+from neat.errors import (
+    BatchTooSmall,
+    CheckpointMismatch,
+    MalformedRecord,
+    NeatError,
+    SingleFeature,
+)
 from neat.expr import (
     VALUE_CAP,
     CrossSequence,
@@ -37,7 +43,6 @@ from neat.expr import (
     apply_sequence,
     eval_cross,
     feature_token,
-    parse_sequence,
     random_cross,
 )
 from neat.nn import Adam, Param, cosine_matrix, grad_check
@@ -664,19 +669,18 @@ class TestPretrain:
         with pytest.raises(BatchTooSmall):
             _pretrain(small_table, corpus, epochs=3, batch=1)
 
-    def test_a_record_of_a_non_canonical_feature_token_is_skipped(
+    def test_a_record_of_a_non_canonical_feature_token_is_refused_when_read(
             self, small_table, corpus, tmp_path):
-        # "f" and a superscript two: int() cannot read it, so without the
-        # walk's refusal a bare ValueError would end the run.
+        # "f" and a superscript two: int() cannot read it. read_records walks
+        # each record's crosses, so the file is refused before pretraining.
         path = tmp_path / "records.tsv"
         write_records(path, corpus, small_table.dataset_id, seed=0, episodes=1,
                       steps=len(corpus) + 1)
         with path.open("a", encoding="utf-8") as f:
             f.write("0.5\t<SOS> f0 <SEP> f\u00b2 <EOS>\n")
-        records, _ = read_records(path)
-        assert len(records) == len(corpus) + 1
-        _, result = _pretrain(small_table, records, epochs=1)
-        assert result.skipped_records == 1
+        with pytest.raises(MalformedRecord,
+                           match=rf"line {len(corpus) + 2}\b.*unexpected token 'f\u00b2'"):
+            read_records(path)
 
     def test_a_record_of_a_feature_token_too_long_for_int_is_skipped(
             self, small_table, corpus):
@@ -826,7 +830,7 @@ class TestCrossMemo:
         table = clamp_range_table(5, 50)
         valid = set()
         for rec in records:
-            for c in parse_sequence(rec.sequence):
+            for c in rec.sequence.crosses:
                 try:
                     eval_cross(c, table)
                 except NeatError:

@@ -13,6 +13,7 @@ from neat.errors import (
     InvalidPostfix,
     MissingEOS,
     MissingSOS,
+    NeatError,
     SequenceTooLong,
 )
 from neat.expr import (
@@ -26,7 +27,6 @@ from neat.expr import (
     FeatureSet,
     apply_sequence,
     eval_cross,
-    parse_sequence,
     random_cross,
     render_infix,
 )
@@ -135,18 +135,14 @@ class TestEvalCross:
         assert np.all(np.isfinite(out))
 
 
-def seq(*tokens):
-    return CrossSequence(tuple(tokens))
-
-
-def _unchecked(crosses):
-    """The layout of ``CrossSequence.from_crosses``, built without its budget
-    check."""
+def _text(crosses):
+    """The text of ``CrossSequence.from_crosses(crosses)``, laid out without
+    constructing one, so without its budget check."""
     tokens = [SOS]
     for c in crosses:
         tokens += [*c.tokens, SEP]
     tokens[-1] = EOS
-    return CrossSequence(tuple(tokens))
+    return " ".join(tokens)
 
 
 def _too_long(read, arg) -> bool:
@@ -157,45 +153,61 @@ def _too_long(read, arg) -> bool:
     return False
 
 
-class TestParseSequence:
+class TestFromText:
     def test_two_segments(self):
-        crosses = parse_sequence(seq("<SOS>", "f1", "f2", "+", "<SEP>", "f3", "<EOS>"))
-        assert len(crosses) == 2
-        assert crosses[0].tokens == ("f1", "f2", "+")
-        assert crosses[1].tokens == ("f3",)
+        s = CrossSequence.from_text("<SOS> f1 f2 + <SEP> f3 sin <EOS>")
+        assert s.crosses == (cross("f1", "f2", "+"), cross("f3", "sin"))
 
-    def test_crosses_are_left_to_their_walk(self):
-        crosses = parse_sequence(seq("<SOS>", "+", "<SEP>", "f1", "f2", "<EOS>"))
-        assert crosses == [cross("+"), cross("f1", "f2")]
+    def test_a_cross_is_walked_where_it_is_read(self):
+        # Built in code, the same crosses are left to the walk that uses them.
+        with pytest.raises(InvalidPostfix, match=r"^operator '\+' underflows the stack$"):
+            CrossSequence.from_text("<SOS> + <SEP> f1 f2 <EOS>")
+        built = CrossSequence.from_crosses([cross("+"), cross("f1", "f2")])
+        assert built.crosses == (cross("+"), cross("f1", "f2"))
 
-    def test_missing_sos(self):
+    @pytest.mark.parametrize("text", ["f1 <EOS>", "", "<SEP> f1 <EOS>"])
+    def test_missing_sos(self, text):
         with pytest.raises(MissingSOS):
-            parse_sequence(seq("f1", "<EOS>"))
+            CrossSequence.from_text(text)
 
-    def test_missing_eos(self):
+    @pytest.mark.parametrize("text", ["<SOS> f1", "<SOS>", "<SOS> f0 <EOS> <PAD>"])
+    def test_missing_eos(self, text):
         with pytest.raises(MissingEOS):
-            parse_sequence(seq("<SOS>", "f1"))
+            CrossSequence.from_text(text)
 
-    def test_empty_segment(self):
+    @pytest.mark.parametrize("text", ["<SOS> f1 <SEP> <EOS>", "<SOS> <EOS>",
+                                      "<SOS> <SEP> f1 <EOS>", "<SOS> f1 <SEP> <SEP> f2 <EOS>"])
+    def test_empty_segment(self, text):
         with pytest.raises(EmptySegment):
-            parse_sequence(seq("<SOS>", "f1", "<SEP>", "<EOS>"))
+            CrossSequence.from_text(text)
 
-    def test_pad_after_eos_ignored(self):
-        # Padding past EOS does not count against MAX_LEN either.
-        crosses = parse_sequence(seq("<SOS>", "f0", "<EOS>", *["<PAD>"] * 200))
-        assert len(crosses) == 1
+    def test_a_sequence_of_no_cross_is_refused(self):
+        with pytest.raises(EmptySegment):
+            CrossSequence(())
+        with pytest.raises(EmptySegment):
+            CrossSequence.from_crosses([])
 
-    def test_accepts_serialized_text(self):
-        crosses = parse_sequence(CrossSequence.from_text("<SOS> f1 f2 + <SEP> f3 sin <EOS>"))
-        assert [c.tokens for c in crosses] == [("f1", "f2", "+"), ("f3", "sin")]
+    # Nothing follows the first <EOS>, and <SOS> comes only first: any other
+    # is a stray token inside a cross.
+    @pytest.mark.parametrize("text, token", [
+        ("<SOS> f0 <EOS> <SEP> f1 <EOS>", "<EOS>"),
+        ("<SOS> f0 <EOS> f1 <EOS>", "<EOS>"),
+        ("<SOS> f0 <SOS> <EOS>", "<SOS>"),
+        ("<SOS> <SOS> f0 <EOS>", "<SOS>"),
+    ])
+    def test_a_stray_sos_or_eos_is_refused_by_the_walk(self, text, token):
+        with pytest.raises(InvalidPostfix, match=re.escape(f"unexpected token {token!r}")):
+            CrossSequence.from_text(text)
 
-    @pytest.mark.parametrize("text", [
-        "<SOS> " + " <SEP> ".join(["f0"] * 100) + " <EOS>",    # MAX_LEN is 128
-        "<SOS> f0" + " sin" * 40 + " <EOS>",                   # SEGMENT_CAP is 24
+    @pytest.mark.parametrize("crosses", [
+        [cross("f0")] * 100,                # 201 tokens; MAX_LEN is 128
+        [cross("f0", *["sin"] * 40)],       # 41 tokens; SEGMENT_CAP is 24
     ], ids=["201-token-sequence", "41-token-cross"])
-    def test_token_budgets_enforced(self, text):
+    def test_token_budgets_enforced(self, crosses):
         with pytest.raises(SequenceTooLong):
-            parse_sequence(CrossSequence.from_text(text))
+            CrossSequence.from_text(_text(crosses))
+        with pytest.raises(SequenceTooLong):
+            CrossSequence.from_crosses(crosses)
 
     # Unary chains (feature, length) of up to SEGMENT_CAP + 2 tokens, up to 70
     # of them: both budgets are crossed, and met exactly in the examples.
@@ -209,27 +221,54 @@ class TestParseSequence:
     def test_budgets_agree_with_from_crosses(self, chains):
         crosses = [_chain(feature, length) for feature, length in chains]
         built = not _too_long(CrossSequence.from_crosses, crosses)
-        assert _too_long(parse_sequence, _unchecked(crosses)) != built
+        assert _too_long(CrossSequence.from_text, _text(crosses)) != built
         if built:
-            assert CrossSequence.from_crosses(crosses) == _unchecked(crosses)
+            s = CrossSequence.from_crosses(crosses)
+            assert s == CrossSequence.from_text(_text(crosses)) and s.text() == _text(crosses)
 
-    @given(st.lists(st.sampled_from(
-        ["<SOS>", "<EOS>", "<SEP>", "<PAD>", "f0", "f1", "+", "sin", "/"]),
-        max_size=12))
+    # Random crosses after a chain of ``chain`` tokens (none at 0), kept while
+    # the sequence stays within its budgets. The examples land on SEGMENT_CAP
+    # and on MAX_LEN exactly.
+    @given(seed=st.integers(0, 2**32 - 1),
+           depths=st.lists(st.integers(1, 5), min_size=1, max_size=40),
+           chain=st.integers(0, SEGMENT_CAP))
+    @example(seed=0, depths=[1] * 62, chain=2)
+    @example(seed=0, depths=[1], chain=SEGMENT_CAP)
+    @settings(max_examples=150, deadline=None)
+    def test_text_round_trips(self, seed, depths, chain):
+        rng = np.random.default_rng(seed)
+        kept = [_chain(0, chain)] if chain else []
+        for depth in depths:
+            c = random_cross(5, depth, rng)
+            if not _too_long(CrossSequence.from_crosses, kept + [c]):
+                kept.append(c)
+        s = CrossSequence.from_crosses(kept)
+        assert CrossSequence.from_text(s.text()) == s
+        assert s.crosses == tuple(kept)
+
+    def test_the_round_trip_examples_meet_the_budgets(self):
+        at_max_len = CrossSequence.from_crosses([_chain(0, 2)] + [cross("f0")] * 62)
+        assert len(at_max_len.text().split()) == MAX_LEN
+        at_cap = CrossSequence.from_crosses([_chain(0, SEGMENT_CAP), cross("f0")])
+        assert max(len(c.tokens) for c in at_cap.crosses) == SEGMENT_CAP
+
+    @given(st.booleans(), st.lists(st.one_of(
+        st.sampled_from([SOS, EOS, SEP, "<PAD>", "+", "sin", "/"]),
+        st.integers(0, 9).map(expr.feature_token)), max_size=12))
+    @example(True, ["f0", "f7", "+", SEP, "f3", "sin"])
+    @example(True, ["f0", EOS, "f1"])
     @settings(max_examples=300, deadline=None)
-    def test_never_crashes_on_token_soup(self, tokens):
-        # Any input either materializes or raises one of the declared errors:
-        # a layout error from parse_sequence, InvalidPostfix from the walk.
+    def test_token_soup_is_refused_or_applies(self, framed, tokens):
+        # Framed soups start with <SOS> and end with <EOS>, so many parse.
+        text = " ".join([SOS, *tokens, EOS] if framed else tokens)
         try:
-            crosses = parse_sequence(seq(*tokens))
-        except (MissingSOS, MissingEOS, EmptySegment):
+            s = CrossSequence.from_text(text)
+        except NeatError:
             return
-        assert crosses
-        try:
-            F = apply_sequence(seq(*tokens), make_table(np.eye(2)))
-        except InvalidPostfix:
-            return
-        assert 1 <= F.shape[1] <= len(crosses)
+        width = 1 + max(expr.feature_index(t) for c in s.crosses for t in c.tokens
+                        if expr.is_feature(t))
+        F = apply_sequence(s, make_table(np.eye(width)))
+        assert 1 <= F.shape[1] <= len(s.crosses)
 
 
 class TestApplySequence:
@@ -301,22 +340,23 @@ class TestApplySequence:
     def test_a_raising_sequence_leaves_correct_memo_entries(self, small_table, bad):
         memo = {}
         with pytest.raises((FeatureIndexOutOfRange, InvalidPostfix)):
-            apply_sequence(seq("<SOS>", "f0", "f1", "+", "<SEP>", *bad.split(),
-                               "<SEP>", "f2", "sin", "<EOS>"), small_table, memo)
+            apply_sequence(CrossSequence.from_crosses(
+                [cross("f0", "f1", "+"), cross(*bad.split()), cross("f2", "sin")]),
+                small_table, memo)
         assert list(memo) == [cross("f0", "f1", "+")]
         assert memo[cross("f0", "f1", "+")].tobytes() == \
             eval_cross(cross("f0", "f1", "+"), small_table).tobytes()
-        again = seq("<SOS>", "f2", "sin", "<SEP>", "f0", "f1", "+", "<EOS>")
+        again = CrossSequence.from_text("<SOS> f2 sin <SEP> f0 f1 + <EOS>")
         assert apply_sequence(again, small_table, memo).tobytes() == \
             apply_sequence(again, small_table).tobytes()
 
     def test_underflow_invalid(self, small_table):
         with pytest.raises(InvalidPostfix, match=r"^operator '\+' underflows the stack$"):
-            apply_sequence(CrossSequence.from_text("<SOS> + <EOS>"), small_table)
+            apply_sequence(CrossSequence.from_crosses([cross("+")]), small_table)
 
     def test_leftovers_invalid(self, small_table):
         with pytest.raises(InvalidPostfix, match=r"^2 operands left on the stack$"):
-            apply_sequence(CrossSequence.from_text("<SOS> f1 f2 <EOS>"), small_table)
+            apply_sequence(CrossSequence.from_crosses([cross("f1", "f2")]), small_table)
 
 
 class TestSampledRows:
@@ -363,11 +403,11 @@ def _candidates(move, rng):
 
 def _offer(features, c, table):
     """Add ``c`` as a budget-respecting caller would, checking both rules
-    against their definitions: ``from_crosses`` and ``parse_sequence`` for
-    the budgets, the bytes of the set's own matrix for duplicates."""
+    against their definitions: ``from_crosses`` and ``from_text`` for the
+    budgets, the bytes of the set's own matrix for duplicates."""
     crosses = features.provenance + [c]
     accepted = not _too_long(CrossSequence.from_crosses, crosses)
-    assert _too_long(parse_sequence, _unchecked(crosses)) != accepted
+    assert _too_long(CrossSequence.from_text, _text(crosses)) != accepted
     assert features.fits(c) == accepted
     if accepted:
         col = eval_cross(c, table)
@@ -402,7 +442,8 @@ class TestFeatureSet:
                     _offer(features, _chain(feature, length), table)
         for features in sets:
             sequence = features.sequence()
-            assert parse_sequence(sequence) == features.provenance
+            assert list(sequence.crosses) == features.provenance
+            assert CrossSequence.from_text(sequence.text()) == sequence
             assert np.array_equal(apply_sequence(sequence, table), features.matrix())
 
 
@@ -489,11 +530,14 @@ class TestOneWalker:
         with pytest.raises(InvalidPostfix) as rendered:
             render_infix(c, ["a", "b"])
         assert str(rendered.value) == str(evaluated.value)
-        if SEP in c.tokens:     # a <SEP> in a sequence ends the cross instead
-            return
         with pytest.raises(InvalidPostfix) as applied:
-            apply_sequence(CrossSequence.from_text(f"<SOS> f1 <SEP> {program} <EOS>"), table)
+            apply_sequence(CrossSequence.from_crosses([cross("f1"), c]), table)
         assert str(applied.value) == str(evaluated.value)
+        if SEP in c.tokens:     # a <SEP> in a sequence's text ends the cross instead
+            return
+        with pytest.raises(InvalidPostfix) as read:
+            CrossSequence.from_text(f"<SOS> f1 <SEP> {program} <EOS>")
+        assert str(read.value) == str(evaluated.value)
 
     def test_render_refuses_a_feature_past_its_names(self):
         with pytest.raises(FeatureIndexOutOfRange):
@@ -582,7 +626,7 @@ class TestCrossSequence:
 
     def test_from_crosses_layout(self):
         seq = CrossSequence.from_crosses([cross("f0"), cross("f1", "sin")])
-        assert seq.tokens == ("<SOS>", "f0", "<SEP>", "f1", "sin", "<EOS>")
+        assert seq.text() == "<SOS> f0 <SEP> f1 sin <EOS>"
 
     def test_token_budget_enforced(self):
         many = [cross("f0")] * 70
@@ -611,4 +655,4 @@ class TestRandomCross:
         for _ in range(1000):
             c = random_cross(6, depth_limit=4, rng=rng)
             seq = CrossSequence.from_crosses([c])
-            assert parse_sequence(seq)[0] == c
+            assert CrossSequence.from_text(seq.text()).crosses == (c,)
