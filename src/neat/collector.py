@@ -220,13 +220,17 @@ def _compose_cross(features: FeatureSet, head: int, symbol: str,
     return FeatureCross(tuple(tokens))
 
 
-def _advance(features: FeatureSet, cross: FeatureCross, table: DataTable) -> bool:
+def _advance(features: FeatureSet, cross: FeatureCross, table: DataTable,
+             distances: DistanceCache) -> bool:
     """Try to add a cross; a no-op (False, set unchanged) when the set does
     not fit it (``FeatureSet.fits``: no room, or a token budget overflows) or
-    the column is a bitwise duplicate. A cross that does not fit is not evaluated."""
+    the utility would drop its column (``distances.drops``: its rank codes
+    equal a kept column's, bitwise duplicates included). ``distances`` holds
+    the set as last scored. A cross that does not fit is not evaluated."""
     if not features.fits(cross):
         return False
-    return features.add(cross, eval_cross(cross, table))
+    column = eval_cross(cross, table)
+    return not distances.drops(column) and features.add(cross, column)
 
 
 def _score(features: FeatureSet, distances: DistanceCache, col_stats: np.ndarray,
@@ -255,7 +259,13 @@ def collect(X: DataTable, episodes: int, steps: int,
     on a no-op step), and each agent whose buffer holds
     ``BATCH_SIZE`` rows takes one TD update. Epsilon decays linearly from
     ``EPSILON_START`` to ``EPSILON_END`` over the first ``EPSILON_FRACTION``
-    of the episodes. A set's capacity is twice the table's feature count."""
+    of the episodes. A set's capacity is twice the table's feature count.
+
+    A step adds its cross's column only if the utility keeps it
+    (``_advance``), so every added column of a record earns a term of its
+    utility. The table's own columns start every set as given, even one that
+    ranks as another does (``x`` beside ``2x + 1``): the utility scores one
+    of them, and a cross whose column ranks as either is refused."""
     cfg = cfg or CollectorConfig()
     max_features = 2 * X.n_features
     seeds = rng.integers(np.iinfo(np.int64).max, size=3)
@@ -289,7 +299,7 @@ def collect(X: DataTable, episodes: int, steps: int,
                     if OPS[symbol].arity == 2 else None)
             cross = _compose_cross(features, head, symbol, tail)
             next_state, gain = state, 0.0       # a no-op step leaves the set as it was
-            if _advance(features, cross, X):
+            if _advance(features, cross, X, distances):
                 score, next_state, col_stats = _score(
                     features, distances, col_stats, cfg.utility)
                 gain, utility = score - utility, score
@@ -316,11 +326,16 @@ def write_records(path: str | Path, records: Sequence[ExplorationRecord],
                   dataset_id: str, seed: int, episodes: int, steps: int) -> None:
     """Line-delimited record file: a key=value header, then
     ``<utility repr>\\t<serialized sequence>`` per record. Byte-deterministic
-    for a given record list."""
+    for a given record list. The records of no-op steps share their
+    sequence object, so each object is rendered once."""
     lines = [f"dataset_id={dataset_id}\topset={op_set_hash()}\tseed={seed}"
              f"\tepisodes={episodes}\tsteps={steps}"]
+    texts: dict[int, str] = {}     # id of a sequence the records hold -> its text
     for rec in records:
-        lines.append(f"{float(rec.utility)!r}\t{rec.sequence.text()}")
+        text = texts.get(id(rec.sequence))
+        if text is None:
+            text = texts[id(rec.sequence)] = rec.sequence.text()
+        lines.append(f"{float(rec.utility)!r}\t{text}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -13,8 +13,10 @@ that the utility and the graph encoder read, and its crosses, a
 budgets (``_within_budget``, also read by ``FeatureSet.fits``) when it is
 constructed. ``CrossSequence.from_text`` is the one parser of a sequence's
 text, and it walks each cross's grammar there; a sequence built in code is
-walked where it is used. ``FeatureSet`` owns the rule that a column bitwise
-equal to a kept one is not added. ``_walk`` is the one postfix walker:
+walked where it is used. A collected set adds no column that ranks as a
+kept one does: that rule is the utility's (``utility.DistanceCache.drops``).
+``FeatureSet`` keeps only the bitwise rule beneath it, for the columns the
+utility's rule does not decide. ``_walk`` is the one postfix walker:
 checking, evaluation and rendering are its callbacks, so all raise the same
 ``InvalidPostfix`` errors.
 """
@@ -241,6 +243,15 @@ class FeatureSet:
     (first occurrence wins), and ``fits`` says whether the set has room for
     one more cross that keeps the sequence inside ``SEGMENT_CAP`` and
     ``MAX_LEN``. ``add`` does not check ``fits``, so a caller asks first.
+
+    A cross that ``collect`` adds must pass the utility's stricter rule
+    first (``utility.DistanceCache.drops``: its column ranks as no kept
+    one), which also refuses every bitwise duplicate. The bitwise rule
+    remains for what that rule does not decide: the table's own columns,
+    which start every set as given, and ``apply_sequence``'s replay of a
+    sequence on any rows. A sequence built in code (``random_cross``), or a
+    record replayed on the encoder's row sample, can hold columns equal
+    there, and dropping them defines the nodes of ``materialize_graphs``.
 
     Columns live in one ``(n, capacity)`` float64 array, allocated at the
     first ``add`` (or by ``copy``) and never grown: ``capacity`` is the

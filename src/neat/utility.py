@@ -16,6 +16,10 @@ rows (at most ``max_rows``):
 2. A scaled column equal to a kept one is dropped. That covers a bitwise
    duplicate and any order-keeping re-encoding (``2x + 1``, ``exp(x)``):
    they carry nothing new, and kept they would count one column twice.
+   This is the one duplicate rule of a collected set: ``DistanceCache.drops``
+   asks it of a column before it is appended, and ``collect`` refuses a
+   cross whose column would be dropped, so a recorded set's added columns
+   each earn a term.
 3. Row j's k nearest other rows, by the squared distance d^2 over the kept
    columns, are ordered by (d^2, row index). The neighbour of rank
    r = 1..k weighs 1 / log2(1 + r), normalised to sum to 1: the discount of
@@ -212,6 +216,12 @@ class DistanceCache:
                 diff *= n
                 self.keys += diff
         return self.columns
+
+    def drops(self, column: np.ndarray) -> bool:
+        """Whether ``update`` on the cached set with ``column`` appended
+        would drop it: its rank codes on the cached row subsample equal a
+        kept column's, so it would earn no term and leave the score as it is."""
+        return _rank_codes(column[self.rows, None]).tobytes() in self.seen
 
     def neighbours(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Each row's k nearest rows, ordered by (d^2, row index), for the

@@ -34,7 +34,7 @@ from neat.expr import (
     feature_token,
     random_cross,
 )
-from neat.utility import DistanceCache, UtilityConfig, mdcg
+from neat.utility import DistanceCache, UtilityConfig, feature_importance, mdcg
 
 
 @pytest.fixture
@@ -246,6 +246,23 @@ class TestCollect:
             assert repr(b.utility) == repr(a.utility)
             assert (b.episode, b.step) == (a.episode, a.step)
 
+    def test_each_sequence_object_is_rendered_once(self, small_table, tmp_path, monkeypatch):
+        records = collect(small_table, episodes=3, steps=8, rng=np.random.default_rng(11))
+        objects = {id(rec.sequence) for rec in records}
+        assert len(objects) < len(records)          # no-op steps share a sequence
+        text, rendered = CrossSequence.text, []
+
+        def counted_text(sequence):
+            rendered.append(sequence)
+            return text(sequence)
+
+        monkeypatch.setattr(CrossSequence, "text", counted_text)
+        path = tmp_path / "records.tsv"
+        write_records(path, records, small_table.dataset_id, seed=11, episodes=3, steps=8)
+        assert len(rendered) == len(objects)
+        assert path.read_text().splitlines()[1:] == [
+            f"{rec.utility!r}\t{text(rec.sequence)}" for rec in records]
+
     def test_a_numpy_utility_round_trips(self, tmp_path):
         # repr(np.float64(0.5)) is "np.float64(0.5)" under NumPy 2
         seq = CrossSequence.from_text("<SOS> f0 <EOS>")
@@ -275,8 +292,8 @@ class TestAgentProtocol:
             events.append(("select", agents[id(agent)], state, action))
             return action
 
-        def recorded_advance(features, cross, table):
-            added = advance(features, cross, table)
+        def recorded_advance(features, cross, table, distances):
+            added = advance(features, cross, table, distances)
             events.append(("advance", added, features.n_features, cross))
             return added
 
@@ -734,10 +751,17 @@ class TestActions:
             assert features.add(_cross(text), eval_cross(_cross(text), table))
         return features
 
-    @pytest.mark.parametrize("case", ["cap", "budget", "duplicate"])
+    def _scored(self, features):
+        # The cache of the set as last scored, as collect holds it.
+        distances = DistanceCache()
+        mdcg(features.matrix(), CollectorConfig().utility, distances)
+        return distances
+
+    @pytest.mark.parametrize("case", ["cap", "budget", "duplicate", "rank"])
     def test_advance_refusals_leave_the_set(self, small_table, monkeypatch, case):
         crosses, cross = ["f0", "f1", "f0 f1 +"], _cross("f2 f3 *")
         features = self._features(small_table, crosses, room=0 if case == "cap" else 1)
+        distances = self._scored(features)
         if case == "cap":
             assert not features.fits(cross)
         elif case == "budget":
@@ -748,10 +772,13 @@ class TestActions:
                 raise AssertionError("an over-budget cross was evaluated")
 
             monkeypatch.setattr(collector, "eval_cross", refused)
-        else:
+        elif case == "duplicate":
             cross = _cross("f1 f0 +")                       # bitwise equal to f0 f1 +
+        else:
+            cross = _cross("f0 f0 +")                       # ranks as f0 does
+            assert features.copy().add(cross, eval_cross(cross, small_table))
         provenance, matrix = list(features.provenance), features.matrix()
-        assert _advance(features, cross, small_table) is False
+        assert _advance(features, cross, small_table, distances) is False
         assert features.provenance == provenance
         assert np.array_equal(features.matrix(), matrix)
 
@@ -759,7 +786,88 @@ class TestActions:
         features = self._features(small_table, ["f0", "f1"])
         matrix = features.matrix()
         cross = _cross("f2 f3 *")
-        assert _advance(features, cross, small_table) is True
+        assert _advance(features, cross, small_table, self._scored(features)) is True
         assert features.provenance == [_cross("f0"), _cross("f1"), cross]
         assert np.array_equal(features.matrix(),
                               np.column_stack([matrix, eval_cross(cross, small_table)]))
+
+
+@pytest.mark.usefixtures("small_agents")
+class TestDuplicateRule:
+    """A set grows only by columns that the utility keeps: a cross whose
+    column ranks as a kept one does on the utility's row subsample is
+    refused, like a cross that does not fit."""
+
+    def _collect(self, table, cfg, monkeypatch, episodes, steps, seed):
+        # Each step's cross, whether it fit, whether its column is a bitwise
+        # duplicate of a kept one, whether it was added, and its rewards.
+        steps_seen, advance, push = [], collector._advance, ReplayBuffer.push
+
+        def recorded_advance(features, cross, table, distances):
+            fits = features.fits(cross)
+            full = features.n_features == 2 * table.n_features
+            bitwise = fits and any(np.array_equal(eval_cross(cross, table), kept)
+                                   for kept in features.matrix().T)
+            added = advance(features, cross, table, distances)
+            steps_seen.append(dict(cross=cross, fits=fits, full=full, bitwise=bitwise,
+                                   added=added, rewards=[]))
+            return added
+
+        def recorded_push(buffer, state, action, reward, *rest):
+            steps_seen[-1]["rewards"].append(reward)
+            push(buffer, state, action, reward, *rest)
+
+        monkeypatch.setattr(collector, "_advance", recorded_advance)
+        monkeypatch.setattr(ReplayBuffer, "push", recorded_push)
+        records = collect(table, episodes, steps, cfg, rng=np.random.default_rng(seed))
+        assert len(steps_seen) == len(records)
+        return records, steps_seen
+
+    # A tall table scored on a 50-row subsample, and a wide one whose sets
+    # reach the MAX_LEN token budget before their capacity.
+    @pytest.mark.parametrize("shape,max_rows,episodes,steps", [
+        ((120, 4), 50, 4, 12), ((30, 40), 1000, 2, 24)], ids=["tall", "wide"])
+    def test_every_added_column_earns_a_term(self, monkeypatch, shape, max_rows,
+                                             episodes, steps):
+        table = make_table(np.random.default_rng(4).normal(size=shape))
+        cfg = CollectorConfig(utility=UtilityConfig(max_rows=max_rows))
+        records, steps_seen = self._collect(table, cfg, monkeypatch, episodes, steps, 1)
+        originals = CrossSequence.from_crosses(
+            [FeatureCross((feature_token(i),)) for i in range(table.n_features)])
+        for i, (rec, seen) in enumerate(zip(records, steps_seen)):
+            if not seen["added"]:
+                before = records[i - 1].sequence if rec.step else originals
+                assert rec.sequence is before or rec.step == 0 and rec.sequence == before
+                assert set(seen["rewards"]) == {0.0}
+        refused = [seen for seen in steps_seen if not seen["added"]]
+        # Refused by the utility's rule alone: the column fit and was no
+        # bitwise duplicate.
+        assert any(seen["fits"] and not seen["bitwise"] for seen in refused)
+        if shape == (30, 40):
+            assert any(not seen["fits"] and not seen["full"] for seen in refused)
+        d = table.n_features
+        for sequence in {id(rec.sequence): rec.sequence for rec in records}.values():
+            F = apply_sequence(sequence, table)
+            assert F.shape[1] == len(sequence.crosses)
+            assert (len(feature_importance(F, cfg.utility))
+                    == len(feature_importance(F[:, :d], cfg.utility)) + F.shape[1] - d)
+
+    def test_the_table_columns_are_kept_as_given(self, monkeypatch):
+        # x and 2x + 1 rank alike: the utility scores one of them, yet every
+        # set starts from both, and a cross that ranks as either is refused.
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=40)
+        table = make_table(np.column_stack([x, 2.0 * x + 1.0, rng.normal(size=(40, 2))]))
+        dense = np.unique(x, return_inverse=True)[1]
+        assert np.array_equal(np.unique(table.values[:, 1], return_inverse=True)[1], dense)
+        cfg = CollectorConfig()
+        records, steps_seen = self._collect(table, cfg, monkeypatch, 5, 8, 1)
+        d = table.n_features
+        originals = [FeatureCross((feature_token(i),)) for i in range(d)]
+        for rec in records:
+            assert list(rec.sequence.crosses[:d]) == originals
+            F = apply_sequence(rec.sequence, table)
+            assert len(feature_importance(F, cfg.utility)) == F.shape[1] - 1
+        ranks_as_x = [seen for seen in steps_seen if seen["fits"] and np.array_equal(
+            np.unique(eval_cross(seen["cross"], table), return_inverse=True)[1], dense)]
+        assert ranks_as_x and not any(seen["added"] for seen in ranks_as_x)

@@ -15,10 +15,10 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 SEED_1_HASHES = {
     "collect-tall": {
-        "records_sha256": "1db185c2d3bfc8b0798c4bfb86519657aaffb7106cd65c15dc0b5a91f58c39ff",
+        "records_sha256": "5974f74d44a8f8ebea56abd657752bbddd2a80b8a3681feca5ffc5198e665c14",
     },
     "collect-wide": {
-        "records_sha256": "0f16e947b1dbe6c711e62541c853982095776322e7d192a05310422d5e9d4543",
+        "records_sha256": "9770f75a4f9a8df9260636d7fb1c966932dc62b3011da32bad280e17d11899ce",
     },
     "pretrain": {
         "loss_log_sha256": "1c65f6c8a1a8d1793e79d4694b70de01cc2fc01f956f5ac3a2e94ed25752602e",

@@ -288,6 +288,46 @@ class TestDistanceCache:
         changed[:, 1] *= 3.0                  # same width, an earlier column differs
         assert mdcg(changed, cfg, cache) == mdcg(changed, cfg)
 
+    # (rows, max_rows): the full-row path, then the subsample path
+    @pytest.mark.parametrize("rows,max_rows", [(20, 1000), (36, 20)])
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), constant=st.booleans(),
+           kind=st.sampled_from(["copy", "x + x", "exp(x)", "constant", "ties",
+                                 "copy on the subsample", "fresh"]))
+    @settings(max_examples=60, deadline=None)
+    def test_drops_agrees_with_update(self, rows, max_rows, seed, m, constant, kind):
+        rng = np.random.default_rng(seed)
+        cfg = UtilityConfig(k_neighbors=3, max_rows=max_rows)
+        F = rng.normal(size=(rows, m))
+        if constant:
+            F[:, -1] = 1.5
+        x = F[:, int(rng.integers(m))]
+        cache = DistanceCache()
+        cache.update(F, cfg)
+        if kind == "copy":
+            c = x.copy()
+        elif kind == "x + x":
+            c = x + x
+        elif kind == "exp(x)":
+            c = np.exp(x)
+        elif kind == "constant":
+            c = np.full(rows, -4.0)
+        elif kind == "ties":
+            c = np.round(x)
+        elif kind == "copy on the subsample":   # differs only off the subsampled rows
+            c = rng.normal(size=rows)
+            c[cache.rows] = x[cache.rows]
+        else:
+            c = rng.normal(size=rows)
+        dropped = cache.drops(c)
+        kept = cache.columns.shape[1]
+        grown = np.column_stack([F, c])
+        assert dropped == (cache.copy().update(grown, cfg).shape[1] == kept)
+        if dropped:
+            assert mdcg(grown, cfg) == mdcg(F, cfg)
+        if kind in ("copy", "x + x", "exp(x)", "copy on the subsample") or (
+                kind == "constant" and constant):
+            assert dropped
+
     def test_other_row_count_or_seed_rebuilds(self):
         F = np.random.default_rng(9).normal(size=(300, 4))
         cache = DistanceCache()
