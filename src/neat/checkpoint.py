@@ -23,7 +23,13 @@ VERSION = 1
 
 def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
                     metadata: dict[str, str]) -> None:
-    """Write parameters and metadata; dict order is preserved on disk."""
+    """Write parameters and metadata; dict order is preserved on disk.
+
+    The path is unlinked, then created anew, as ``collector.write_records``
+    does, so rewriting a checkpoint does not wait for the old file's
+    writeback. A hard link to the old file, or a reader that holds it open,
+    keeps the old contents, and a symlink at the path is replaced by the
+    file."""
     out = bytearray()
     out += MAGIC
     out += struct.pack("<I", VERSION)
@@ -43,7 +49,9 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray],
         for dim in arr.shape:
             out += struct.pack("<Q", dim)
         out += arr.astype("<f8", copy=False).tobytes(order="C")
-    Path(path).write_bytes(bytes(out))
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_bytes(bytes(out))
 
 
 class _Reader:

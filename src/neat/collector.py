@@ -4,12 +4,19 @@ step's gain in the label-free utility of the set.
 
 Each record pairs a full token sequence with the utility of the set it
 materializes, forming the training corpus for the encoder/decoder stages.
+
+Every episode starts from the table's own columns, scored once per table
+and utility config: ``collect`` keeps that base in a module-level
+``weakref.WeakKeyDictionary`` keyed by the ``DataTable``, so later calls on
+the same live table copy it instead of scoring it again, and the entry dies
+with the table.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -243,6 +250,46 @@ def _score(features: FeatureSet, distances: DistanceCache, col_stats: np.ndarray
     return mdcg(v, utility, distances), state, col_stats
 
 
+@dataclass(frozen=True)
+class _Base:
+    """A table's own columns as every episode starts them: the set, its
+    scored ``DistanceCache``, and its utility, state, column statistics and
+    sequence. An episode copies ``features`` and ``distances``, and nothing
+    here is ever written, so one base serves every ``collect`` call on its
+    table. It holds copies of the table's values, never the table."""
+
+    features: FeatureSet
+    distances: DistanceCache
+    utility: float
+    state: np.ndarray
+    col_stats: np.ndarray
+    sequence: CrossSequence
+
+
+# The bases of each live table, one per utility config (see ``collect``).
+_BASES: weakref.WeakKeyDictionary[DataTable, dict[UtilityConfig, _Base]] = (
+    weakref.WeakKeyDictionary())
+
+
+def _base(X: DataTable, utility: UtilityConfig) -> _Base:
+    """The base of ``X`` under ``utility``: from ``_BASES``, or scored and
+    kept there."""
+    bases = _BASES.get(X, {})
+    base = bases.get(utility)
+    if base is None:
+        features = FeatureSet(2 * X.n_features)
+        for i in range(X.n_features):
+            cross = FeatureCross((feature_token(i),))
+            features.add(cross, eval_cross(cross, X))
+        distances = DistanceCache()
+        score, state, col_stats = _score(features, distances, np.empty((7, 0)), utility)
+        state.setflags(write=False)
+        base = bases[utility] = _Base(features, distances, score, state, col_stats,
+                                      features.sequence())
+        _BASES[X] = bases
+    return base
+
+
 def _epsilon(episode: int, episodes: int) -> float:
     frac = min(1.0, episode / (EPSILON_FRACTION * episodes))
     return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
@@ -265,7 +312,14 @@ def collect(X: DataTable, episodes: int, steps: int,
     (``_advance``), so every added column of a record earns a term of its
     utility. The table's own columns start every set as given, even one that
     ranks as another does (``x`` beside ``2x + 1``): the utility scores one
-    of them, and a cross whose column ranks as either is refused."""
+    of them, and a cross whose column ranks as either is refused.
+
+    The table's own columns are scored once per table and utility config,
+    by the first call on that table (``_base``); later calls copy that base
+    as each episode does. The base is a function of the table's values and
+    ``cfg.utility`` alone, which do not change while the table lives, and
+    scoring draws nothing from ``rng``, so a call's records are bit-identical
+    to those of the same call on a fresh copy of the table."""
     cfg = cfg or CollectorConfig()
     max_features = 2 * X.n_features
     seeds = rng.integers(np.iinfo(np.int64).max, size=3)
@@ -276,20 +330,12 @@ def collect(X: DataTable, episodes: int, steps: int,
         for name, n_actions, seed in zip(("head", "op", "tail"),
                                          (max_features, len(OP_SYMBOLS), max_features), seeds)]
     records: list[ExplorationRecord] = []
-    base = FeatureSet(max_features)         # every episode starts from the table's columns
-    for i in range(X.n_features):
-        cross = FeatureCross((feature_token(i),))
-        base.add(cross, eval_cross(cross, X))
-    base_distances = DistanceCache()
-    base_utility, base_state, base_stats = _score(
-        base, base_distances, np.empty((7, 0)), cfg.utility)
-    base_sequence = base.sequence()
-
+    base = _base(X, cfg.utility)        # every episode starts from the table's columns
     for episode in range(episodes):
         epsilon = _epsilon(episode, episodes)
-        features, distances = base.copy(), base_distances.copy()
-        utility, state, col_stats = base_utility, base_state, base_stats
-        sequence = base_sequence
+        features, distances = base.features.copy(), base.distances.copy()
+        utility, state, col_stats = base.utility, base.state, base.col_stats
+        sequence = base.sequence
         for step in range(steps):
             m_before = features.n_features
             head = head_agent.select(state, m_before, epsilon, rng)
@@ -327,7 +373,13 @@ def write_records(path: str | Path, records: Sequence[ExplorationRecord],
     """Line-delimited record file: a key=value header, then
     ``<utility repr>\\t<serialized sequence>`` per record. Byte-deterministic
     for a given record list. The records of no-op steps share their
-    sequence object, so each object is rendered once."""
+    sequence object, so each object is rendered once.
+
+    The path is unlinked, then created anew, not truncated in place: on ext4
+    with ``auto_da_alloc``, truncating a recently written file waits for its
+    writeback. So a hard link to the old file, or a reader that holds it
+    open, keeps the old contents, and a symlink at the path is replaced by
+    the file."""
     lines = [f"dataset_id={dataset_id}\topset={op_set_hash()}\tseed={seed}"
              f"\tepisodes={episodes}\tsteps={steps}"]
     texts: dict[int, str] = {}     # id of a sequence the records hold -> its text
@@ -336,7 +388,9 @@ def write_records(path: str | Path, records: Sequence[ExplorationRecord],
         if text is None:
             text = texts[id(rec.sequence)] = rec.sequence.text()
         lines.append(f"{float(rec.utility)!r}\t{text}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _positive(header: dict[str, str], key: str, path: str | Path) -> int:

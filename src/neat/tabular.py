@@ -18,13 +18,19 @@ from .errors import DuplicateColumnName, EmptyAfterCleaning, MissingTarget, TooF
 TaskKind = str  # "classification" | "regression"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataTable:
     """An immutable numeric dataset with the target column split off.
 
     ``values`` holds the z-scored feature matrix (population statistics,
     computed once at load). Columns whose raw variance is zero are centered
     but not scaled.
+
+    A table equals only itself and hashes by identity, so it can key a
+    ``weakref.WeakKeyDictionary``: ``collector.collect`` keeps the scored
+    base set of each live table there, and relies on its values not
+    changing while the table lives. ``load_csv`` and ``take`` make them
+    read-only.
     """
 
     values: np.ndarray            # (n, d) float64, Fortran order

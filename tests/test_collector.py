@@ -1,3 +1,7 @@
+import gc
+import os
+import weakref
+
 import numpy as np
 import pytest
 from conftest import make_table
@@ -246,6 +250,26 @@ class TestCollect:
             assert repr(b.utility) == repr(a.utility)
             assert (b.episode, b.step) == (a.episode, a.step)
 
+    def test_a_rewrite_reads_back_the_second_contents(self, small_table, tmp_path):
+        path = tmp_path / "records.tsv"
+        first, second = _collect(small_table), collect(
+            small_table, episodes=2, steps=4, rng=np.random.default_rng(12))
+        write_records(path, first, small_table.dataset_id, seed=11, episodes=3, steps=5)
+        write_records(path, second, small_table.dataset_id, seed=12, episodes=2, steps=4)
+        back, header = read_records(path)
+        assert (header["seed"], header["episodes"], header["steps"]) == ("12", "2", "4")
+        assert _bits(back) == _bits(second)
+
+    def test_a_hard_link_keeps_the_first_bytes(self, small_table, tmp_path):
+        path, link = tmp_path / "records.tsv", tmp_path / "kept.tsv"
+        records = _collect(small_table)
+        write_records(path, records, small_table.dataset_id, seed=11, episodes=3, steps=5)
+        first = path.read_bytes()
+        os.link(path, link)
+        write_records(path, records[:5], small_table.dataset_id, seed=11, episodes=1, steps=5)
+        assert link.read_bytes() == first != path.read_bytes()
+        assert _bits(read_records(path)[0]) == _bits(records[:5])
+
     def test_each_sequence_object_is_rendered_once(self, small_table, tmp_path, monkeypatch):
         records = collect(small_table, episodes=3, steps=8, rng=np.random.default_rng(11))
         objects = {id(rec.sequence) for rec in records}
@@ -367,6 +391,89 @@ class TestAgentProtocol:
             tail_updates_unpushed += "tail" in updated and ("push", "tail") not in {
                 e[:2] for e in events}
         assert tail_updates_unpushed > 0
+
+
+def _bits(records):
+    return [(rec.sequence, rec.utility.hex(), rec.episode, rec.step) for rec in records]
+
+
+@pytest.mark.usefixtures("small_agents")
+class TestBaseMemo:
+    """``collect`` scores a table's own columns once per table and utility
+    config, and later calls on that table start from the kept base."""
+
+    CFG = CollectorConfig(utility=UtilityConfig(max_rows=300))
+
+    @staticmethod
+    def _table():
+        # 300 of 400 rows: lists narrower than the rows, so some rows are
+        # ranked again as the sets grow.
+        return make_table(np.random.default_rng(5).normal(size=(400, 5)))
+
+    @pytest.fixture
+    def table(self):
+        return self._table()
+
+    @pytest.fixture
+    def full_ranks(self, monkeypatch):
+        builds, rank = [], DistanceCache._rank
+
+        def counted_rank(cache, rows):
+            if len(rows) == len(cache.columns):         # every row: a cold build
+                builds.append(cache.columns.shape)
+            return rank(cache, rows)
+
+        monkeypatch.setattr(DistanceCache, "_rank", counted_rank)
+        return builds
+
+    def _collect(self, table, seed, cfg=CFG):
+        return collect(table, episodes=2, steps=6, cfg=cfg, rng=np.random.default_rng(seed))
+
+    def test_three_calls_make_one_full_row_rank(self, table, full_ranks):
+        for seed in (1, 2, 3):
+            self._collect(table, seed)
+        assert full_ranks == [(300, 5)]
+
+    def test_later_calls_equal_calls_on_a_fresh_copy(self, table):
+        calls = [self._collect(table, seed) for seed in (1, 2, 3)]
+        for seed, records in zip((2, 3), calls[1:]):
+            fresh = table.take(np.arange(len(table.values)))
+            assert collector._BASES.get(fresh) is None
+            assert _bits(records) == _bits(self._collect(fresh, seed))
+
+    def test_the_base_is_never_written(self, table):
+        self._collect(table, 1)
+        [base] = collector._BASES[table].values()
+        d = base.distances
+        arrays = [base.features.matrix(), base.state, base.col_stats, d.rows, d.raw,
+                  d.columns, d.spread, d.keys, d.listed, d.outside]
+        before = [a.copy() for a in arrays]
+        provenance, seen = list(base.features.provenance), d.seen
+        for seed in (2, 3):
+            self._collect(table, seed)
+        assert collector._BASES[table] == {self.CFG.utility: base}
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, before))
+        assert base.features.provenance == provenance and d.seen is seen
+
+    def test_the_entry_dies_with_its_table(self, monkeypatch):
+        monkeypatch.setattr(collector, "_BASES", weakref.WeakKeyDictionary())
+        table = self._table()       # no fixture holds it
+        self._collect(table, 1)
+        assert len(collector._BASES) == 1
+        dead = weakref.ref(table)
+        del table
+        gc.collect()
+        assert dead() is None and len(collector._BASES) == 0
+
+    def test_each_utility_config_has_its_own_base(self, table, full_ranks):
+        other = CollectorConfig(utility=UtilityConfig(max_rows=250))
+        first = self._collect(table, 1)
+        records = self._collect(table, 2, other)
+        assert _bits(self._collect(table, 1)) == _bits(first)
+        assert full_ranks == [(300, 5), (250, 5)]
+        assert set(collector._BASES[table]) == {self.CFG.utility, other.utility}
+        fresh = table.take(np.arange(len(table.values)))
+        assert _bits(records) == _bits(self._collect(fresh, 2, other))
 
 
 @pytest.mark.usefixtures("small_agents")

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -383,6 +384,24 @@ class TestCheckpoint:
         loaded, meta = load_checkpoint(p1)
         save_checkpoint(p2, loaded, meta)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_a_rewrite_reads_back_the_second_contents(self, tmp_path, rng):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self.params(rng), {"k": "first"})
+        second = self.params(rng)
+        save_checkpoint(path, second, {"k": "second"})
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"k": "second"}
+        assert all(np.array_equal(loaded[name], second[name]) for name in second)
+
+    def test_a_hard_link_keeps_the_first_bytes(self, tmp_path, rng):
+        path, link = tmp_path / "model.ckpt", tmp_path / "kept.ckpt"
+        save_checkpoint(path, self.params(rng), {"k": "first"})
+        first = path.read_bytes()
+        os.link(path, link)
+        save_checkpoint(path, self.params(rng), {"k": "second"})
+        assert link.read_bytes() == first != path.read_bytes()
+        assert load_checkpoint(path)[1] == {"k": "second"}
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -140,6 +142,20 @@ class TestTake:
         assert not sub.values.flags.writeable and not sub.target.flags.writeable
         assert (sub.column_names, sub.task, sub.target_name, sub.dataset_id) == (
             table.column_names, table.task, table.target_name, table.dataset_id)
+
+
+class TestIdentity:
+    def test_a_table_equals_only_itself_and_keys_a_weak_dictionary(self, tmp_path):
+        table = load_csv(write(tmp_path, "a,b,y\n1,2,0\n3,5,1\n4,4,0\n"), "y", "regression")
+        copy = table.take(np.arange(3))
+        assert np.array_equal(copy.values, table.values)
+        assert table == table and table != copy
+        assert hash(table) == hash(table) and len({table, copy, table}) == 2
+        memo = weakref.WeakKeyDictionary({table: "table", copy: "copy"})
+        assert (memo[table], memo[copy]) == ("table", "copy")
+        del table
+        gc.collect()
+        assert list(memo.values()) == ["copy"]
 
 
 class TestSampling:
