@@ -229,22 +229,23 @@ def _compose_cross(features: FeatureSet, head: int, symbol: str,
 
 def _advance(features: FeatureSet, cross: FeatureCross, table: DataTable,
              distances: DistanceCache) -> bool:
-    """Try to add a cross; a no-op (False, set unchanged) when the set does
-    not fit it (``FeatureSet.fits``: no room, or a token budget overflows) or
-    the utility would drop its column (``distances.drops``: its rank codes
-    equal a kept column's, bitwise duplicates included). ``distances`` holds
-    the set as last scored. A cross that does not fit is not evaluated."""
+    """Try to add a cross; a no-op (False, set and cache unchanged) when the
+    set does not fit it (``FeatureSet.fits``: no room, or a token budget
+    overflows) or ``distances.add``, the set's cache, does not keep its
+    column: its rank codes equal a kept column's, bitwise duplicates
+    included, so ``features.add`` keeps every column it keeps. A cross that
+    does not fit is not evaluated."""
     if not features.fits(cross):
         return False
     column = eval_cross(cross, table)
-    return not distances.drops(column) and features.add(cross, column)
+    return distances.add(column) and features.add(cross, column)
 
 
 def _score(features: FeatureSet, distances: DistanceCache, col_stats: np.ndarray,
            utility: UtilityConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """Utility, state and column statistics of the current set, read from
-    its kept matrix. ``distances`` and ``col_stats`` let each call pay only
-    for the appended column."""
+    its kept matrix. ``distances``, the set's cache, and ``col_stats`` let
+    each call pay only for the appended column."""
     v = features.matrix()
     state, col_stats = describe_state(v, col_stats)
     return mdcg(v, utility, distances), state, col_stats
@@ -254,9 +255,9 @@ def _score(features: FeatureSet, distances: DistanceCache, col_stats: np.ndarray
 class _Base:
     """A table's own columns as every episode starts them: the set, its
     scored ``DistanceCache``, and its utility, state, column statistics and
-    sequence. An episode copies ``features`` and ``distances``, and nothing
-    here is ever written, so one base serves every ``collect`` call on its
-    table. It holds copies of the table's values, never the table."""
+    sequence. An episode grows copies of ``features`` and ``distances``, and
+    nothing here is ever written, so one base serves every ``collect`` call
+    on its table. It holds copies of the table's values, never the table."""
 
     features: FeatureSet
     distances: DistanceCache
@@ -281,11 +282,11 @@ def _base(X: DataTable, utility: UtilityConfig) -> _Base:
         for i in range(X.n_features):
             cross = FeatureCross((feature_token(i),))
             features.add(cross, eval_cross(cross, X))
-        distances = DistanceCache()
+        sequence = features.sequence()      # a table too wide raises before scoring
+        distances = DistanceCache(features.matrix(), utility)
         score, state, col_stats = _score(features, distances, np.empty((7, 0)), utility)
         state.setflags(write=False)
-        base = bases[utility] = _Base(features, distances, score, state, col_stats,
-                                      features.sequence())
+        base = bases[utility] = _Base(features, distances, score, state, col_stats, sequence)
         _BASES[X] = bases
     return base
 
@@ -319,7 +320,14 @@ def collect(X: DataTable, episodes: int, steps: int,
     as each episode does. The base is a function of the table's values and
     ``cfg.utility`` alone, which do not change while the table lives, and
     scoring draws nothing from ``rng``, so a call's records are bit-identical
-    to those of the same call on a fresh copy of the table."""
+    to those of the same call on a fresh copy of the table.
+
+    Raises:
+        SequenceTooLong: the table has more than 63 columns, bitwise
+            duplicates not counted, so the sequence of its own columns
+            exceeds ``MAX_LEN``; raised before any set is scored.
+        DegenerateK: ``cfg.utility.k_neighbors`` is below 1, or not below
+            the number of subsampled rows."""
     cfg = cfg or CollectorConfig()
     max_features = 2 * X.n_features
     seeds = rng.integers(np.iinfo(np.int64).max, size=3)
@@ -379,7 +387,16 @@ def write_records(path: str | Path, records: Sequence[ExplorationRecord],
     with ``auto_da_alloc``, truncating a recently written file waits for its
     writeback. So a hard link to the old file, or a reader that holds it
     open, keeps the old contents, and a symlink at the path is replaced by
-    the file."""
+    the file.
+
+    Raises:
+        ValueError: ``dataset_id`` holds a tab or a line break (any that
+            ``str.splitlines`` breaks on), which the header could not hold;
+            raised before the path is touched.
+    """
+    if "\t" in dataset_id or "".join(dataset_id.splitlines()) != dataset_id:
+        raise ValueError(f"dataset_id {dataset_id!r}: a tab or line break "
+                         "would not read back from the header")
     lines = [f"dataset_id={dataset_id}\topset={op_set_hash()}\tseed={seed}"
              f"\tepisodes={episodes}\tsteps={steps}"]
     texts: dict[int, str] = {}     # id of a sequence the records hold -> its text

@@ -14,7 +14,7 @@ budgets (``_within_budget``, also read by ``FeatureSet.fits``) when it is
 constructed. ``CrossSequence.from_text`` is the one parser of a sequence's
 text, and it walks each cross's grammar there; a sequence built in code is
 walked where it is used. A collected set adds no column that ranks as a
-kept one does: that rule is the utility's (``utility.DistanceCache.drops``).
+kept one does: that rule is the utility's (``utility.DistanceCache.add``).
 ``FeatureSet`` keeps only the bitwise rule beneath it, for the columns the
 utility's rule does not decide. ``_walk`` is the one postfix walker:
 checking, evaluation and rendering are its callbacks, so all raise the same
@@ -245,7 +245,7 @@ class FeatureSet:
     ``MAX_LEN``. ``add`` does not check ``fits``, so a caller asks first.
 
     A cross that ``collect`` adds must pass the utility's stricter rule
-    first (``utility.DistanceCache.drops``: its column ranks as no kept
+    first (``utility.DistanceCache.add``: its column ranks as no kept
     one), which also refuses every bitwise duplicate. The bitwise rule
     remains for what that rule does not decide: the table's own columns,
     which start every set as given, and ``apply_sequence``'s replay of a

@@ -1,7 +1,8 @@
 """Unsupervised feature-set utility: the mean discounted cumulative gain
 metric (``mdcg``), its per-feature terms (``feature_importance``), and a
-``DistanceCache`` that finds each row's nearest rows and lets a set grown by
-appended columns pay only for the new ones.
+``DistanceCache``, the scored state of one set, which finds each row's
+nearest rows and lets a set grown by appended columns pay only for the new
+ones.
 
 The metric needs no labels. It rewards a feature set whose columns agree with
 the neighbourhoods that the whole set defines. On the seeded subsample of n
@@ -16,10 +17,10 @@ rows (at most ``max_rows``):
 2. A scaled column equal to a kept one is dropped. That covers a bitwise
    duplicate and any order-keeping re-encoding (``2x + 1``, ``exp(x)``):
    they carry nothing new, and kept they would count one column twice.
-   This is the one duplicate rule of a collected set: ``DistanceCache.drops``
-   asks it of a column before it is appended, and ``collect`` refuses a
-   cross whose column would be dropped, so a recorded set's added columns
-   each earn a term.
+   This is the one duplicate rule of a collected set: ``DistanceCache.add``
+   codes a column once, keeps it only if it passes, and says whether it
+   did, and ``collect`` refuses a cross whose column was not kept, so a
+   recorded set's added columns each earn a term.
 3. Row j's k nearest other rows, by the squared distance d^2 over the kept
    columns, are ordered by (d^2, row index). The neighbour of rank
    r = 1..k weighs 1 / log2(1 + r), normalised to sum to 1: the discount of
@@ -67,6 +68,7 @@ its sorted keys: one sort of a list width, not a partition and a sort.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +91,8 @@ class UtilityConfig:
     ``k_neighbors`` is the number of ranked neighbours per row; ``max_rows``
     caps the pairwise work via a seeded row subsample, on which the columns
     are also rank-scaled; ``row_seed`` fixes that subsample so the metric is
-    a pure function. Results with and without a ``DistanceCache``, cold or
-    grown, are bit-identical.
+    a pure function. Results with and without a ``DistanceCache``, built
+    for the whole set or grown to it by ``add``, are bit-identical.
     """
 
     k_neighbors: int = 5
@@ -111,22 +113,10 @@ def _rank_codes(columns: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _append_distinct(kept: np.ndarray, seen: frozenset[bytes],
-                     new: np.ndarray) -> tuple[np.ndarray, frozenset[bytes]]:
-    # ``kept`` with each column of ``new`` appended that equals none before
-    # it, kept or new, and the bytes of the result's columns; ``seen`` holds
-    # those of ``kept``. Codes are float64 integers, never -0.0 or NaN, so
-    # equal bytes are equal values. The distinct columns are stacked once.
-    seen = set(seen)
-    distinct = []
-    for column in new.T:
-        key = column.tobytes()
-        if key not in seen:
-            seen.add(key)
-            distinct.append(column)
-    if distinct:
-        kept = np.column_stack([kept, *distinct])
-    return kept, frozenset(seen)
+def _spread(codes: np.ndarray) -> np.ndarray:
+    # Each code column's 2 s^2, exact: see ``DistanceCache``.
+    squares = np.einsum("ij,ij->j", codes, codes)
+    return 2.0 * (squares / (len(codes) - 1))
 
 
 # Candidate rows kept per subsampled row by a DistanceCache: the nearest
@@ -145,10 +135,18 @@ _ROW_BLOCK = 32
 
 
 class DistanceCache:
-    """Row subsample of the last set scored, its kept rank codes, and each
-    subsampled row's candidate list: ``keys``, n d^2 + j of each listed row
-    j, ``listed``, those rows j, and ``outside``, the smallest key of any
-    row not listed.
+    """The scored state of one feature set: its row subsample ``rows``, its
+    kept rank codes ``columns``, their 2 s^2 ``spread``, the bytes of each
+    code column ``seen``, and each subsampled row's candidate list: ``keys``,
+    n d^2 + j of each listed row j, ``listed``, those rows j, and
+    ``outside``, the smallest key of any row not listed.
+
+    ``DistanceCache(F, cfg)`` codes ``F``'s columns on the utility's row
+    subsample and keeps the distinct ones; ``add`` appends one more column,
+    coded once. That is the only way a set changes: a cache is built for one
+    row count and ``UtilityConfig`` (``built_for``), and ``mdcg`` and
+    ``feature_importance`` refuse it for any other. ``copy`` starts another
+    set from this one.
 
     A list holds its row's min(n - 1, max(``LIST_LEN``, k)) nearest rows
     when it is ranked, for every n; when n - 1 <= ``LIST_LEN`` that is every
@@ -157,77 +155,59 @@ class DistanceCache:
     ``outside``; a row whose k-th key exceeds it is ranked again from all
     its keys. ``neighbours`` reads them from one sort of each row's keys.
 
-    Append-only contract: when the cached raw columns are a prefix of the
-    next set's, only the new columns are coded and checked against the bytes
-    of the kept ones (``seen``), and n (c_j - c_i)^2 of each one kept is
-    added to the keys (n x list length work), gathered at the rows in
-    ``listed``. Adding n d^2 leaves a key's row j as it was, so
-    ``listed`` is written only when a row is ranked. Keys only grow, so
-    ``outside`` stays a lower bound. Any other set, or another row count or
-    subsample, drops the lists. The keys take about 0.3 MB at 1000 rows.
-    Rows are ranked ``_ROW_BLOCK`` at a time, each block's keys one product
-    of augmented code rows (module docstring) written into one
-    (``_ROW_BLOCK``, n) work array per ranking, so no (n, n) array exists.
+    A column that ``add`` keeps adds n (c_j - c_i)^2 to the keys (n x list
+    length work), gathered at the rows in ``listed``. Adding n d^2 leaves a
+    key's row j as it was, so ``listed`` is written only when a row is
+    ranked. Keys only grow, so ``outside`` stays a lower bound. The keys
+    take about 0.3 MB at 1000 rows. Rows are ranked ``_ROW_BLOCK`` at a
+    time, each block's keys one product of augmented code rows (module
+    docstring) written into one (``_ROW_BLOCK``, n) work array per ranking,
+    so no (n, n) array exists.
 
     ``spread`` holds each kept column's 2 s^2 = 2 sum(c^2) / (n - 1), computed
     once when the column is kept: a column's codes are integers that sum to
     0, so its mean is exactly 0 and its sum of squares exact, and this is
-    ``2 * var(ddof=1)`` bit for bit. It grows and drops with ``columns``.
+    ``2 * var(ddof=1)`` bit for bit.
     """
 
-    def __init__(self):
-        self.key: tuple[int, int, int] | None = None   # (n, max_rows, row_seed)
-        self.rows: np.ndarray | None = None
-        self.raw: np.ndarray | None = None       # (n, m): the subsampled set
-        self.columns: np.ndarray | None = None   # (n, kept): its distinct codes
-        self.spread: np.ndarray | None = None    # (kept,) 2 s^2 of each code column
-        self.seen: frozenset[bytes] = frozenset()   # the bytes of each code column
+    def __init__(self, F: np.ndarray, cfg: UtilityConfig):
+        self.built_for = (F.shape[0], cfg)
+        self.rows = sample_indices(F.shape[0], cfg.max_rows, cfg.row_seed)
+        # Codes are float64 integers, never -0.0 or NaN, so equal bytes are
+        # equal values; the first of equal columns is kept.
+        distinct = {column.tobytes(): column for column in _rank_codes(F[self.rows]).T}
+        self.seen = frozenset(distinct)             # the bytes of each code column
+        self.columns = np.column_stack([np.empty((len(self.rows), 0)), *distinct.values()])
+        self.spread = _spread(self.columns)         # (kept,) 2 s^2 of each code column
         self.keys: np.ndarray | None = None      # (n, width) n d2 + j of listed rows j
         self.listed: np.ndarray | None = None    # (n, width) intp: those rows j
         self.outside: np.ndarray | None = None   # (n,) smallest key of the rest
 
-    def update(self, F: np.ndarray, cfg: UtilityConfig) -> np.ndarray:
-        """Make the row subsample of ``F`` the cache's set and return its
-        kept codes. When the cached set is a prefix of it, code only the
-        appended columns and add those kept to the keys."""
-        key = (F.shape[0], cfg.max_rows, cfg.row_seed)
-        if key != self.key:
-            self.key, self.rows, self.raw = key, sample_indices(*key), None
-        sub = F[self.rows]
-        cached = 0 if self.raw is None else self.raw.shape[1]
-        if not (cached and cached <= sub.shape[1]
-                and np.array_equal(self.raw, sub[:, :cached])):
-            cached, self.columns, self.spread = 0, np.empty((len(sub), 0)), np.empty(0)
-            self.seen = frozenset()
-            self.keys = self.listed = self.outside = None
-        kept = self.columns.shape[1]
-        n = len(sub)
-        self.raw = sub
-        self.columns, self.seen = _append_distinct(self.columns, self.seen,
-                                                   _rank_codes(sub[:, cached:]))
-        new = self.columns[:, kept:]
-        squares = np.einsum("ij,ij->j", new, new)
-        self.spread = np.concatenate([self.spread, 2.0 * (squares / (n - 1))])
+    def add(self, column: np.ndarray) -> bool:
+        """Append ``column``, a column of the table's rows, unless its rank
+        codes on the row subsample equal a kept column's: then it would earn
+        no term and leave the score as it is. Returns whether it was kept;
+        a column that is not kept leaves the cache as it was."""
+        codes = _rank_codes(column[self.rows, None])
+        key = codes.tobytes()
+        if key in self.seen:
+            return False
+        self.seen = self.seen | {key}
+        self.columns = np.column_stack([self.columns, codes])
+        self.spread = np.concatenate([self.spread, _spread(codes)])
         if self.keys is not None:
-            for c in new.T:
-                diff = c.take(self.listed)
-                diff -= c[:, None]
-                diff *= diff
-                diff *= n
-                self.keys += diff
-        return self.columns
-
-    def drops(self, column: np.ndarray) -> bool:
-        """Whether ``update`` on the cached set with ``column`` appended
-        would drop it: its rank codes on the cached row subsample equal a
-        kept column's, so it would earn no term and leave the score as it is."""
-        return _rank_codes(column[self.rows, None]).tobytes() in self.seen
+            c = codes[:, 0]
+            diff = c.take(self.listed)
+            diff -= c[:, None]
+            diff *= diff
+            diff *= len(c)
+            self.keys += diff
+        return True
 
     def neighbours(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Each row's k nearest rows, ordered by (d^2, row index), for the
-        set last passed to ``update``: (n, k) integer arrays of rows and
-        their d^2 over the codes. Ties at the k-th distance go to the lower
-        row index."""
+        cache's set: (n, k) integer arrays of rows and their d^2 over the
+        codes. Ties at the k-th distance go to the lower row index."""
         n = len(self.columns)
         width = min(n - 1, max(LIST_LEN, k))
         if self.keys is None or self.keys.shape[1] < width:
@@ -276,12 +256,10 @@ class DistanceCache:
             self.listed[block] = near.astype(np.intp) % n
 
     def copy(self) -> "DistanceCache":
-        """An independent cache that starts from this one's set: the lists
-        are copied, since appending columns and ranking update them in
-        place."""
-        other = DistanceCache()
-        other.key, other.rows, other.raw, other.columns, other.spread, other.seen = (
-            self.key, self.rows, self.raw, self.columns, self.spread, self.seen)
+        """An independent cache of the same set: the lists are copied, since
+        ``add`` and ranking update them in place. The other fields are
+        replaced, never written, so the two share them."""
+        other = copy.copy(self)
         if self.keys is not None:
             other.keys, other.outside = self.keys.copy(), self.outside.copy()
             other.listed = self.listed.copy()
@@ -298,7 +276,8 @@ def feature_importance(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
         DegenerateK: ``cfg.k_neighbors`` is below 1, or not below the
             number of subsampled rows.
         ValueError: ``F`` is not 2-D or has no columns, or 4 m n^3 reaches
-            2^53 (m columns, n subsampled rows), so keys would not be exact.
+            2^53 (m columns, n subsampled rows), so keys would not be exact,
+            or ``cache`` was built for another row count or config.
     """
     if F.ndim != 2 or F.shape[1] == 0:
         raise ValueError(f"expected a 2-D feature matrix with columns, got shape {F.shape}")
@@ -309,8 +288,11 @@ def feature_importance(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
     if 4 * F.shape[1] * n ** 3 >= 2 ** 53:
         raise ValueError(f"{F.shape[1]} columns of {n} rows: need 4 m n^3 < 2^53")
     if cache is None:
-        cache = DistanceCache()
-    v = cache.update(F, cfg)
+        cache = DistanceCache(F, cfg)
+    elif cache.built_for != (F.shape[0], cfg):
+        raise ValueError(f"a cache built for {cache.built_for}, "
+                         f"not for {F.shape[0]} rows under {cfg}")
+    v = cache.columns
     index, _ = cache.neighbours(k)
     discount = 1.0 / np.log2(np.arange(2.0, k + 2.0))
     discount /= discount.sum()
@@ -329,9 +311,11 @@ def mdcg(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
          cache: DistanceCache | None = None) -> float:
     """Mean discounted cumulative gain of a feature set: the mean of its
     kept columns' terms, at most 1 (the module docstring gives the
-    definition and its range). Pass the same ``cache`` while a set grows by
-    appended columns to pay only for the new columns; the result is
-    bit-identical to a call without one.
+    definition and its range). Without ``cache``, one is built for ``F``.
+    A ``cache`` passed in is ``F``'s own, built for ``F`` or for its first
+    columns and grown to it by ``add``, and is read as it stands: ``F``'s
+    values are not read again, so a grown set pays only for its new columns,
+    and the result is bit-identical to a call without one.
 
     Raises:
         DegenerateK, ValueError: as ``feature_importance``, no columns included.

@@ -24,7 +24,7 @@ from neat.collector import (
     read_records,
     write_records,
 )
-from neat.errors import ConfigHashMismatch, MalformedRecord
+from neat.errors import ConfigHashMismatch, MalformedRecord, SequenceTooLong
 from neat.expr import (
     OP_SYMBOLS,
     OPS,
@@ -199,7 +199,7 @@ class TestCollect:
         monkeypatch.setattr(FeatureSet, "add", watched_add)
         monkeypatch.setattr(FeatureSet, "copy", watched_copy_set)
         monkeypatch.setattr(DistanceCache, "_rank", watched_rank)
-        monkeypatch.setattr(DistanceCache, "update", guarded(DistanceCache.update))
+        monkeypatch.setattr(DistanceCache, "add", guarded(DistanceCache.add))
         monkeypatch.setattr(DistanceCache, "neighbours", guarded(DistanceCache.neighbours))
         monkeypatch.setattr(DistanceCache, "copy", watched_copy_cache)
         episodes = 3
@@ -286,6 +286,46 @@ class TestCollect:
         assert len(rendered) == len(objects)
         assert path.read_text().splitlines()[1:] == [
             f"{rec.utility!r}\t{text(rec.sequence)}" for rec in records]
+
+    @pytest.mark.parametrize("width", [63, 64])
+    def test_a_table_too_wide_for_the_token_budget_is_refused_unscored(self, monkeypatch,
+                                                                       width):
+        # 64 one-token crosses make a sequence of 129 tokens, past MAX_LEN.
+        scored = []
+
+        def counted_mdcg(*args):
+            scored.append(args[0].shape)
+            return mdcg(*args)
+
+        monkeypatch.setattr(collector, "mdcg", counted_mdcg)
+        table = make_table(np.random.default_rng(width).normal(size=(20, width)))
+        if width == 64:
+            with pytest.raises(SequenceTooLong):
+                collect(table, episodes=1, steps=2, rng=np.random.default_rng(11))
+            assert scored == []
+        else:
+            assert len(collect(table, episodes=1, steps=2, rng=np.random.default_rng(11))) == 2
+            assert scored[0] == (20, 63)
+
+    @staticmethod
+    def _one_record():
+        return [ExplorationRecord(CrossSequence.from_text("<SOS> f0 <EOS>"), 0.5, 0, 0)]
+
+    @pytest.mark.parametrize("dataset_id", ["a\tb", "a\nb", "a\x0cb", "a\rb", "a\u2028b"])
+    def test_a_dataset_id_the_header_cannot_hold_is_refused(self, tmp_path, dataset_id):
+        # A tab would end the value early, and a line break would split the
+        # header, so the file would not read back.
+        path = tmp_path / "records.tsv"
+        write_records(path, self._one_record(), "d", seed=0, episodes=1, steps=1)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="dataset_id"):
+            write_records(path, self._one_record(), dataset_id, seed=0, episodes=1, steps=1)
+        assert path.read_bytes() == before
+
+    def test_a_dataset_id_with_a_space_round_trips(self, tmp_path):
+        path = tmp_path / "records.tsv"
+        write_records(path, self._one_record(), "a b", seed=0, episodes=1, steps=1)
+        assert read_records(path)[1]["dataset_id"] == "a b"
 
     def test_a_numpy_utility_round_trips(self, tmp_path):
         # repr(np.float64(0.5)) is "np.float64(0.5)" under NumPy 2
@@ -445,7 +485,7 @@ class TestBaseMemo:
         self._collect(table, 1)
         [base] = collector._BASES[table].values()
         d = base.distances
-        arrays = [base.features.matrix(), base.state, base.col_stats, d.rows, d.raw,
+        arrays = [base.features.matrix(), base.state, base.col_stats, d.rows,
                   d.columns, d.spread, d.keys, d.listed, d.outside]
         before = [a.copy() for a in arrays]
         provenance, seen = list(base.features.provenance), d.seen
@@ -859,9 +899,10 @@ class TestActions:
         return features
 
     def _scored(self, features):
-        # The cache of the set as last scored, as collect holds it.
-        distances = DistanceCache()
-        mdcg(features.matrix(), CollectorConfig().utility, distances)
+        # The set's scored cache, as collect holds it.
+        utility = CollectorConfig().utility
+        distances = DistanceCache(features.matrix(), utility)
+        mdcg(features.matrix(), utility, distances)
         return distances
 
     @pytest.mark.parametrize("case", ["cap", "budget", "duplicate", "rank"])
@@ -885,9 +926,14 @@ class TestActions:
             cross = _cross("f0 f0 +")                       # ranks as f0 does
             assert features.copy().add(cross, eval_cross(cross, small_table))
         provenance, matrix = list(features.provenance), features.matrix()
+        fields = ("columns", "spread", "keys", "listed", "outside")
+        cached = [getattr(distances, name).tobytes() for name in fields]
+        seen = distances.seen
         assert _advance(features, cross, small_table, distances) is False
         assert features.provenance == provenance
         assert np.array_equal(features.matrix(), matrix)
+        assert [getattr(distances, name).tobytes() for name in fields] == cached
+        assert distances.seen == seen
 
     def test_advance_adds_one_column(self, small_table):
         features = self._features(small_table, ["f0", "f1"])
@@ -958,6 +1004,41 @@ class TestDuplicateRule:
             assert F.shape[1] == len(sequence.crosses)
             assert (len(feature_importance(F, cfg.utility))
                     == len(feature_importance(F[:, :d], cfg.utility)) + F.shape[1] - d)
+
+    def test_a_column_the_cache_keeps_the_set_keeps(self, monkeypatch):
+        # x and 2x + 1 rank alike, and each has a bitwise copy: the set drops
+        # the copies and the cache codes x once. Every column of a set ranks
+        # as one its cache has seen, so a column that DistanceCache.add keeps
+        # is no bitwise duplicate, and FeatureSet.add keeps it too.
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=40)
+        table = make_table(np.column_stack([x, 2.0 * x + 1.0, x, 2.0 * x + 1.0,
+                                            rng.normal(size=(40, 2))]))
+        verdicts = []            # (column, kept by the cache, kept by the set or None)
+        cache_add, set_add = DistanceCache.add, FeatureSet.add
+
+        def watched_cache_add(cache, column):
+            kept = cache_add(cache, column)
+            verdicts.append([column, kept, None])
+            return kept
+
+        def watched_set_add(features, cross, column):
+            kept = set_add(features, cross, column)
+            if verdicts and verdicts[-1][0] is column:
+                verdicts[-1][2] = kept
+            return kept
+
+        monkeypatch.setattr(DistanceCache, "add", watched_cache_add)
+        monkeypatch.setattr(FeatureSet, "add", watched_set_add)
+        collect(table, 5, 8, rng=np.random.default_rng(1))
+        kept = [by_set for _, by_cache, by_set in verdicts if by_cache]
+        refused = [by_set for _, by_cache, by_set in verdicts if not by_cache]
+        assert kept and all(kept)
+        assert refused and not any(by_set is not None for by_set in refused)
+        # Some refused columns were bitwise copies of a column of the set.
+        originals = table.values[:, :2].T
+        assert any(any(np.array_equal(column, o) for o in originals)
+                   for column, by_cache, _ in verdicts if not by_cache)
 
     def test_the_table_columns_are_kept_as_given(self, monkeypatch):
         # x and 2x + 1 rank alike: the utility scores one of them, yet every

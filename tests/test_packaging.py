@@ -62,7 +62,7 @@ SHARED_NAMES = {
     "DataTable.take": "encoder.materialize_graphs",
     "FeatureSet.add": "collector._advance",
     "FeatureSet.copy": "collector.collect",
-    "DistanceCache.update": "utility.feature_importance",
+    "DistanceCache.add": "collector._advance",
     "DistanceCache.copy": "collector.collect",
 }
 

@@ -78,8 +78,7 @@ def knn_indicator(F, k):
     """The metric's own kNN relation, as an (n, n) 0/1 matrix: S[j, i] = 1
     when row i is among row j's k nearest."""
     n = F.shape[0]
-    cache = DistanceCache()
-    cache.update(F, BIG)
+    cache = DistanceCache(F, BIG)
     S = np.zeros((n, n), dtype=np.int8)
     index, _ = cache.neighbours(k)
     S[np.arange(n)[:, None], index] = 1
@@ -177,8 +176,7 @@ class TestKnnIndicator:
         # the coded columns, and each row must come ranked by (d2, row index)
         F = np.random.default_rng(seed).normal(size=(60, 7)) * 10.0 ** np.arange(-3, 4)
         n = len(F)
-        cache = DistanceCache()
-        cache.update(F, BIG)
+        cache = DistanceCache(F, BIG)
         index, d2 = cache.neighbours(n - 1)            # every pair
         assert np.array_equal(index, oracle_ranked(oracle_scaled(F), n - 1))
         D = np.full((n, n), np.nan)
@@ -263,6 +261,20 @@ class TestMdcg:
                 score(np.zeros((10, 0)))
 
 
+def _bits(a):
+    # An array's dtype, shape and bytes: equal exactly when the arrays are
+    # equal bit for bit.
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _grown(cache, *columns):
+    # A copy of ``cache`` with ``columns`` added in turn, as collect grows a set.
+    grown = cache.copy()
+    for column in columns:
+        grown.add(column)
+    return grown
+
+
 class TestDistanceCache:
     # (rows, max_rows): the subsample path, then the full-row path
     @pytest.mark.parametrize("n,max_rows", [(300, 120), (80, 1000)])
@@ -270,23 +282,12 @@ class TestDistanceCache:
         F = np.random.default_rng(n).normal(size=(n, 9))
         F[:, 6] = np.exp(np.exp(F[:, 0]))
         cfg = UtilityConfig(k_neighbors=4, max_rows=max_rows, row_seed=3)
-        cache = DistanceCache()
+        cache = DistanceCache(F[:, :1], cfg)
         for width in range(1, F.shape[1] + 1):
+            assert cache.add(F[:, width - 1]) == (width not in (1, 7))   # f6 ranks as f0
             assert mdcg(F[:, :width], cfg, cache) == mdcg(F[:, :width], cfg)
             assert np.array_equal(feature_importance(F[:, :width], cfg, cache),
                                   feature_importance(F[:, :width], cfg))
-
-    @pytest.mark.parametrize("n,max_rows", [(300, 120), (80, 1000)])
-    def test_stale_prefix_rebuilds(self, n, max_rows):
-        F = np.random.default_rng(n + 1).normal(size=(n, 6))
-        cfg = UtilityConfig(k_neighbors=3, max_rows=max_rows)
-        cache = DistanceCache()
-        mdcg(F, cfg, cache)
-        assert mdcg(F[:, :3], cfg, cache) == mdcg(F[:, :3], cfg)   # shorter after longer
-        mdcg(F, cfg, cache)
-        changed = F.copy()
-        changed[:, 1] *= 3.0                  # same width, an earlier column differs
-        assert mdcg(changed, cfg, cache) == mdcg(changed, cfg)
 
     # (rows, max_rows): the full-row path, then the subsample path
     @pytest.mark.parametrize("rows,max_rows", [(20, 1000), (36, 20)])
@@ -294,15 +295,18 @@ class TestDistanceCache:
            kind=st.sampled_from(["copy", "x + x", "exp(x)", "constant", "ties",
                                  "copy on the subsample", "fresh"]))
     @settings(max_examples=60, deadline=None)
-    def test_drops_agrees_with_update(self, rows, max_rows, seed, m, constant, kind):
+    def test_add_agrees_with_a_cold_cache(self, rows, max_rows, seed, m, constant, kind):
+        # add keeps a column exactly when a cold cache of the grown set keeps
+        # one more code column; a column it refuses leaves every field as it
+        # was, and one it keeps scores as the cold call does.
         rng = np.random.default_rng(seed)
         cfg = UtilityConfig(k_neighbors=3, max_rows=max_rows)
         F = rng.normal(size=(rows, m))
         if constant:
             F[:, -1] = 1.5
         x = F[:, int(rng.integers(m))]
-        cache = DistanceCache()
-        cache.update(F, cfg)
+        cache = DistanceCache(F, cfg)
+        feature_importance(F, cfg, cache)           # the lists exist
         if kind == "copy":
             c = x.copy()
         elif kind == "x + x":
@@ -318,23 +322,36 @@ class TestDistanceCache:
             c[cache.rows] = x[cache.rows]
         else:
             c = rng.normal(size=rows)
-        dropped = cache.drops(c)
-        kept = cache.columns.shape[1]
         grown = np.column_stack([F, c])
-        assert dropped == (cache.copy().update(grown, cfg).shape[1] == kept)
-        if dropped:
+        fields = ("columns", "spread", "keys", "listed", "outside")
+        before = [_bits(getattr(cache, name)) for name in fields]
+        seen = cache.seen
+        kept = cache.add(c)
+        assert kept == (DistanceCache(grown, cfg).columns.shape[1] == before[0][1][1] + 1)
+        if kept:
+            assert (_bits(feature_importance(grown, cfg, cache))
+                    == _bits(feature_importance(grown, cfg)))
+        else:
+            assert [_bits(getattr(cache, name)) for name in fields] == before
+            assert cache.seen == seen
             assert mdcg(grown, cfg) == mdcg(F, cfg)
         if kind in ("copy", "x + x", "exp(x)", "copy on the subsample") or (
                 kind == "constant" and constant):
-            assert dropped
+            assert not kept
 
-    def test_other_row_count_or_seed_rebuilds(self):
+    def test_a_cache_for_another_row_count_or_config_is_refused(self):
         F = np.random.default_rng(9).normal(size=(300, 4))
-        cache = DistanceCache()
-        for cfg, rows in [(UtilityConfig(max_rows=100), F), (UtilityConfig(max_rows=100), F[:250]),
-                          (UtilityConfig(max_rows=100, row_seed=1), F[:250]),
-                          (UtilityConfig(max_rows=1000), F[:250])]:
-            assert mdcg(rows, cfg, cache) == mdcg(rows, cfg)
+        cfg = UtilityConfig(max_rows=100)
+        cache = DistanceCache(F, cfg)
+        score = mdcg(F, cfg, cache)
+        assert score == mdcg(F, cfg)
+        for other, rows in [(cfg, F[:250]), (UtilityConfig(max_rows=100, row_seed=1), F),
+                            (UtilityConfig(max_rows=1000), F),
+                            (UtilityConfig(max_rows=100, k_neighbors=4), F)]:
+            for scored in (mdcg, feature_importance):
+                with pytest.raises(ValueError, match="built for"):
+                    scored(rows, other, cache)
+        assert mdcg(F, cfg, cache) == score
 
 
 # Columns that stress the coding and the candidate lists: integer lattices
@@ -411,8 +428,7 @@ class TestCandidateLists:
 
         def check(F, cache):
             assert np.array_equal(feature_importance(F, cfg, cache), feature_importance(F, cfg))
-            cold = DistanceCache()
-            cold.update(F, cfg)
+            cold = DistanceCache(F, cfg)
             _check_neighbours([cache, cold], F, cfg, k)
             # One width rule: every other row is listed only when there are
             # at most LIST_LEN of them, and only then is nothing outside.
@@ -422,22 +438,22 @@ class TestCandidateLists:
                 assert np.isinf(c.outside).all() == (rows - 1 <= LIST_LEN)
 
         F = rng.normal(size=(n, 1))
-        cache = DistanceCache()
+        cache = DistanceCache(F, cfg)
         for kind in shared:
             check(F, cache)
-            F = np.column_stack([F, _column(kind, rng, n)])
+            column = _column(kind, rng, n)
+            cache.add(column)
+            F = np.column_stack([F, column])
         check(F, cache)
         # Two branches grown apart from one set, in turns, so that a list
         # shared between them would show.
         sets, caches = [F, F], [cache, cache.copy()]
         for kinds in branches:
             for b, kind in enumerate(kinds):
-                sets[b] = np.column_stack([sets[b], _column(kind, rng, n)])
+                column = _column(kind, rng, n)
+                caches[b].add(column)
+                sets[b] = np.column_stack([sets[b], column])
                 check(sets[b], caches[b])
-        # The other branch's set is no prefix of this one's: a rebuild, whose
-        # next growth must not re-rank the old set's lists.
-        check(sets[1], caches[0])
-        check(np.column_stack([sets[1], _column(shared[0], rng, n)]), caches[0])
 
     def test_tie_at_the_list_bound_is_rescreened(self):
         # In codes, column a holds row 0 and rows 1..LIST_LEN in a group of
@@ -458,12 +474,14 @@ class TestCandidateLists:
         b[1:LIST_LEN + 1] = b[201] = 1.0
         bound = n * (2 * 34 - 2 * 16) ** 2 + LIST_LEN + 1   # row LIST_LEN + 1's key
         cfg = UtilityConfig(k_neighbors=k)
-        cache = DistanceCache()
+        cache = DistanceCache(a[:, None], cfg)
         mdcg(a[:, None], cfg, cache)
+        assert cache.add(np.zeros(n))
         mdcg(np.column_stack([a, np.zeros(n)]), cfg, cache)
         assert sorted(cache.keys[0] % n) == list(range(1, LIST_LEN + 1))
         assert cache.outside[0] == bound
         F = np.column_stack([a, np.zeros(n), b])
+        assert cache.add(b)
         assert np.array_equal(feature_importance(F, cfg, cache), feature_importance(F, cfg))
         _check_neighbours([cache], F, cfg, k)
         assert cache.neighbours(k)[0][0].tolist() == [1, 2, 3]
@@ -479,8 +497,9 @@ class TestCandidateLists:
         x[50:] = 1000.0 + np.cumsum(np.random.default_rng(3).uniform(2.0, 3.0, n - 50))
         x[[199, 201]], x[200] = 5000.0, 6000.0
         cfg = UtilityConfig(k_neighbors=k)
-        cache = DistanceCache()
+        cache = DistanceCache(x[:, None], cfg)
         mdcg(x[:, None], cfg, cache)
+        assert cache.add(np.zeros(n))
         F = np.column_stack([x, np.zeros(n)])
         assert np.array_equal(feature_importance(F, cfg, cache), feature_importance(F, cfg))
         _check_neighbours([cache], F, cfg, k)
@@ -492,9 +511,10 @@ class TestCandidateLists:
         rng = np.random.default_rng(4)
         F = np.column_stack([rng.normal(size=(n, 6)), np.exp(np.exp(rng.normal(size=n)))])
         cfg = UtilityConfig()
-        cache = DistanceCache()
+        cache = DistanceCache(F[:, :6], cfg)
         mdcg(F[:, :6], cfg, cache)
         tracemalloc.start()
+        cache.add(F[:, 6])
         mdcg(F, cfg, cache)                   # grown, and most rows are ranked again
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
@@ -550,8 +570,8 @@ class TestGramScreen:
         # d2 a cold cache decodes from its keys (every other row, at 120 rows).
         n, m = F.shape
         assert 4 * m * n ** 3 < 2 ** 53
-        cache = DistanceCache()
-        c = cache.update(F, BIG)
+        cache = DistanceCache(F, BIG)
+        c = cache.columns
         exact = oracle_sq_dists(oracle_scaled(F))
         norms = np.einsum("ij,ij->i", c, c)
         assert np.array_equal(norms[:, None] + norms[None, :] - 2.0 * (c @ c.T), exact)
@@ -566,8 +586,7 @@ class TestGramScreen:
         # must come back from neighbours(rank), each with its exact d2, and
         # no warning be raised (pytest makes one an error).
         n = len(F)
-        cache = DistanceCache()
-        cache.update(F, BIG)
+        cache = DistanceCache(F, BIG)
         index, d2 = cache.neighbours(rank)
         assert np.array_equal(cache.columns, oracle_scaled(F))
         exact = oracle_sq_dists(cache.columns)
@@ -595,11 +614,10 @@ class TestExactKeys:
         want = oracle_sq_dists(oracle_scaled(F)) * n + np.arange(n)
         np.fill_diagonal(want, np.inf)
         ordered = np.sort(want, axis=1)
-        cold, grown = DistanceCache(), DistanceCache()
-        grown.update(F[:, :-1], BIG)
+        cold, grown = DistanceCache(F, BIG), DistanceCache(F[:, :-1], BIG)
         grown.neighbours(k)
+        grown.add(F[:, -1])
         for cache in (cold, grown):
-            cache.update(F, BIG)
             index, d2 = cache.neighbours(k)
             assert np.array_equal(d2 * n + index, ordered[:, :k])
             listed = cache.keys.astype(np.intp) % n
@@ -622,10 +640,9 @@ class TestExactKeys:
         want = oracle_sq_dists(oracle_scaled(F)) * n + np.arange(n)
         np.fill_diagonal(want, np.inf)
         ordered = np.sort(want, axis=1)
-        cache = DistanceCache()
-        cache.update(F[:, :2], BIG)
+        cache = DistanceCache(F[:, :2], BIG)
         cache.neighbours(3)
-        cache.update(F, BIG)
+        assert cache.add(F[:, 2]) and cache.add(F[:, 3])
         stale = np.flatnonzero(rng.random(n) < 0.8)
         assert len(stale) > 2 * _ROW_BLOCK and len(stale) % _ROW_BLOCK
         cache._rank(stale)
@@ -633,8 +650,7 @@ class TestExactKeys:
         assert width < n - 1
         assert np.array_equal(np.sort(cache.keys[stale], axis=1), ordered[stale, :width])
         assert np.array_equal(cache.outside[stale], ordered[stale, width])
-        cold = DistanceCache()
-        cold.update(F, BIG)
+        cold = DistanceCache(F, BIG)
         cold.neighbours(3)                  # every row, in four blocks
         assert np.array_equal(np.sort(cold.keys, axis=1), ordered[:, :width])
         assert np.array_equal(cold.outside, ordered[:, width])
@@ -643,7 +659,7 @@ class TestExactKeys:
         # The same bits from one BLAS thread and from two.
         script = ("import sys; import numpy as np; from neat.utility import *\n"
                   "F = np.random.default_rng(5).normal(size=(1000, 64))\n"
-                  "cache = DistanceCache()\n"
+                  "cache = DistanceCache(F, UtilityConfig())\n"
                   "score = mdcg(F, UtilityConfig(), cache)\n"
                   "index, d2 = cache.neighbours(5)\n"
                   "sys.stdout.buffer.write(np.float64(score).tobytes()"
@@ -703,9 +719,8 @@ class TestKeysAtTheGuard:
         # it took about 6 s.
         n, m = 1000, 2251
         F = np.random.default_rng(21).normal(size=(n, m))
-        cache = DistanceCache()
         start = time.monotonic()
-        cache.update(F, UtilityConfig())
+        cache = DistanceCache(F, UtilityConfig())
         cache.neighbours(5)
         assert time.monotonic() - start < 2.0
         assert cache.columns.shape == (n, m)
@@ -726,8 +741,7 @@ class TestKeysAtTheGuard:
         F = rng.normal(size=(n, m))
         F[:40] = -10.0 - rng.random((40, m))
         cfg = UtilityConfig(max_rows=n)
-        cache = DistanceCache()
-        cache.update(F, cfg)
+        cache = DistanceCache(F, cfg)
         cache.keys, cache.outside = np.zeros((n, LIST_LEN)), np.zeros(n)
         cache.listed = np.zeros((n, LIST_LEN), dtype=np.intp)
         rows = np.concatenate([np.arange(10), rng.choice(np.arange(40, n), 10, replace=False)])
@@ -755,26 +769,22 @@ class TestSpread:
         F = np.column_stack([_column(kind, rng, n) for kind in COLUMN_KINDS])
         F = np.column_stack([F, F[:, 0]])
         cfg = UtilityConfig(k_neighbors=3, max_rows=max_rows)
-        cold = DistanceCache()
-        cold.update(F, cfg)
+        cold = DistanceCache(F, cfg)
         self._check(cold)
-        grown = DistanceCache()
+        grown = DistanceCache(F[:, :1], cfg)
         for width in range(1, F.shape[1] + 1):
+            grown.add(F[:, width - 1])
             feature_importance(F[:, :width], cfg, grown)
             self._check(grown)
         assert np.array_equal(grown.spread, cold.spread)
         assert len(grown.spread) == len(COLUMN_KINDS)
         before = grown.spread.copy()
-        branch = grown.copy()
-        feature_importance(np.column_stack([F, rng.normal(size=n)]), cfg, branch)
+        column = rng.normal(size=n)
+        branch = _grown(grown, column)
+        feature_importance(np.column_stack([F, column]), cfg, branch)
         self._check(branch)
         assert np.array_equal(grown.spread, before)
         assert np.array_equal(branch.spread[:-1], before)
-        # Not a prefix of the cached set: the lists drop, and so does the
-        # spread of every column not in the new set.
-        feature_importance(F[:, [3, 1]], cfg, grown)
-        self._check(grown)
-        assert len(grown.spread) == 2
 
 
 class TestListedRows:
@@ -800,23 +810,25 @@ class TestListedRows:
         rows = min(n, max_rows)
         cfg = UtilityConfig(k_neighbors=3, max_rows=max_rows)
         F = rng.normal(size=(n, 2))
-        cache = DistanceCache()
+        cache = DistanceCache(F, cfg)
         feature_importance(F, cfg, cache)               # a cold build
         self._check(cache)
         assert ranked == [rows]
-        F = np.column_stack([F, _column("lattice", rng, n)])
-        feature_importance(F, cfg, cache)               # grown
-        self._check(cache)
-        F = np.column_stack([F, _column("expexp", rng, n)])
-        feature_importance(F, cfg, cache)               # grown, most rows ranked again
-        self._check(cache)
+        for kind in ("lattice", "expexp"):              # grown, then most rows ranked again
+            column = _column(kind, rng, n)
+            cache.add(column)
+            F = np.column_stack([F, column])
+            feature_importance(F, cfg, cache)
+            self._check(cache)
         assert len(ranked) > 1 and ranked.count(rows) == 1
         # A copy that ranks rows again writes its own lists only.
         listed, keys = cache.listed.copy(), cache.keys.copy()
         branch = cache.copy()
         self._check(branch)
         del ranked[:]
-        feature_importance(np.column_stack([F, _column("expexp", rng, n)]), cfg, branch)
+        column = _column("expexp", rng, n)
+        branch.add(column)
+        feature_importance(np.column_stack([F, column]), cfg, branch)
         assert ranked
         self._check(branch)
         assert np.array_equal(cache.listed, listed) and np.array_equal(cache.keys, keys)
@@ -903,9 +915,9 @@ class TestScale:
         # float64, and ranks the same, so its lists hold the same keys.
         rng = np.random.default_rng(31)
         X, z = rng.normal(size=(1000, 12)), rng.normal(size=1000).round(3)
-        plain, shifted = DistanceCache(), DistanceCache()
-        assert (mdcg(np.column_stack([X, 1e8 + 1e-3 * z]), UtilityConfig(), shifted)
-                == mdcg(np.column_stack([X, z]), UtilityConfig(), plain))
+        F, G = np.column_stack([X, 1e8 + 1e-3 * z]), np.column_stack([X, z])
+        shifted, plain = DistanceCache(F, UtilityConfig()), DistanceCache(G, UtilityConfig())
+        assert mdcg(F, UtilityConfig(), shifted) == mdcg(G, UtilityConfig(), plain)
         assert np.array_equal(shifted.keys, plain.keys)
 
 
@@ -942,17 +954,18 @@ class TestEqualWidth:
             table = load_csv(path, "y", "regression")
             originals = np.column_stack([eval_cross(FeatureCross((feature_token(i),)), table)
                                          for i in range(12)])
-            base = DistanceCache()        # each wider set grows a copy: the same bits
+            base = DistanceCache(originals, UtilityConfig())   # each wider set grows a copy
 
             def score(*columns):
-                return mdcg(np.column_stack([originals, *columns]), UtilityConfig(), base.copy())
+                return mdcg(np.column_stack([originals, *columns]), UtilityConfig(),
+                            _grown(base, *columns))
 
             rng = np.random.default_rng(100 + seed)
             out[seed] = (
                 mdcg(originals, UtilityConfig(), base),
                 score(*[eval_cross(FeatureCross(tuple(c.split())), table)
                         for c in ("f0 f1 *", "f2 sin")]),
-                score(np.random.default_rng(seed).normal(size=(1000, 2))),
+                score(*np.random.default_rng(seed).normal(size=(1000, 2)).T),
                 np.array([score(*[eval_cross(random_cross(12, 3, rng), table)
                                   for _ in range(2)]) for _ in range(self.RANDOM_SETS)]))
         return out
@@ -991,13 +1004,14 @@ class TestLatentViews:
     def test_every_same_latent_sum_beats_every_cross_latent_sum(self, seed):
         # Measured at seeds 1-3: a margin of 0.0025 / 0.0028 / 0.0024.
         X = latent_view_table(1000, seed)
-        base = DistanceCache()        # each wider set grows a copy: the same bits
+        base = DistanceCache(X, UtilityConfig())   # each wider set grows a copy
         mdcg(X, UtilityConfig(), base)
         same, cross = [], []
         for a in range(12):
             for b in range(a + 1, 12):
-                score = mdcg(np.column_stack([X, X[:, a] + X[:, b]]), UtilityConfig(),
-                             base.copy())
+                column = X[:, a] + X[:, b]
+                score = mdcg(np.column_stack([X, column]), UtilityConfig(),
+                             _grown(base, column))
                 (same if a // 4 == b // 4 else cross).append(score)
         assert len(same) == 18 and len(cross) == 48
         assert min(same) > max(cross)
