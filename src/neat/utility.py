@@ -60,10 +60,15 @@ distinct, and sorting them orders rows by (d^2, row index), so ties at the
 k-th distance go to the lower row index; ``neighbours`` splits them into rows
 and d^2 in int64.
 
-A ``DistanceCache`` keeps each row's candidate rows beside their keys, so a
-set grown by a column adds that column's squared differences at the listed
-rows without deriving them again, and a row's k nearest are the first k of
-its sorted keys: one sort of a list width, not a partition and a sort.
+A ``DistanceCache`` stores the right operand itself, (m + 2, n) in row-major
+order: one row of codes per kept column, then n |c_j|^2 + j, then ones. Its
+codes are kept nowhere else, a block of keys is the left block times the
+operand as it is stored, and appending a column writes a new operand with
+one more code row and n c_j^2 added to row m. Beside it the cache keeps
+each row's candidate rows and their keys, so a set grown by a column adds
+that column's squared differences at the listed rows without deriving them
+again, and a row's k nearest are the first k of its sorted keys: one sort
+of a list width, not a partition and a sort.
 """
 
 from __future__ import annotations
@@ -114,9 +119,24 @@ def _rank_codes(columns: np.ndarray) -> np.ndarray:
 
 
 def _spread(codes: np.ndarray) -> np.ndarray:
-    # Each code column's 2 s^2, exact: see ``DistanceCache``.
+    # Each code row's 2 s^2, exact: see ``DistanceCache``.
+    squares = np.einsum("ij,ij->i", codes, codes)
+    return 2.0 * (squares / (codes.shape[1] - 1))
+
+
+def _appended(operand: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    # A new operand: ``operand``'s code rows, then ``codes`` (rows of n
+    # codes), then row m, n |c_j|^2 + j grown by the new rows' n c_j^2, and
+    # the ones. ``operand`` is not written, so copies of a cache share it.
+    m, n = len(operand) - 2, operand.shape[1]
+    out = np.empty((m + len(codes) + 2, n))
+    out[:m] = operand[:m]
+    out[m:-2] = codes
     squares = np.einsum("ij,ij->j", codes, codes)
-    return 2.0 * (squares / (len(codes) - 1))
+    squares *= n
+    np.add(operand[m], squares, out=out[-2])
+    out[-1] = 1.0
+    return out
 
 
 # Candidate rows kept per subsampled row by a DistanceCache: the nearest
@@ -127,16 +147,19 @@ LIST_LEN = 32
 
 # Rows ranked per product, so the (block, n) work array stays small; it does
 # not change the result. At n = 1000 and K = m + 2 = 14-26 under 2 OpenBLAS
-# threads, a 32-row product takes 27-38 us (median) and its partition 47-76
-# us; a 64-row product takes 45-54 us, but at K = 14 one in ten took about
-# 16 ms on the threaded path. Whole ranks of 150 and 1000 rows took as long
-# or longer in 64-row blocks (0.66-0.76 ms against 0.44-0.69 ms at 150 rows).
+# threads (2-vCPU Intel Xeon), a 32-row product, left block @ operand, takes
+# 25-37 us (median) and its partition 74-80 us; a 64-row product takes
+# 47-81 us and its partition 152-160 us. Whole ranks of 150 and 1000 rows
+# took 0.70 and 4.7 ms in 32-row blocks, 0.99 and 5.4 ms in 64-row ones, and
+# 64-row blocks made collect-tall's stage_s 6% slower (10 of 10 pairs).
 _ROW_BLOCK = 32
 
 
 class DistanceCache:
     """The scored state of one feature set: its row subsample ``rows``, its
-    kept rank codes ``columns``, their 2 s^2 ``spread``, the bytes of each
+    ``operand``, the (m + 2, n) right operand of its key products (rows
+    0..m - 1 the m kept code columns, row m n |c_j|^2 + j, row m + 1 ones;
+    module docstring), the kept columns' 2 s^2 ``spread``, the bytes of each
     code column ``seen``, and each subsampled row's candidate list: ``keys``,
     n d^2 + j of each listed row j, ``listed``, those rows j, and
     ``outside``, the smallest key of any row not listed.
@@ -160,9 +183,11 @@ class DistanceCache:
     key's row j as it was, so ``listed`` is written only when a row is
     ranked. Keys only grow, so ``outside`` stays a lower bound. The keys
     take about 0.3 MB at 1000 rows. Rows are ranked ``_ROW_BLOCK`` at a
-    time, each block's keys one product of augmented code rows (module
-    docstring) written into one (``_ROW_BLOCK``, n) work array per ranking,
-    so no (n, n) array exists.
+    time, each block's keys one product of its left rows, sliced from the
+    operand, and the operand as it is stored, written into one
+    (``_ROW_BLOCK``, n) work array per ranking, so no (n, n) array exists
+    and nothing of the operand is rebuilt per ranking. Row m is an integer
+    below 4 m n^3, exact while ``feature_importance`` accepts the set.
 
     ``spread`` holds each kept column's 2 s^2 = 2 sum(c^2) / (n - 1), computed
     once when the column is kept: a column's codes are integers that sum to
@@ -175,10 +200,13 @@ class DistanceCache:
         self.rows = sample_indices(F.shape[0], cfg.max_rows, cfg.row_seed)
         # Codes are float64 integers, never -0.0 or NaN, so equal bytes are
         # equal values; the first of equal columns is kept.
+        n = len(self.rows)
         distinct = {column.tobytes(): column for column in _rank_codes(F[self.rows]).T}
+        codes = np.array(list(distinct.values())).reshape(-1, n)
         self.seen = frozenset(distinct)             # the bytes of each code column
-        self.columns = np.column_stack([np.empty((len(self.rows), 0)), *distinct.values()])
-        self.spread = _spread(self.columns)         # (kept,) 2 s^2 of each code column
+        # (m + 2, n): code rows, n |c_j|^2 + j, ones; no code rows is [j; 1]
+        self.operand = _appended(np.stack([np.arange(n, dtype=float), np.ones(n)]), codes)
+        self.spread = _spread(codes)                # (kept,) 2 s^2 of each code column
         self.keys: np.ndarray | None = None      # (n, width) n d2 + j of listed rows j
         self.listed: np.ndarray | None = None    # (n, width) intp: those rows j
         self.outside: np.ndarray | None = None   # (n,) smallest key of the rest
@@ -188,15 +216,15 @@ class DistanceCache:
         codes on the row subsample equal a kept column's: then it would earn
         no term and leave the score as it is. Returns whether it was kept;
         a column that is not kept leaves the cache as it was."""
-        codes = _rank_codes(column[self.rows, None])
+        codes = _rank_codes(column[self.rows, None]).T
         key = codes.tobytes()
         if key in self.seen:
             return False
         self.seen = self.seen | {key}
-        self.columns = np.column_stack([self.columns, codes])
+        self.operand = _appended(self.operand, codes)
         self.spread = np.concatenate([self.spread, _spread(codes)])
         if self.keys is not None:
-            c = codes[:, 0]
+            c = codes[0]
             diff = c.take(self.listed)
             diff -= c[:, None]
             diff *= diff
@@ -208,7 +236,7 @@ class DistanceCache:
         """Each row's k nearest rows, ordered by (d^2, row index), for the
         cache's set: (n, k) integer arrays of rows and their d^2 over the
         codes. Ties at the k-th distance go to the lower row index."""
-        n = len(self.columns)
+        n = self.operand.shape[1]
         width = min(n - 1, max(LIST_LEN, k))
         if self.keys is None or self.keys.shape[1] < width:
             self.keys, self.outside = np.empty((n, width)), np.empty(n)
@@ -226,29 +254,24 @@ class DistanceCache:
         # Relist ``rows``: the keys of each row's nearest rows and those rows,
         # and the next smallest key as ``outside``. A row's own key is +inf,
         # so a list of every other row gets +inf.
-        # Left row i is [-2n c_i, 1, n |c_i|^2] and right column j is
-        # [c_j; n |c_j|^2 + j; 1], so one GEMM per block gives the keys
-        # n d^2 + j, written into one work array for the whole call. Every
-        # product and partial sum is an integer of magnitude below
+        # Left row i is [-2n c_i, 1, n |c_i|^2], read off the operand (row m
+        # at i, minus i), and operand column j is [c_j; n |c_j|^2 + j; 1], so
+        # one row-major product per block, left block @ operand, gives the
+        # keys n d^2 + j, written into one work array for the whole call.
+        # Every product and partial sum is an integer of magnitude below
         # 4 m n^3 < 2^53, so it is exact in any order.
         n, width = self.keys.shape
-        c = self.columns
-        m = c.shape[1]
-        norms = np.einsum("ij,ij->i", c, c)
-        norms *= n
-        right = np.empty((n, m + 2))
-        right[:, :m] = c
-        np.add(norms, np.arange(n), out=right[:, m])
-        right[:, m + 1] = 1.0
+        operand = self.operand
+        m = len(operand) - 2
         left = np.empty((len(rows), m + 2))
-        np.multiply(c[rows], -2.0 * n, out=left[:, :m])
+        np.multiply(operand[:m, rows].T, -2.0 * n, out=left[:, :m])
         left[:, m] = 1.0
-        left[:, m + 1] = norms[rows]
+        np.subtract(operand[m, rows], rows, out=left[:, m + 1])
         work = np.empty((min(len(rows), _ROW_BLOCK), n))
         for start in range(0, len(rows), _ROW_BLOCK):
             block = rows[start:start + _ROW_BLOCK]
             keys = work[:len(block)]
-            np.matmul(left[start:start + _ROW_BLOCK], right.T, out=keys)
+            np.matmul(left[start:start + _ROW_BLOCK], operand, out=keys)
             keys[np.arange(len(block)), block] = np.inf
             keys.partition(width, axis=1)
             near = keys[:, :width]
@@ -257,8 +280,9 @@ class DistanceCache:
 
     def copy(self) -> "DistanceCache":
         """An independent cache of the same set: the lists are copied, since
-        ``add`` and ranking update them in place. The other fields are
-        replaced, never written, so the two share them."""
+        ``add`` and ranking update them in place. The other fields, the
+        operand among them, are replaced, never written (``add`` builds a new
+        operand with its code row), so the two share them."""
         other = copy.copy(self)
         if self.keys is not None:
             other.keys, other.outside = self.keys.copy(), self.outside.copy()
@@ -292,16 +316,16 @@ def feature_importance(F: np.ndarray, cfg: UtilityConfig = UtilityConfig(),
     elif cache.built_for != (F.shape[0], cfg):
         raise ValueError(f"a cache built for {cache.built_for}, "
                          f"not for {F.shape[0]} rows under {cfg}")
-    v = cache.columns
+    codes = cache.operand[:-2]
     index, _ = cache.neighbours(k)
     discount = 1.0 / np.log2(np.arange(2.0, k + 2.0))
     discount /= discount.sum()
-    gain = np.zeros(v.shape[1])
+    gain = np.zeros(len(codes))
     for rank in range(k):
-        diffs = v[index[:, rank]]
-        diffs -= v
+        diffs = codes.take(index[:, rank], axis=1)
+        diffs -= codes
         np.square(diffs, out=diffs)
-        gain += discount[rank] * diffs.sum(axis=0)
+        gain += discount[rank] * diffs.sum(axis=1)
     gain /= n
     spread = cache.spread
     return np.divide(spread - gain, spread, out=np.zeros_like(gain), where=spread > 0.0)

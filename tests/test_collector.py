@@ -95,8 +95,8 @@ class TestCollect:
         rank, copy = DistanceCache._rank, DistanceCache.copy
 
         def counted_rank(cache, rows):
-            if len(rows) == len(cache.columns):         # every row: a cold build
-                builds.append(cache.columns.shape)
+            if len(rows) == cache.operand.shape[1]:     # every row: a cold build
+                builds.append(cache.operand[:-2].shape)
             return rank(cache, rows)
 
         def counted_copy(cache):
@@ -106,7 +106,7 @@ class TestCollect:
         monkeypatch.setattr(DistanceCache, "_rank", counted_rank)
         monkeypatch.setattr(DistanceCache, "copy", counted_copy)
         collect(small_table, episodes=episodes, steps=5, rng=np.random.default_rng(11))
-        assert builds == [(40, 5)]             # one build, over the table's own columns
+        assert builds == [(5, 40)]             # one build, over the table's own columns
         # Every episode grows its own copy of the base cache's candidate lists.
         assert len(copies) == episodes
 
@@ -459,8 +459,8 @@ class TestBaseMemo:
         builds, rank = [], DistanceCache._rank
 
         def counted_rank(cache, rows):
-            if len(rows) == len(cache.columns):         # every row: a cold build
-                builds.append(cache.columns.shape)
+            if len(rows) == cache.operand.shape[1]:     # every row: a cold build
+                builds.append(cache.operand[:-2].shape)
             return rank(cache, rows)
 
         monkeypatch.setattr(DistanceCache, "_rank", counted_rank)
@@ -472,7 +472,7 @@ class TestBaseMemo:
     def test_three_calls_make_one_full_row_rank(self, table, full_ranks):
         for seed in (1, 2, 3):
             self._collect(table, seed)
-        assert full_ranks == [(300, 5)]
+        assert full_ranks == [(5, 300)]
 
     def test_later_calls_equal_calls_on_a_fresh_copy(self, table):
         calls = [self._collect(table, seed) for seed in (1, 2, 3)]
@@ -486,7 +486,7 @@ class TestBaseMemo:
         [base] = collector._BASES[table].values()
         d = base.distances
         arrays = [base.features.matrix(), base.state, base.col_stats, d.rows,
-                  d.columns, d.spread, d.keys, d.listed, d.outside]
+                  d.operand, d.spread, d.keys, d.listed, d.outside]
         before = [a.copy() for a in arrays]
         provenance, seen = list(base.features.provenance), d.seen
         for seed in (2, 3):
@@ -510,7 +510,7 @@ class TestBaseMemo:
         first = self._collect(table, 1)
         records = self._collect(table, 2, other)
         assert _bits(self._collect(table, 1)) == _bits(first)
-        assert full_ranks == [(300, 5), (250, 5)]
+        assert full_ranks == [(5, 300), (5, 250)]
         assert set(collector._BASES[table]) == {self.CFG.utility, other.utility}
         fresh = table.take(np.arange(len(table.values)))
         assert _bits(records) == _bits(self._collect(fresh, 2, other))
@@ -926,7 +926,7 @@ class TestActions:
             cross = _cross("f0 f0 +")                       # ranks as f0 does
             assert features.copy().add(cross, eval_cross(cross, small_table))
         provenance, matrix = list(features.provenance), features.matrix()
-        fields = ("columns", "spread", "keys", "listed", "outside")
+        fields = ("operand", "spread", "keys", "listed", "outside")
         cached = [getattr(distances, name).tobytes() for name in fields]
         seen = distances.seen
         assert _advance(features, cross, small_table, distances) is False

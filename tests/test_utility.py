@@ -19,6 +19,7 @@ from neat.tabular import load_csv
 from neat.tabular import sample_indices
 from neat.utility import (
     _ROW_BLOCK,
+    _rank_codes,
     LIST_LEN,
     DistanceCache,
     UtilityConfig,
@@ -267,6 +268,19 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
+def _check_operand(cache, F):
+    # A cache of F, whose columns are distinct on the subsample, holds their
+    # code rows bit for bit, then n |c_j|^2 + j exactly, then ones, in one
+    # C-ordered array.
+    codes = _rank_codes(F[cache.rows]).T
+    n = codes.shape[1]
+    assert cache.operand.flags.c_contiguous
+    assert _bits(cache.operand[:-2]) == _bits(np.ascontiguousarray(codes))
+    exact = n * (codes.astype(np.int64) ** 2).sum(axis=0) + np.arange(n)
+    assert np.array_equal(cache.operand[-2], exact.astype(float))
+    assert np.all(cache.operand[-1] == 1.0)
+
+
 def _grown(cache, *columns):
     # A copy of ``cache`` with ``columns`` added in turn, as collect grows a set.
     grown = cache.copy()
@@ -298,7 +312,9 @@ class TestDistanceCache:
     def test_add_agrees_with_a_cold_cache(self, rows, max_rows, seed, m, constant, kind):
         # add keeps a column exactly when a cold cache of the grown set keeps
         # one more code column; a column it refuses leaves every field as it
-        # was, and one it keeps scores as the cold call does.
+        # was, and one it keeps scores as the cold call does. The operand
+        # holds the set's code rows, cold, grown and on a copy, and an add on
+        # a copy leaves the source's operand as it was.
         rng = np.random.default_rng(seed)
         cfg = UtilityConfig(k_neighbors=3, max_rows=max_rows)
         F = rng.normal(size=(rows, m))
@@ -307,6 +323,8 @@ class TestDistanceCache:
         x = F[:, int(rng.integers(m))]
         cache = DistanceCache(F, cfg)
         feature_importance(F, cfg, cache)           # the lists exist
+        assert len(cache.operand) == m + 2
+        _check_operand(cache, F)
         if kind == "copy":
             c = x.copy()
         elif kind == "x + x":
@@ -323,11 +341,18 @@ class TestDistanceCache:
         else:
             c = rng.normal(size=rows)
         grown = np.column_stack([F, c])
-        fields = ("columns", "spread", "keys", "listed", "outside")
+        fields = ("operand", "spread", "keys", "listed", "outside")
         before = [_bits(getattr(cache, name)) for name in fields]
         seen = cache.seen
+        operand = cache.operand
+        branch = cache.copy()
+        branch_kept = branch.add(c)
+        assert cache.operand is operand and _bits(operand) == before[0]
         kept = cache.add(c)
-        assert kept == (DistanceCache(grown, cfg).columns.shape[1] == before[0][1][1] + 1)
+        assert kept == branch_kept
+        assert kept == (len(DistanceCache(grown, cfg).operand) == before[0][1][0] + 1)
+        for scored in (cache, branch):
+            _check_operand(scored, grown if kept else F)
         if kept:
             assert (_bits(feature_importance(grown, cfg, cache))
                     == _bits(feature_importance(grown, cfg)))
@@ -386,7 +411,7 @@ def _check_neighbours(caches, F, cfg, k):
     want = oracle_ranked(scaled, k)
     d2_want = np.take_along_axis(oracle_sq_dists(scaled), want, axis=1)
     for cache in caches:
-        assert np.array_equal(cache.columns, scaled)
+        assert np.array_equal(cache.operand[:-2], scaled.T)
         index, d2 = cache.neighbours(k)
         assert np.array_equal(index, want)
         assert np.array_equal(d2, d2_want)
@@ -571,7 +596,7 @@ class TestGramScreen:
         n, m = F.shape
         assert 4 * m * n ** 3 < 2 ** 53
         cache = DistanceCache(F, BIG)
-        c = cache.columns
+        c = cache.operand[:-2].T                    # (n, m) codes
         exact = oracle_sq_dists(oracle_scaled(F))
         norms = np.einsum("ij,ij->i", c, c)
         assert np.array_equal(norms[:, None] + norms[None, :] - 2.0 * (c @ c.T), exact)
@@ -588,8 +613,8 @@ class TestGramScreen:
         n = len(F)
         cache = DistanceCache(F, BIG)
         index, d2 = cache.neighbours(rank)
-        assert np.array_equal(cache.columns, oracle_scaled(F))
-        exact = oracle_sq_dists(cache.columns)
+        assert np.array_equal(cache.operand[:-2], oracle_scaled(F).T)
+        exact = oracle_sq_dists(cache.operand[:-2].T)
         np.fill_diagonal(exact, np.inf)
         limits = np.sort(exact, axis=1)[:, rank - 1]
         for r in range(n):
@@ -701,8 +726,8 @@ class TestKeysAtTheGuard:
         # that ``neighbours(k)`` returns for them, against int64 oracle keys.
         index, d2 = cache.neighbours(k)
         n, width = cache.keys.shape
-        codes = cache.columns.astype(np.int64)
-        assert np.array_equal(codes, cache.columns)
+        codes = cache.operand[:-2].T.astype(np.int64)
+        assert np.array_equal(codes, cache.operand[:-2].T)
         for row in rows:
             ordered = np.sort(_int_keys(codes, row))
             assert np.array_equal(np.sort(cache.keys[row]).astype(np.int64), ordered[:width])
@@ -723,7 +748,7 @@ class TestKeysAtTheGuard:
         cache = DistanceCache(F, UtilityConfig())
         cache.neighbours(5)
         assert time.monotonic() - start < 2.0
-        assert cache.columns.shape == (n, m)
+        assert cache.operand[:-2].shape == (m, n)
         self._check(cache, np.random.default_rng(22).choice(n, 20, replace=False), 5)
 
     def test_rows_at_the_guard(self):
@@ -759,8 +784,8 @@ class TestSpread:
 
     @staticmethod
     def _check(cache):
-        assert cache.spread.shape == (cache.columns.shape[1],)
-        assert np.array_equal(cache.spread, 2.0 * cache.columns.var(axis=0, ddof=1))
+        assert cache.spread.shape == (len(cache.operand) - 2,)
+        assert np.array_equal(cache.spread, 2.0 * cache.operand[:-2].var(axis=1, ddof=1))
 
     @pytest.mark.parametrize("n,max_rows", [(400, 300), (120, 1000)])
     def test_cold_grown_copied_and_dropped(self, n, max_rows):
@@ -794,7 +819,7 @@ class TestListedRows:
     @staticmethod
     def _check(cache):
         assert cache.listed.dtype == np.intp
-        assert np.array_equal(cache.listed, cache.keys.astype(np.intp) % len(cache.columns))
+        assert np.array_equal(cache.listed, cache.keys.astype(np.intp) % cache.operand.shape[1])
 
     @pytest.mark.parametrize("n,max_rows", [(400, 300), (120, 1000)])
     def test_cold_grown_re_ranked_and_copied(self, n, max_rows, monkeypatch):
