@@ -232,13 +232,15 @@ def _advance(features: FeatureSet, cross: FeatureCross, table: DataTable,
     """Try to add a cross; a no-op (False, set and cache unchanged) when the
     set does not fit it (``FeatureSet.fits``: no room, or a token budget
     overflows) or ``distances.add``, the set's cache, does not keep its
-    column: its rank codes equal a kept column's, bitwise duplicates
-    included, so ``features.add`` keeps every column it keeps. A cross that
-    does not fit is not evaluated."""
+    column: its rank codes equal a kept column's. A cross that does not fit
+    is not evaluated."""
     if not features.fits(cross):
         return False
     column = eval_cross(cross, table)
-    return distances.add(column) and features.add(cross, column)
+    if not distances.add(column):
+        return False
+    features.add(cross, column)
+    return True
 
 
 def _score(features: FeatureSet, distances: DistanceCache, col_stats: np.ndarray,
@@ -312,8 +314,9 @@ def collect(X: DataTable, episodes: int, steps: int,
     A step adds its cross's column only if the utility keeps it
     (``_advance``), so every added column of a record earns a term of its
     utility. The table's own columns start every set as given, even one that
-    ranks as another does (``x`` beside ``2x + 1``): the utility scores one
-    of them, and a cross whose column ranks as either is refused.
+    ranks as another does (``x`` beside ``2x + 1``) or equals it bit for bit:
+    the utility scores one of them, and a cross whose column ranks as either
+    is refused.
 
     The table's own columns are scored once per table and utility config,
     by the first call on that table (``_base``); later calls copy that base
@@ -323,9 +326,9 @@ def collect(X: DataTable, episodes: int, steps: int,
     to those of the same call on a fresh copy of the table.
 
     Raises:
-        SequenceTooLong: the table has more than 63 columns, bitwise
-            duplicates not counted, so the sequence of its own columns
-            exceeds ``MAX_LEN``; raised before any set is scored.
+        SequenceTooLong: the table has more than 63 columns, so the
+            sequence of its own columns exceeds ``MAX_LEN``; raised before
+            any set is scored.
         DegenerateK: ``cfg.utility.k_neighbors`` is below 1, or not below
             the number of subsampled rows."""
     cfg = cfg or CollectorConfig()
@@ -390,13 +393,19 @@ def write_records(path: str | Path, records: Sequence[ExplorationRecord],
     the file.
 
     Raises:
-        ValueError: ``dataset_id`` holds a tab or a line break (any that
-            ``str.splitlines`` breaks on), which the header could not hold;
+        ValueError: a file that ``read_records`` would refuse: ``dataset_id``
+            holds a tab or a line break (any that ``str.splitlines`` breaks
+            on), which the header could not hold, ``episodes`` or ``steps``
+            is below 1, or there are not ``episodes × steps`` records;
             raised before the path is touched.
     """
     if "\t" in dataset_id or "".join(dataset_id.splitlines()) != dataset_id:
         raise ValueError(f"dataset_id {dataset_id!r}: a tab or line break "
                          "would not read back from the header")
+    if episodes < 1 or steps < 1 or len(records) != episodes * steps:
+        raise ValueError(f"{len(records)} records under episodes={episodes} and "
+                         f"steps={steps}: read_records needs both positive and "
+                         "episodes × steps records")
     lines = [f"dataset_id={dataset_id}\topset={op_set_hash()}\tseed={seed}"
              f"\tepisodes={episodes}\tsteps={steps}"]
     texts: dict[int, str] = {}     # id of a sequence the records hold -> its text

@@ -6,11 +6,12 @@ concatenation; its backward cache holds ``P``, ``H`` and the bool ReLU gate.
 
 Graphs within one run share a fixed row subsample so every graph has the same
 attribute width and one encoder serves them all. A record's crosses are
-evaluated on those sampled rows only (``materialize_graphs``), and its
-bitwise-duplicate columns are found there too: columns that agree on every
-sampled row give the encoder the same node, whatever they do elsewhere. The
-encoder reads those columns through ``nn.scale_input`` (``arcsinh``), so a
-clamp-range cross of 1e150 is an attribute of about 346.
+evaluated on those sampled rows only (``materialize_graphs``). The encoder
+reads those columns through ``nn.scale_input`` (``arcsinh``), so a
+clamp-range cross of 1e150 is an attribute of about 346, and it reads them
+in float32. So ``materialize_graphs`` decides a graph's nodes on what the
+encoder reads: columns whose float32 attributes are equal are one node,
+whatever they do on other rows or in float64.
 
 A batch of graphs stays in node-count stacks from materialization to the
 loss. A ``GraphStack`` holds the graphs of one node count ``m``: ``attrs``
@@ -329,13 +330,16 @@ def materialize_graphs(records, table, rows: RowSample):
     index in ``records`` of layout row ``i``, increasing within each stack. A
     record is skipped exactly when it is absent from ``order``: a cross built
     in code that the walk refuses, a feature past the table's columns, or one
-    column kept on the sampled rows.
+    node left on the sampled rows.
 
     Each record's sequence is applied to ``table.take(rows.indices)``, with one
     ``apply_sequence`` memo for all records. Every operator is elementwise, so
-    a column holds the same bits as the full-table column at those rows.
-    Duplicates are dropped there, before scaling: a record whose columns agree
-    there has fewer nodes. Graphs are built on the ``nn.scale_input`` columns."""
+    a column holds the same bits as the full-table column at those rows. The
+    columns are scaled by ``nn.scale_input``, and this is the one place that
+    decides nodes: of the scaled rows whose float32 values are equal, the
+    first is kept, so a graph holds no two nodes that the encoder cannot
+    tell apart (-0.0 and 0.0 are equal). Graphs are built on the kept
+    float64 rows."""
     sampled = table.take(rows.indices)
     columns: dict = {}      # cross -> its column on ``sampled``
     groups: dict[int, list] = {}    # node count -> [(record index, attrs)]
@@ -344,13 +348,17 @@ def materialize_graphs(records, table, rows: RowSample):
             v = apply_sequence(rec.sequence, sampled, columns)
         except NeatError:
             continue
-        groups.setdefault(v.shape[1], []).append((i, v.T))
+        scaled = nn.scale_input(v.T)
+        first: dict[bytes, int] = {}    # float32 attribute row -> its first node
+        for node, row in enumerate(scaled.astype(np.float32) + np.float32(0)):   # -0.0 is 0.0
+            first.setdefault(row.tobytes(), node)
+        groups.setdefault(len(first), []).append((i, scaled[list(first.values())]))
     stacks, order = [], []
     for m in sorted(groups):
         kept = groups.pop(m)
         if m > 1:
             index, attrs = zip(*kept)
-            stacks.append(build_graph(nn.scale_input(np.stack(attrs))))
+            stacks.append(build_graph(np.stack(attrs)))
             order.extend(index)
     return stacks, np.array(order, dtype=np.intp)
 

@@ -13,10 +13,11 @@ that the utility and the graph encoder read, and its crosses, a
 budgets (``_within_budget``, also read by ``FeatureSet.fits``) when it is
 constructed. ``CrossSequence.from_text`` is the one parser of a sequence's
 text, and it walks each cross's grammar there; a sequence built in code is
-walked where it is used. A collected set adds no column that ranks as a
-kept one does: that rule is the utility's (``utility.DistanceCache.add``).
-``FeatureSet`` keeps only the bitwise rule beneath it, for the columns the
-utility's rule does not decide. ``_walk`` is the one postfix walker:
+walked where it is used. Neither form drops a column: each reader decides
+duplicates on what it reads. A collected set adds no column that ranks as
+a kept one does (the utility's rule, ``utility.DistanceCache.add``), and
+the encoder makes one node of columns equal in its float32 attributes
+(``encoder.materialize_graphs``). ``_walk`` is the one postfix walker:
 checking, evaluation and rendering are its callbacks, so all raise the same
 ``InvalidPostfix`` errors.
 """
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import logging
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -42,7 +42,6 @@ from .errors import (
 )
 from .tabular import DataTable
 
-log = logging.getLogger(__name__)
 T = TypeVar("T")
 
 SOS = "<SOS>"
@@ -235,23 +234,15 @@ def eval_cross(cross: FeatureCross, table: DataTable) -> np.ndarray:
 
 
 class FeatureSet:
-    """A feature set under construction: columns, the cross that built each,
-    the bytes of every kept column and the running length of its sequence.
+    """A feature set under construction: columns, the cross that built each
+    and the running length of its sequence.
 
-    The one owner of the two rules that keep a recorded sequence equal to the
-    set it was scored on: ``add`` drops a column bitwise equal to a kept one
-    (first occurrence wins), and ``fits`` says whether the set has room for
-    one more cross that keeps the sequence inside ``SEGMENT_CAP`` and
-    ``MAX_LEN``. ``add`` does not check ``fits``, so a caller asks first.
-
-    A cross that ``collect`` adds must pass the utility's stricter rule
-    first (``utility.DistanceCache.add``: its column ranks as no kept
-    one), which also refuses every bitwise duplicate. The bitwise rule
-    remains for what that rule does not decide: the table's own columns,
-    which start every set as given, and ``apply_sequence``'s replay of a
-    sequence on any rows. A sequence built in code (``random_cross``), or a
-    record replayed on the encoder's row sample, can hold columns equal
-    there, and dropping them defines the nodes of ``materialize_graphs``.
+    The one owner of the rule that keeps a recorded sequence inside its token
+    budgets: ``fits`` says whether the set has room for one more cross that
+    keeps the sequence inside ``SEGMENT_CAP`` and ``MAX_LEN``. ``add`` keeps
+    every column it is given and checks nothing, so a caller asks ``fits``
+    first, and ``collect`` asks the utility's duplicate rule too
+    (``utility.DistanceCache.add``).
 
     Columns live in one ``(n, capacity)`` float64 array, allocated at the
     first ``add`` (or by ``copy``) and never grown: ``capacity`` is the
@@ -265,7 +256,6 @@ class FeatureSet:
         self.provenance: list[FeatureCross] = []
         self._capacity = capacity
         self._values: np.ndarray | None = None     # (n, capacity), filled from the left
-        self._keys: set[bytes] = set()
         self._length = 1    # <SOS> and <EOS>, less the <SEP> the first cross goes without
 
     @property
@@ -278,18 +268,13 @@ class FeatureSet:
         n = len(cross.tokens)
         return self.n_features < self._capacity and _within_budget(n, self._length + n + 1)
 
-    def add(self, cross: FeatureCross, column: np.ndarray) -> bool:
-        """Keep ``column``, built by ``cross``, unless it is a bitwise duplicate."""
-        key = column.tobytes()
-        if key in self._keys:
-            return False
+    def add(self, cross: FeatureCross, column: np.ndarray) -> None:
+        """Append ``column``, built by ``cross``."""
         if self._values is None:
             self._values = np.empty((len(column), self._capacity))
         self._values[:, self.n_features] = column
-        self._keys.add(key)
         self.provenance.append(cross)
         self._length += len(cross.tokens) + 1
-        return True
 
     def copy(self) -> "FeatureSet":
         """An independent set with the same columns, in an array of its own."""
@@ -297,7 +282,6 @@ class FeatureSet:
         other.provenance = list(self.provenance)
         if self._values is not None:
             other._values = self._values.copy()
-        other._keys = set(self._keys)
         other._length = self._length
         return other
 
@@ -314,34 +298,28 @@ class FeatureSet:
 
 def apply_sequence(seq: CrossSequence, table: DataTable,
                    columns: dict[FeatureCross, np.ndarray] | None = None) -> np.ndarray:
-    """Materialize a sequence into a read-only ``(n, m)`` array, one column
-    per cross: the ``matrix()`` of a ``FeatureSet`` sized to its crosses.
+    """Materialize a sequence into a read-only ``(n, m)`` float64 array, the
+    ``np.column_stack`` of its crosses' columns: ``m`` is always
+    ``len(seq.crosses)``, and a repeated cross or an equal column is kept.
 
     ``columns`` memoizes ``eval_cross`` by cross (a local memo if None). The
     caller owns it, and it is valid for this ``table`` only. Each column it
     gains is read-only and stays there if a later cross raises, so a cross is
-    walked once by all calls sharing the memo. Bitwise-identical duplicate
-    columns are dropped (first occurrence wins); the drop count is logged.
-    Constant columns are kept.
+    walked once by all calls sharing the memo.
 
     Raises:
         the errors of ``eval_cross``: a cross built in code is walked here
         first, and a sequence read by ``CrossSequence.from_text`` can still
         name a feature past ``table``'s columns.
     """
-    crosses = seq.crosses
     columns = {} if columns is None else columns
-    features = FeatureSet(len(crosses))
-    for cross in crosses:
-        column = columns.get(cross)
-        if column is None:
+    for cross in seq.crosses:
+        if cross not in columns:
             column = columns[cross] = eval_cross(cross, table)
             column.flags.writeable = False
-        features.add(cross, column)
-    if features.n_features < len(crosses):
-        log.info("apply_sequence dropped %d duplicate column(s)",
-                 len(crosses) - features.n_features)
-    return features.matrix()
+    values = np.column_stack([columns[cross] for cross in seq.crosses])
+    values.flags.writeable = False
+    return values
 
 
 def render_infix(cross: FeatureCross, names: Sequence[str]) -> str:

@@ -17,10 +17,13 @@ rows (at most ``max_rows``):
 2. A scaled column equal to a kept one is dropped. That covers a bitwise
    duplicate and any order-keeping re-encoding (``2x + 1``, ``exp(x)``):
    they carry nothing new, and kept they would count one column twice.
-   This is the one duplicate rule of a collected set: ``DistanceCache.add``
-   codes a column once, keeps it only if it passes, and says whether it
-   did, and ``collect`` refuses a cross whose column was not kept, so a
-   recorded set's added columns each earn a term.
+   This is the utility's duplicate rule, decided on what it reads, and the
+   only one a collected set answers to: ``DistanceCache.add`` codes a
+   column once, keeps it only if it passes, and says whether it did, and
+   ``collect`` refuses a cross whose column was not kept, so a recorded
+   set's added columns each earn a term. A set's own array drops nothing;
+   the graph encoder decides its nodes by its own reading
+   (``encoder.materialize_graphs``).
 3. Row j's k nearest other rows, by the squared distance d^2 over the kept
    columns, are ordered by (d^2, row index). The neighbour of rank
    r = 1..k weighs 1 / log2(1 + r), normalised to sum to 1: the discount of

@@ -157,9 +157,8 @@ class TestCollect:
             kept.setdefault(id(features), (features, []))[1].append(features.matrix().base)
 
         def watched_add(features, cross, column):
-            grew = add(features, cross, column)
+            add(features, cross, column)
             seen(features)
-            return grew
 
         def watched_copy_set(features):
             other = copy_set(features)
@@ -320,6 +319,20 @@ class TestCollect:
         before = path.read_bytes()
         with pytest.raises(ValueError, match="dataset_id"):
             write_records(path, self._one_record(), dataset_id, seed=0, episodes=1, steps=1)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("n,episodes,steps", [
+        (0, 0, 4), (0, 1, 0), (5, 2, 3), (7, 2, 3), (1, -1, -1)])
+    def test_counts_that_would_not_read_back_are_refused(self, tmp_path, n, episodes, steps):
+        # read_records needs positive episodes and steps, and episodes × steps
+        # records; -1 × -1 is 1, so the product alone does not decide. The
+        # first case is what collect(table, 0, 4) returns.
+        path = tmp_path / "records.tsv"
+        write_records(path, self._one_record(), "d", seed=0, episodes=1, steps=1)
+        before = path.read_bytes()
+        records = self._one_record() * n
+        with pytest.raises(ValueError, match="episodes"):
+            write_records(path, records, "d", seed=0, episodes=episodes, steps=steps)
         assert path.read_bytes() == before
 
     def test_a_dataset_id_with_a_space_round_trips(self, tmp_path):
@@ -895,7 +908,7 @@ class TestActions:
     def _features(self, table, crosses, room=1):
         features = FeatureSet(len(crosses) + room)
         for text in crosses:
-            assert features.add(_cross(text), eval_cross(_cross(text), table))
+            features.add(_cross(text), eval_cross(_cross(text), table))
         return features
 
     def _scored(self, features):
@@ -924,7 +937,8 @@ class TestActions:
             cross = _cross("f1 f0 +")                       # bitwise equal to f0 f1 +
         else:
             cross = _cross("f0 f0 +")                       # ranks as f0 does
-            assert features.copy().add(cross, eval_cross(cross, small_table))
+            column = eval_cross(cross, small_table)
+            assert not any(np.array_equal(column, kept) for kept in features.matrix().T)
         provenance, matrix = list(features.provenance), features.matrix()
         fields = ("operand", "spread", "keys", "listed", "outside")
         cached = [getattr(distances, name).tobytes() for name in fields]
@@ -1006,39 +1020,46 @@ class TestDuplicateRule:
                     == len(feature_importance(F[:, :d], cfg.utility)) + F.shape[1] - d)
 
     def test_a_column_the_cache_keeps_the_set_keeps(self, monkeypatch):
-        # x and 2x + 1 rank alike, and each has a bitwise copy: the set drops
-        # the copies and the cache codes x once. Every column of a set ranks
-        # as one its cache has seen, so a column that DistanceCache.add keeps
-        # is no bitwise duplicate, and FeatureSet.add keeps it too.
+        # x and 2x + 1 rank alike, and each has a bitwise copy: every set
+        # starts from all four as given, and the cache codes x once. A column
+        # that DistanceCache.add keeps is appended to the set, and one that it
+        # refuses never reaches the set.
         rng = np.random.default_rng(6)
         x = rng.normal(size=40)
         table = make_table(np.column_stack([x, 2.0 * x + 1.0, x, 2.0 * x + 1.0,
                                             rng.normal(size=(40, 2))]))
-        verdicts = []            # (column, kept by the cache, kept by the set or None)
+        verdicts = []            # [column, kept by the cache, appended to the set]
         cache_add, set_add = DistanceCache.add, FeatureSet.add
 
         def watched_cache_add(cache, column):
             kept = cache_add(cache, column)
-            verdicts.append([column, kept, None])
+            verdicts.append([column, kept, False])
             return kept
 
         def watched_set_add(features, cross, column):
-            kept = set_add(features, cross, column)
+            set_add(features, cross, column)
             if verdicts and verdicts[-1][0] is column:
-                verdicts[-1][2] = kept
-            return kept
+                verdicts[-1][2] = True
 
         monkeypatch.setattr(DistanceCache, "add", watched_cache_add)
         monkeypatch.setattr(FeatureSet, "add", watched_set_add)
-        collect(table, 5, 8, rng=np.random.default_rng(1))
+        records = collect(table, 5, 8, rng=np.random.default_rng(1))
         kept = [by_set for _, by_cache, by_set in verdicts if by_cache]
         refused = [by_set for _, by_cache, by_set in verdicts if not by_cache]
         assert kept and all(kept)
-        assert refused and not any(by_set is not None for by_set in refused)
+        assert refused and not any(refused)
         # Some refused columns were bitwise copies of a column of the set.
         originals = table.values[:, :2].T
         assert any(any(np.array_equal(column, o) for o in originals)
                    for column, by_cache, _ in verdicts if not by_cache)
+        # The bitwise copies among the table's columns start every set, and
+        # the utility scores one of the four.
+        d, cfg = table.n_features, CollectorConfig()
+        for rec in records:
+            assert [c.tokens for c in rec.sequence.crosses[:d]] == [
+                (feature_token(i),) for i in range(d)]
+            F = apply_sequence(rec.sequence, table)
+            assert len(feature_importance(F, cfg.utility)) == F.shape[1] - 3
 
     def test_the_table_columns_are_kept_as_given(self, monkeypatch):
         # x and 2x + 1 rank alike: the utility scores one of them, yet every

@@ -3,7 +3,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clamp_range_table, make_table
@@ -81,10 +81,18 @@ def graph_of(attrs: np.ndarray) -> Graph:
     return Graph(attrs.astype(np.float32), upper | upper.T)
 
 
+def distinct_nodes(scaled: np.ndarray) -> np.ndarray:
+    """The rows of ``scaled`` that are nodes: the first of each distinct
+    float32 row, with -0.0 equal to 0.0, in their order in ``scaled``."""
+    _, first = np.unique(scaled.astype(np.float32) + np.float32(0), axis=0,
+                         return_index=True)
+    return scaled[np.sort(first)]
+
+
 def sampled_graph(sequence, table, rows: RowSample) -> Graph:
     """The graph of a sequence's arcsinh-scaled columns over the sampled rows."""
     columns = apply_sequence(sequence, table)[rows.indices].T
-    return graph_of(np.arcsinh(np.ascontiguousarray(columns)))
+    return graph_of(distinct_nodes(np.arcsinh(np.ascontiguousarray(columns))))
 
 
 def perturbed(adjacency: np.ndarray, rng) -> np.ndarray:
@@ -674,10 +682,11 @@ class TestPretrain:
         # "f" and a superscript two: int() cannot read it. read_records walks
         # each record's crosses, so the file is refused before pretraining.
         path = tmp_path / "records.tsv"
-        write_records(path, corpus, small_table.dataset_id, seed=0, episodes=1,
+        write_records(path, corpus + corpus[:1], small_table.dataset_id, seed=0, episodes=1,
                       steps=len(corpus) + 1)
-        with path.open("a", encoding="utf-8") as f:
-            f.write("0.5\t<SOS> f0 <SEP> f\u00b2 <EOS>\n")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[-1] = "0.5\t<SOS> f0 <SEP> f\u00b2 <EOS>"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(MalformedRecord,
                            match=rf"line {len(corpus) + 2}\b.*unexpected token 'f\u00b2'"):
             read_records(path)
@@ -770,7 +779,8 @@ class TestMatchesPerGraphPipeline:
 
 
 class TestSampledRowNodes:
-    """A record's duplicate columns are found on the sampled rows ``ROWS``."""
+    """A record's nodes are decided on the sampled rows ``ROWS``, by the
+    float32 attributes the encoder reads."""
 
     @pytest.fixture
     def table(self, rng):
@@ -789,6 +799,27 @@ class TestSampledRowNodes:
         expected = graph_of(np.arcsinh(np.ascontiguousarray(kept[ROWS.indices].T)))
         assert np.array_equal(stack.attrs[0], expected.attrs)
         assert np.array_equal(stack.adjacency[0], expected.adjacency)
+
+    def test_columns_an_ulp_apart_are_one_node(self):
+        # 1/(1/x) is x give or take an ulp: distinct float64 columns whose
+        # float32 attributes are equal.
+        table = make_table(np.random.default_rng(0).normal(size=(50, 3)))
+        record = ExplorationRecord(CrossSequence.from_text(
+            "<SOS> f0 <SEP> f0 reciprocal reciprocal <SEP> f1 <EOS>"), 0.0, 0, 0)
+        values = apply_sequence(record.sequence, table)
+        assert values.shape[1] == 3 and not np.array_equal(values[:, 0], values[:, 1])
+        (stack,), order = materialize_graphs([record], table, RowSample(np.arange(50), 0))
+        assert list(order) == [0] and stack.n_nodes == 2
+        assert np.array_equal(stack.attrs[0], np.arcsinh(values[:, [0, 2]].T).astype(np.float32))
+
+    def test_signed_zero_columns_are_one_node(self):
+        values = np.random.default_rng(1).normal(size=(40, 3))
+        values[:, 0], values[:, 1] = 0.0, -0.0
+        table = make_table(values)
+        record = _record([FeatureCross((feature_token(i),)) for i in range(3)])
+        (stack,), _ = materialize_graphs([record], table, ROWS)
+        assert stack.n_nodes == 2
+        assert not np.signbit(stack.attrs[0, 0]).any()     # the first, +0.0, is kept
 
     def test_a_record_left_with_one_sampled_column_is_skipped(self, table, corpus):
         lone = _record([FeatureCross(("f0",)), FeatureCross(("f1",))])
@@ -809,8 +840,9 @@ def memoless_stacks(records, table, rows):
             v = apply_sequence(rec.sequence, sampled)
         except NeatError:
             continue
-        groups.setdefault(v.shape[1], []).append(v.T)
-    return [build_graph(nn.scale_input(np.stack(g))) for m, g in sorted(groups.items()) if m > 1]
+        nodes = distinct_nodes(nn.scale_input(v.T))
+        groups.setdefault(len(nodes), []).append(nodes)
+    return [build_graph(np.stack(g)) for m, g in sorted(groups.items()) if m > 1]
 
 
 class TestCrossMemo:
@@ -860,19 +892,34 @@ class TestCrossMemo:
         assert max(np.abs(s.attrs).max() for s in stacks) == np.float32(np.arcsinh(VALUE_CAP))
 
 
+def _clamp_range_stacks(seed, depth):
+    """The stacks of 8 records over a 50-row clamp-range table, all rows
+    sampled: each record holds the table's columns and 1-4 random crosses."""
+    table = clamp_range_table(seed, 50)
+    rng = np.random.default_rng(seed)
+    originals = [FeatureCross((feature_token(i),)) for i in range(table.n_features)]
+    records = [_record(originals + [random_cross(table.n_features, depth, rng)
+                                    for _ in range(1 + k % 4)]) for k in range(8)]
+    stacks, _ = materialize_graphs(records, table, RowSample(np.arange(50), 0))
+    return stacks
+
+
 class TestScaledAttributes:
     @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
     def test_finite_and_within_the_scale_of_the_value_cap(self, seed, depth):
-        table = clamp_range_table(seed, 50)
-        rng = np.random.default_rng(seed)
-        originals = [FeatureCross((feature_token(i),)) for i in range(table.n_features)]
-        records = [_record(originals + [random_cross(table.n_features, depth, rng)
-                                        for _ in range(1 + k % 4)]) for k in range(8)]
-        stacks, _ = materialize_graphs(records, table, RowSample(np.arange(50), 0))
+        stacks = _clamp_range_stacks(seed, depth)
         bound = np.float32(np.arcsinh(VALUE_CAP))
         assert stacks and all(s.attrs.dtype == np.float32 for s in stacks)
         assert all(np.isfinite(s.attrs).all() and (np.abs(s.attrs) <= bound).all()
                    for s in stacks)
         # The ±VALUE_CAP leaf column, in every record, reaches the bound.
         assert max(np.abs(s.attrs).max() for s in stacks) == bound
+
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 5))
+    @example(seed=0, depth=2)       # a corpus with float32-equal columns
+    @settings(max_examples=40, deadline=None)
+    def test_no_graph_holds_two_equal_attribute_rows(self, seed, depth):
+        for s in _clamp_range_stacks(seed, depth):
+            for attrs in s.attrs + np.float32(0):      # -0.0 is 0.0
+                assert len(np.unique(attrs, axis=0)) == s.n_nodes

@@ -268,7 +268,7 @@ class TestFromText:
         width = 1 + max(expr.feature_index(t) for c in s.crosses for t in c.tokens
                         if expr.is_feature(t))
         F = apply_sequence(s, make_table(np.eye(width)))
-        assert 1 <= F.shape[1] <= len(s.crosses)
+        assert F.shape[1] == len(s.crosses)
 
 
 class TestApplySequence:
@@ -277,22 +277,21 @@ class TestApplySequence:
         assert F.shape == (40, 2)
         assert F.dtype == np.float64
 
-    def test_bitwise_duplicates_dropped(self, small_table):
-        F = apply_sequence(CrossSequence.from_text("<SOS> f1 <SEP> f1 <EOS>"), small_table)
-        assert F.shape == (40, 1)
+    def test_a_repeated_cross_is_a_column_each_time(self, small_table):
+        F = apply_sequence(CrossSequence.from_text("<SOS> f0 <SEP> f0 <EOS>"), small_table)
+        assert F.shape == (40, 2) and not F.flags.writeable
+        assert F.tobytes() == np.column_stack([small_table.values[:, 0]] * 2).tobytes()
 
     def test_matches_per_segment_oracle(self, small_table, rng):
+        # Random crosses, some of them repeated, and a pair with equal columns.
         crosses = [random_cross(5, 4, rng) for _ in range(6)]
+        crosses += [crosses[i] for i in rng.integers(6, size=3)]
+        crosses += [cross("f0", "f1", "+"), cross("f1", "f0", "+")]
+        crosses = [crosses[i] for i in rng.permutation(len(crosses))]
         F = apply_sequence(CrossSequence.from_crosses(crosses), small_table)
-        expected, seen = [], set()
-        for c in crosses:
-            col = eval_cross(c, small_table)
-            if col.tobytes() not in seen:
-                seen.add(col.tobytes())
-                expected.append(col)
-        assert F.shape[1] == len(expected)
-        for got, want in zip(F.T, expected):
-            assert np.array_equal(got, want)
+        want = np.column_stack([eval_cross(c, small_table) for c in crosses])
+        assert F.shape == (40, len(crosses)) and F.dtype == np.float64
+        assert F.tobytes() == want.tobytes()
 
     def test_each_cross_walked_once(self, small_table, rng, monkeypatch):
         walked = []
@@ -375,8 +374,8 @@ class TestSampledRows:
 
 
 # One move grows every live set: a random cross, a chain of unary ops of a
-# given length (around SEGMENT_CAP), a forced bitwise duplicate, or a branch
-# that starts a copy of the newest set.
+# given length (around SEGMENT_CAP), a pair of crosses with equal columns, or
+# a branch that starts a copy of the newest set.
 MOVES = st.one_of(
     st.tuples(st.just("random"), st.integers(1, 6)),
     st.tuples(st.just("chain"), st.integers(1, SEGMENT_CAP + 2)),
@@ -402,20 +401,17 @@ def _candidates(move, rng):
 
 
 def _offer(features, c, table):
-    """Add ``c`` as a budget-respecting caller would, checking both rules
-    against their definitions: ``from_crosses`` and ``from_text`` for the
-    budgets, the bytes of the set's own matrix for duplicates."""
+    """Add ``c`` as a budget-respecting caller would, checking the budget
+    rule against its definitions, ``from_crosses`` and ``from_text``. A
+    column equal to a kept one is kept too."""
     crosses = features.provenance + [c]
     accepted = not _too_long(CrossSequence.from_crosses, crosses)
     assert _too_long(CrossSequence.from_text, _text(crosses)) != accepted
     assert features.fits(c) == accepted
     if accepted:
-        col = eval_cross(c, table)
-        fresh = col.tobytes() not in {
-            np.ascontiguousarray(v).tobytes() for v in features.matrix().T}
         n = features.n_features
-        assert features.add(c, col) == fresh
-        assert features.n_features == n + fresh
+        assert features.add(c, eval_cross(c, table)) is None
+        assert features.n_features == n + 1 and features.provenance[-1] == c
 
 
 class TestFeatureSet:
@@ -456,7 +452,7 @@ class TestKeptMatrix:
         features = FeatureSet(len(columns))
         views = []
         for i, column in enumerate(columns):
-            assert features.add(cross(f"f{i}"), column)
+            features.add(cross(f"f{i}"), column)
             views.append(features.matrix())
             assert views[-1].dtype == np.float64 and not views[-1].flags.writeable
             assert np.array_equal(views[-1], np.column_stack(columns[:i + 1]))
@@ -488,10 +484,12 @@ class TestKeptMatrix:
         features = FeatureSet(2)
         features.add(cross("f0"), np.zeros(4))
         features.add(cross("f1"), np.ones(4))
-        with pytest.raises(IndexError):
-            features.add(cross("f2"), np.full(4, 2.0))
-        assert features.n_features == 2 and features.provenance == [cross("f0"), cross("f1")]
-        assert features.add(cross("f2"), np.ones(4)) is False      # still a duplicate
+        for column in (np.full(4, 2.0), np.ones(4)):      # a new column, and an equal one
+            with pytest.raises(IndexError):
+                features.add(cross("f2"), column)
+            assert features.n_features == 2
+            assert features.provenance == [cross("f0"), cross("f1")]
+        assert np.array_equal(features.matrix(), np.column_stack([np.zeros(4), np.ones(4)]))
 
     @given(seed=st.integers(0, 2**32 - 1), capacity=st.integers(1, 6),
            depth=st.integers(1, 4))
@@ -506,12 +504,12 @@ class TestKeptMatrix:
         assert not features.fits(c)
         assert not features.copy().fits(c)
 
-    def test_apply_sequence_returns_the_distinct_columns(self, small_table):
-        # A duplicate in the middle: the view is narrower than its array.
+    def test_apply_sequence_returns_every_column(self, small_table):
+        # A repeated cross in the middle is a column like any other.
         crosses = [cross("f0"), cross("f1", "f2", "*"), cross("f0"), cross("f3", "sin")]
         F = apply_sequence(CrossSequence.from_crosses(crosses), small_table)
-        want = np.column_stack([eval_cross(c, small_table) for c in crosses[:2] + crosses[3:]])
-        assert F.shape == (40, 3) and not F.flags.writeable
+        want = np.column_stack([eval_cross(c, small_table) for c in crosses])
+        assert F.shape == (40, 4) and not F.flags.writeable
         assert F.tobytes() == want.tobytes()
 
 

@@ -21,7 +21,7 @@ SEED_1_HASHES = {
         "records_sha256": "9770f75a4f9a8df9260636d7fb1c966932dc62b3011da32bad280e17d11899ce",
     },
     "pretrain": {
-        "loss_log_sha256": "1c65f6c8a1a8d1793e79d4694b70de01cc2fc01f956f5ac3a2e94ed25752602e",
+        "loss_log_sha256": "85c949196c4de8f425d4a371414837ae3f114738861ad32a919bffa9377e9f2c",
         "records_sha256": "3dc1828e52299264f503dc65f35e7ff27010aa78df622e98b6c032152a2be4e5",
     },
 }
